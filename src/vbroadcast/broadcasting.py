@@ -56,6 +56,9 @@ ZERO_THRESHOLD = 1e-12
 
 DEFAULT_CONFIG = SolverConfig()
 
+# an optimal solve whose independent certificate check failed
+STATUS_UNCERTIFIED = "uncertified"
+
 
 @dataclass(frozen=True)
 class ErrorThresholds:
@@ -77,7 +80,8 @@ class OverheadResult:
     ``s = nu^2`` is the sample-complexity overhead; the protocol is sample
     efficient when s < 2, i.e. it beats splitting the shots between the two
     receivers.  ``t`` is set when the marginals are (constrained to be) in the
-    depolarizing family.
+    depolarizing family.  ``status`` is ``uncertified`` when the solver reported
+    an optimum that the independent certificate check rejects.
     """
 
     nu: float
@@ -114,9 +118,10 @@ class TradeoffPoint:
 # shared assembly pieces
 # ---------------------------------------------------------------------------
 
-def _decomposition_builder(d: int, minimize_nu: bool = True) -> ProblemBuilder:
+def _decomposition_builder(d: int, minimize_nu: bool = True,
+                           allow_large_blocks: bool = False) -> ProblemBuilder:
     """Blocks J1, J2 on (B, B1, B2) plus weights with x - y = 1."""
-    builder = ProblemBuilder()
+    builder = ProblemBuilder(allow_large_blocks=allow_large_blocks)
     builder.add_psd_block("J1", d ** 3)
     builder.add_psd_block("J2", d ** 3)
     builder.add_scalar("x")
@@ -162,12 +167,17 @@ def _finish(problem, sol, in_dim, out_dims, t=None) -> OverheadResult:
         cert = check_certificate(problem, sol, tol=1e-6)
         return OverheadResult(nu=float(sol.primal_objective),
                               decomposition=_extract_decomposition(sol, in_dim, out_dims),
-                              status=sol.status, t=t, solution=sol, certificate=cert)
+                              status=_certified_status(cert), t=t, solution=sol,
+                              certificate=cert)
     if sol.status in ("primal_infeasible_certificate", "dual_infeasible_certificate"):
         return OverheadResult(nu=math.nan, decomposition=None, status=sol.status,
                               t=t, solution=sol, certificate=None)
     raise RuntimeError(f"overhead SDP failed: {sol.status} "
                        f"({sol.diagnostics.get('note', '')})")
+
+
+def _certified_status(cert: CertificateReport) -> str:
+    return "optimal" if cert.passed else STATUS_UNCERTIFIED
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +214,16 @@ def overhead_of_map(j: ChoiOperator, config: SolverConfig | None = None) -> Over
     return _finish(problem, sol, j.in_dim, j.out_dims)
 
 
-def exact_overhead(d: int, config: SolverConfig | None = None) -> OverheadResult:
+def exact_overhead(d: int, config: SolverConfig | None = None,
+                   allow_large_blocks: bool = False) -> OverheadResult:
     """Minimal nu over all maps with identity-channel marginals.
 
     The optimum has the closed form (3d - 1)/(d + 1), so the overhead
     nu^2 >= 25/9 exceeds 2 for every d >= 2: exact virtual broadcasting is
-    never sample efficient.
+    never sample efficient.  ``allow_large_blocks`` lifts the block-size
+    guardrail of :class:`~vbroadcast.sdp.ProblemBuilder` (d >= 6).
     """
-    builder = _decomposition_builder(d)
+    builder = _decomposition_builder(d, allow_large_blocks=allow_large_blocks)
     gamma = gamma_operator(d)
     builder.add_operator_eq(_marginal_terms(d, 1), gamma, label="marginal1")
     builder.add_operator_eq(_marginal_terms(d, 2), gamma, label="marginal2")
@@ -221,7 +233,8 @@ def exact_overhead(d: int, config: SolverConfig | None = None) -> OverheadResult
 
 
 def approx_overhead(thresholds: ErrorThresholds | tuple[float, float], d: int,
-                    config: SolverConfig | None = None) -> OverheadResult:
+                    config: SolverConfig | None = None,
+                    allow_large_blocks: bool = False) -> OverheadResult:
     """Minimal nu over maps whose marginals are (a, b)-close to the identity.
 
     Each norm constraint is the feasibility form of the diamond-norm SDP with
@@ -231,7 +244,7 @@ def approx_overhead(thresholds: ErrorThresholds | tuple[float, float], d: int,
     nonempty interior).
     """
     thr = thresholds if isinstance(thresholds, ErrorThresholds) else ErrorThresholds(*thresholds)
-    builder = _decomposition_builder(d)
+    builder = _decomposition_builder(d, allow_large_blocks=allow_large_blocks)
     gamma = gamma_operator(d)
     eye_b = np.eye(d)
     for marginal, bound in ((1, thr.a), (2, thr.b)):
@@ -288,8 +301,8 @@ def depolarizing_overhead(t: float, d: int,
     return _finish(problem, sol, d, (d, d), t=t)
 
 
-def min_error(gamma: float, d: int,
-              config: SolverConfig | None = None) -> TradeoffPoint:
+def min_error(gamma: float, d: int, config: SolverConfig | None = None,
+              allow_large_blocks: bool = False) -> TradeoffPoint:
     """Smallest balanced marginal error under the budget (x + y)^2 <= gamma.
 
     Solved in the depolarizing-reduced form with the error delta as a cone
@@ -298,7 +311,8 @@ def min_error(gamma: float, d: int,
     nonnegative weights).  gamma below 1 is reported as infeasible -- no
     decomposition has x + y < 1.
     """
-    builder = _decomposition_builder(d, minimize_nu=False)
+    builder = _decomposition_builder(d, minimize_nu=False,
+                                     allow_large_blocks=allow_large_blocks)
     k = d * d / (d * d - 1.0)
     gam = gamma_operator(d)
     tie = k * (gam - np.eye(d * d) / d)
@@ -316,7 +330,8 @@ def min_error(gamma: float, d: int,
         cert = check_certificate(problem, sol, tol=1e-6)
         return TradeoffPoint(gamma=gamma, d=d, mu=mu, t=mu * k,
                              decomposition=_extract_decomposition(sol, d, (d, d)),
-                             status=sol.status, solution=sol, certificate=cert)
+                             status=_certified_status(cert), solution=sol,
+                             certificate=cert)
     if sol.status in ("primal_infeasible_certificate", "dual_infeasible_certificate"):
         return TradeoffPoint(gamma=gamma, d=d, mu=math.nan, t=math.nan,
                              decomposition=None, status=sol.status, solution=sol)

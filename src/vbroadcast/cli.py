@@ -13,7 +13,9 @@ Subcommands:
 Output files go through :mod:`vbroadcast.records` (fixed CSV header, 9
 significant digits, rows sorted by inputs); relative ``--out`` paths resolve
 against ``$VBROADCAST_OUT_DIR`` when set.  Exit codes: 0 success, 1 verify
-failure, 2 bad arguments, 3 solver failure, 4 output I/O failure.
+failure, 2 bad arguments (including blocks past the size guardrail without
+``--allow-large-dim``), 3 solver failure or an uncertified optimum, 4 output
+I/O failure.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from . import broadcasting as bc
 from . import simulator as sim
 from .records import SweepRecord, render_csv, render_json, write_records
 from .sdp import SolverConfig
+from .sdp.problem import MAX_BLOCK_DIM
 
 OUT_DIR_ENV = "VBROADCAST_OUT_DIR"
 
@@ -93,7 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default="csv")
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--allow-large-dim", action="store_true")
+        p.add_argument("--allow-large-dim", action="store_true",
+                       help=f"accept SDP blocks above dimension {MAX_BLOCK_DIM} "
+                            "(d >= 6)")
 
     p = sub.add_parser("exact", help="exact-broadcasting overhead")
     p.add_argument("--dim", type=int, default=2)
@@ -174,13 +179,24 @@ def _emit(records: list[SweepRecord], cfg: RunConfig) -> None:
         print(f"wrote {len(records)} records to {path}")
 
 
+def _exit_code(statuses: list[str]) -> int:
+    """3 when any optimum failed its certificate check, else 0."""
+    bad = statuses.count(bc.STATUS_UNCERTIFIED)
+    if bad:
+        print(f"solver failure: {bad} of {len(statuses)} optima failed the "
+              "certificate check", file=sys.stderr)
+        return 3
+    return 0
+
+
 # -- sweep worker (module level so process pools can pickle it) --------------
 
 def _sweep_point(task):
-    a, b, d, tol_gap, tol_feas, max_iter = task
+    a, b, d, tol_gap, tol_feas, max_iter, allow_large = task
     t0 = time.perf_counter()
     res = bc.approx_overhead((a, b), d, config=SolverConfig(
-        tol_gap=tol_gap, tol_feas=tol_feas, max_iter=max_iter))
+        tol_gap=tol_gap, tol_feas=tol_feas, max_iter=max_iter),
+        allow_large_blocks=allow_large)
     return SweepRecord(a=a, b=b, d=d, nu=res.nu, s=res.s, status=res.status,
                        gap=res.solution.gap if res.solution else None,
                        seconds=time.perf_counter() - t0)
@@ -189,14 +205,15 @@ def _sweep_point(task):
 def _run_exact(cfg: RunConfig) -> int:
     d = cfg.dims[0]
     t0 = time.perf_counter()
-    res = bc.exact_overhead(d, config=cfg.solver_config())
+    res = bc.exact_overhead(d, config=cfg.solver_config(),
+                            allow_large_blocks=cfg.allow_large_dim)
     print(f"nu={res.nu:.6f} s={res.s:.6f}")
     if cfg.out:
         rec = SweepRecord(d=d, nu=res.nu, s=res.s, status=res.status,
                           gap=res.solution.gap,
                           seconds=time.perf_counter() - t0)
         _emit([rec], cfg)
-    return 0
+    return _exit_code([res.status])
 
 
 def _run_sweep_ab(cfg: RunConfig) -> int:
@@ -206,22 +223,24 @@ def _run_sweep_ab(cfg: RunConfig) -> int:
     else:
         axis = np.linspace(0.0, 1.0, cfg.grid)
         points = [(float(a), float(b)) for a in axis for b in axis]
-    tasks = [(a, b, d, cfg.tol_gap, cfg.tol_feas, cfg.max_iter) for a, b in points]
+    tasks = [(a, b, d, cfg.tol_gap, cfg.tol_feas, cfg.max_iter, cfg.allow_large_dim)
+             for a, b in points]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             records = list(pool.map(_sweep_point, tasks, chunksize=4))
     else:
         records = [_sweep_point(t) for t in tasks]
     _emit(records, cfg)
-    return 0
+    return _exit_code([r.status for r in records])
 
 
 def _run_min_error(cfg: RunConfig) -> int:
     d = cfg.dims[0]
     gamma = cfg.gammas[0]
     t0 = time.perf_counter()
-    point = bc.min_error(gamma, d, config=cfg.solver_config())
-    if point.status == "optimal":
+    point = bc.min_error(gamma, d, config=cfg.solver_config(),
+                         allow_large_blocks=cfg.allow_large_dim)
+    if point.decomposition is not None:
         nu = point.decomposition.nu
         print(f"gamma={gamma:.6f} d={d} mu={point.mu:.6f} t={point.t:.6f} "
               f"nu={nu:.6f} status={point.status}")
@@ -235,14 +254,15 @@ def _run_min_error(cfg: RunConfig) -> int:
                           gap=point.solution.gap if point.solution else None,
                           seconds=time.perf_counter() - t0)
         _emit([rec], cfg)
-    return 0
+    return _exit_code([point.status])
 
 
 def _tradeoff_point(task):
-    gamma, d, tol_gap, tol_feas, max_iter = task
+    gamma, d, tol_gap, tol_feas, max_iter, allow_large = task
     t0 = time.perf_counter()
     point = bc.min_error(gamma, d, config=SolverConfig(
-        tol_gap=tol_gap, tol_feas=tol_feas, max_iter=max_iter))
+        tol_gap=tol_gap, tol_feas=tol_feas, max_iter=max_iter),
+        allow_large_blocks=allow_large)
     nu = point.decomposition.nu if point.decomposition else None
     return SweepRecord(gamma=gamma, d=d, mu=point.mu, t=point.t, nu=nu,
                        s=None if nu is None else nu ** 2, status=point.status,
@@ -251,10 +271,7 @@ def _tradeoff_point(task):
 
 
 def _run_tradeoff(cfg: RunConfig) -> int:
-    big = [d for d in cfg.dims if d > 4]
-    if big and not cfg.allow_large_dim:
-        raise ValueError(f"dimensions {big} need --allow-large-dim")
-    tasks = [(g, d, cfg.tol_gap, cfg.tol_feas, cfg.max_iter)
+    tasks = [(g, d, cfg.tol_gap, cfg.tol_feas, cfg.max_iter, cfg.allow_large_dim)
              for g in cfg.gammas for d in cfg.dims]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -262,7 +279,7 @@ def _run_tradeoff(cfg: RunConfig) -> int:
     else:
         records = [_tradeoff_point(t) for t in tasks]
     _emit(records, cfg)
-    return 0
+    return _exit_code([r.status for r in records])
 
 
 def _run_simulate(cfg: RunConfig) -> int:

@@ -22,19 +22,21 @@ turns inequalities into equalities with slack blocks:
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..linalg import as_hermitian
 
-# Largest realified block dimension accepted without an explicit override;
-# keeps accidental huge dense solves from hanging a session.
-MAX_REAL_BLOCK_DIM = 260
+# Largest block dimension accepted without an explicit override; keeps
+# accidental huge dense solves from hanging a session.
+MAX_BLOCK_DIM = 130
 
 Triplets = tuple[np.ndarray, np.ndarray, np.ndarray]  # (ii, jj, vv), ii <= jj
+_EMPTY: Triplets = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))
 
 
 @dataclass(frozen=True)
@@ -43,10 +45,6 @@ class BlockSpec:
 
     name: str
     dim: int
-
-    @property
-    def real_dim(self) -> int:
-        return 1 if self.dim == 1 else 2 * self.dim
 
 
 @dataclass
@@ -58,12 +56,28 @@ class Row:
     label: str = ""
 
 
+@dataclass(frozen=True)
+class Embedding:
+    """The terms ``scale * <E_r, Tr_drop[X_block]>`` of operator-equation rows
+    ``start + r``, r < dim**2, for the basis ``hermitian_basis_triplets(dim)``;
+    a full term is the layout ``(block dim,)`` with nothing dropped.  The
+    solver builds its Schur complement from these, not from the triplets."""
+
+    block: str
+    start: int
+    dim: int
+    dims: tuple[int, ...]
+    drop: tuple[int, ...]
+    scale: float
+
+
 @dataclass
 class SdpProblem:
     blocks: list[BlockSpec]
     objective: dict[str, Triplets]
     rows: list[Row]
     allow_large_blocks: bool = False
+    embeddings: list[Embedding] = field(default_factory=list)
 
     @property
     def n_rows(self) -> int:
@@ -76,27 +90,26 @@ class SdpProblem:
         raise KeyError(f"no block named {name!r}")
 
     def validate(self) -> None:
-        names = [b.name for b in self.blocks]
-        if len(set(names)) != len(names):
+        dims = {b.name: b.dim for b in self.blocks}
+        if len(dims) != len(self.blocks):
             raise ValueError("duplicate block names")
         for b in self.blocks:
             if b.dim < 1:
                 raise ValueError(f"block {b.name!r} has invalid dimension {b.dim}")
-            if b.real_dim > MAX_REAL_BLOCK_DIM and not self.allow_large_blocks:
+            if b.dim > MAX_BLOCK_DIM and not self.allow_large_blocks:
                 raise ValueError(
-                    f"block {b.name!r} realifies to dimension {b.real_dim} > "
-                    f"{MAX_REAL_BLOCK_DIM}; pass allow_large_blocks=True to override")
-            if b.real_dim > MAX_REAL_BLOCK_DIM and self.allow_large_blocks:
+                    f"block {b.name!r} has dimension {b.dim} > {MAX_BLOCK_DIM}; "
+                    "pass allow_large_blocks=True (--allow-large-dim) to override")
+            if b.dim > MAX_BLOCK_DIM:
                 warnings.warn(f"block {b.name!r} exceeds the desk-scale guardrail "
-                              f"({b.real_dim} realified); expect long solve times",
+                              f"(dimension {b.dim}); expect long solve times",
                               RuntimeWarning)
-        known = set(names)
         for which, coeffs in [("objective", self.objective)] + [
                 (f"row {i}", r.coeffs) for i, r in enumerate(self.rows)]:
             for name, (ii, jj, vv) in coeffs.items():
-                if name not in known:
+                if name not in dims:
                     raise ValueError(f"{which} references unknown block {name!r}")
-                d = self.block(name).dim
+                d = dims[name]
                 if ii.size and (ii.min() < 0 or jj.max() >= d):
                     raise ValueError(f"{which} has out-of-range indices for block {name!r}")
                 if np.any(ii > jj):
@@ -104,54 +117,47 @@ class SdpProblem:
                 diag = ii == jj
                 if np.any(np.abs(vv[diag].imag) > 1e-12):
                     raise ValueError(f"{which} has complex diagonal entries for block {name!r}")
+        for e in self.embeddings:
+            if (int(np.prod(e.dims)) != dims.get(e.block)
+                    or not 0 <= e.start <= e.start + e.dim ** 2 <= len(self.rows)):
+                raise ValueError(f"embedding of block {e.block!r} does not fit the problem")
 
     # -- evaluation helpers used by the certificate checker ------------------
 
     def constraint_values(self, x_blocks: dict[str, np.ndarray]) -> np.ndarray:
         """Evaluate <A_i, X> for every row."""
-        out = np.zeros(len(self.rows))
-        for r, row in enumerate(self.rows):
-            out[r] = _eval_coeffs(row.coeffs, x_blocks)
-        return out
+        return np.array([_eval_coeffs(row.coeffs, x_blocks) for row in self.rows], dtype=float)
 
     def objective_value(self, x_blocks: dict[str, np.ndarray]) -> float:
         return _eval_coeffs(self.objective, x_blocks)
 
     def adjoint(self, y: np.ndarray) -> dict[str, np.ndarray]:
         """Dense Hermitian matrices of A^*(y) = sum_i y_i A_i per block."""
-        out = {b.name: np.zeros((b.dim, b.dim), dtype=complex) for b in self.blocks}
+        parts: dict[str, list[Triplets]] = {b.name: [_EMPTY] for b in self.blocks}
         for yi, row in zip(y, self.rows):
-            if yi == 0.0:
-                continue
-            for name, (ii, jj, vv) in row.coeffs.items():
-                m = out[name]
-                np.add.at(m, (ii, jj), yi * vv)
-                off = ii != jj
-                np.add.at(m, (jj[off], ii[off]), yi * vv[off].conj())
-        return out
+            if yi != 0.0:
+                for name, (ii, jj, vv) in row.coeffs.items():
+                    parts[name].append((ii, jj, yi * vv))
+        return {b.name: dense_from_triplets(_merge_triplets(parts[b.name]), b.dim)
+                for b in self.blocks}
 
     def objective_matrices(self) -> dict[str, np.ndarray]:
-        out = {}
-        for b in self.blocks:
-            m = np.zeros((b.dim, b.dim), dtype=complex)
-            if b.name in self.objective:
-                ii, jj, vv = self.objective[b.name]
-                np.add.at(m, (ii, jj), vv)
-                off = ii != jj
-                np.add.at(m, (jj[off], ii[off]), vv[off].conj())
-            out[b.name] = m
-        return out
+        return {b.name: dense_from_triplets(self.objective.get(b.name, _EMPTY), b.dim)
+                for b in self.blocks}
 
 
 def _eval_coeffs(coeffs: dict[str, Triplets], x_blocks: dict[str, np.ndarray]) -> float:
-    total = 0.0
-    for name, (ii, jj, vv) in coeffs.items():
-        x = np.asarray(x_blocks[name])
-        diag = ii == jj
-        total += float(np.sum(vv[diag].real * x[ii[diag], jj[diag]].real))
-        off = ~diag
-        total += float(2.0 * np.sum((vv[off] * x[jj[off], ii[off]]).real))
-    return total
+    return sum(_triplet_inner(t, np.asarray(x_blocks[name])) for name, t in coeffs.items())
+
+
+def dense_from_triplets(trip: Triplets, dim: int) -> np.ndarray:
+    """The dense Hermitian matrix of canonical triplets (duplicates add up)."""
+    ii, jj, vv = trip
+    m = np.zeros((dim, dim), dtype=complex)
+    np.add.at(m, (ii, jj), vv)
+    off = ii != jj
+    np.add.at(m, (jj[off], ii[off]), vv[off].conj())
+    return m
 
 
 def triplets_from_dense(a: np.ndarray, tol: float = 0.0) -> Triplets:
@@ -176,18 +182,71 @@ def _merge_triplets(parts: list[Triplets]) -> Triplets:
 # Hermitian basis of a D-dimensional space, as canonical triplets
 # ---------------------------------------------------------------------------
 
+_SQRT2 = np.sqrt(2.0)
+
+
+class _Basis:
+    """Coordinates of n x n Hermitian matrices in the orthonormal basis of
+    ``hermitian_basis_triplets(n)``: the diagonal, then sqrt(2) Re and
+    -sqrt(2) Im of each upper entry.  Coordinate r of X is <E_r, X>, so the
+    coefficients of an operator equation's row r are the unit vector r.
+
+    Basis element r has at most two nonzeros: ``c1[r]`` at flat index
+    ``i1[r]`` and ``c2[r]`` at ``i2[r]`` (``c2 = 0`` on the diagonal).
+    """
+
+    def __init__(self, n: int):
+        self.n, self.N = n, n * n
+        iu, ju = np.triu_indices(n, 1)
+        self.pos = np.diag(np.arange(n))          # coordinate of entry (i, j), i <= j
+        self.pos[iu, ju] = n + 2 * np.arange(iu.size)
+        diag = np.arange(n) * (n + 1)
+        self.i1 = np.concatenate([diag, np.repeat(iu * n + ju, 2)])
+        self.i2 = np.concatenate([diag, np.repeat(ju * n + iu, 2)])
+        pairs = iu.size
+        h = 1.0 / _SQRT2
+        self.c1 = np.concatenate([np.ones(n), np.tile([h, -1j * h], pairs)])
+        self.c2 = np.concatenate([np.zeros(n), np.tile([h, 1j * h], pairs)])
+
+    def vec(self, m: np.ndarray) -> np.ndarray:
+        flat = m.reshape(m.shape[:-2] + (self.N,))
+        return (flat[..., self.i1] * self.c1.conj() + flat[..., self.i2] * self.c2.conj()).real
+
+    def mat(self, v: np.ndarray) -> np.ndarray:
+        n, out = self.n, np.empty(v.shape[:-1] + (self.N,), dtype=complex)
+        u = (v[..., n::2] - 1j * v[..., n + 1::2]) / _SQRT2
+        out[..., self.i1[:n]] = v[..., :n]
+        out[..., self.i1[n::2]] = u
+        out[..., self.i2[n::2]] = u.conj()
+        return out.reshape(v.shape[:-1] + (n, n))
+
+    def coords(self, trip: Triplets) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates and values of the matrix of canonical triplets."""
+        ii, jj, vv = trip
+        diag = ii == jj
+        oi, oj, ov = ii[~diag], jj[~diag], vv[~diag]
+        return (np.concatenate([ii[diag], self.pos[oi, oj], self.pos[oi, oj] + 1]),
+                np.concatenate([vv[diag].real, _SQRT2 * ov.real, -_SQRT2 * ov.imag]))
+
+    def pair(self, other: _Basis, k: np.ndarray) -> np.ndarray:
+        """M_ab = <E_a, L(F_b)> for the map with k[(p, q), (r, s)] = L(|r><s|)_pq,
+        F the basis of ``other``."""
+        t = k[:, other.i1] * other.c1 + k[:, other.i2] * other.c2
+        return (self.c1.conj()[:, None] * t[self.i1]
+                + self.c2.conj()[:, None] * t[self.i2]).real
+
+
+@functools.lru_cache(maxsize=None)
+def _basis(n: int) -> _Basis:
+    return _Basis(n)
+
+
 def hermitian_basis_triplets(d: int) -> list[Triplets]:
     """Orthonormal Hermitian basis: diagonal units, then (real, imaginary)
     off-diagonal pairs scaled by 1/sqrt(2)."""
-    basis = []
-    for i in range(d):
-        basis.append((np.array([i]), np.array([i]), np.array([1.0 + 0j])))
-    inv = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            basis.append((np.array([i]), np.array([j]), np.array([inv + 0j])))
-            basis.append((np.array([i]), np.array([j]), np.array([-1j * inv])))
-    return basis
+    basis = _basis(d)
+    return [(np.array([i // d]), np.array([i % d]), np.array([c]))
+            for i, c in zip(basis.i1, basis.c1)]
 
 
 def _triplet_inner(e: Triplets, m: np.ndarray) -> float:
@@ -242,26 +301,14 @@ def _ptrace_embedding(dims: tuple[int, ...], drop: tuple[int, ...]):
     """Precompute flat-index arithmetic for the adjoint of a partial trace.
 
     The adjoint of Tr_drop places the target operator on the kept factors and
-    the identity on the dropped ones.  Returns (kept_dims, base, offsets) with
+    the identity on the dropped ones.  Returns (kept_dim, base, offsets) with
     flat_block_index = base[kept_flat] + offsets[dropped_flat].
     """
-    k = len(dims)
-    keep = [i for i in range(k) if i not in drop]
-    strides = np.ones(k, dtype=np.int64)
-    for i in range(k - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    kept_dims = [dims[i] for i in keep]
-    drop_dims = [dims[i] for i in drop]
-
-    def flat_offsets(positions, subdims):
-        if not positions:
-            return np.zeros(1, dtype=np.int64)
-        grids = np.indices(subdims).reshape(len(subdims), -1)
-        return sum(grids[a] * strides[p] for a, p in enumerate(positions))
-
-    base = flat_offsets(keep, kept_dims)
-    offsets = flat_offsets(list(drop), drop_dims)
-    return int(np.prod(kept_dims)) if kept_dims else 1, base, offsets
+    keep = [f for f in range(len(dims)) if f not in drop]
+    kept_dim = int(np.prod([dims[f] for f in keep]))
+    index = np.arange(int(np.prod(dims))).reshape(dims).transpose(keep + list(drop))
+    index = index.reshape(kept_dim, -1)
+    return kept_dim, index[:, 0], index[0]
 
 
 def _embed_triplets(e: Triplets, base: np.ndarray, offsets: np.ndarray,
@@ -286,6 +333,7 @@ class ProblemBuilder:
         self._blocks: list[BlockSpec] = []
         self._objective: dict[str, list[Triplets]] = {}
         self._rows: list[Row] = []
+        self._embeddings: list[Embedding] = []
         self._free: dict[str, tuple[str, str]] = {}
         self.allow_large_blocks = allow_large_blocks
 
@@ -356,30 +404,30 @@ class ProblemBuilder:
         """sum of terms = rhs, expanded over a Hermitian basis of the target."""
         rhs = as_hermitian(rhs)
         d = rhs.shape[0]
-        prepared = []
+        start = len(self._rows)
+        prepared, embeddings = [], []
         for t in terms:
-            if t.kind == "full":
+            if t.kind in ("full", "ptrace"):
                 bdim = self._block_dim(t.block)
-                if bdim != d:
-                    raise ValueError(f"term on {t.block!r} has dimension {bdim}, "
-                                     f"target has {d}")
-                prepared.append(("full", t.block, t.scale, None))
-            elif t.kind == "ptrace":
-                bdim = self._block_dim(t.block)
-                if int(np.prod(t.dims)) != bdim:
-                    raise ValueError(f"layout {t.dims} does not match block "
+                dims, drop = ((bdim,), ()) if t.kind == "full" else (t.dims, t.drop)
+                if int(np.prod(dims)) != bdim:
+                    raise ValueError(f"layout {dims} does not match block "
                                      f"{t.block!r} of dimension {bdim}")
-                kept_dim, base, offsets = _ptrace_embedding(t.dims, t.drop)
+                kept_dim, base, offsets = _ptrace_embedding(dims, drop)
                 if kept_dim != d:
-                    raise ValueError(f"partial trace of {t.block!r} has dimension "
+                    raise ValueError(f"term on {t.block!r} has dimension "
                                      f"{kept_dim}, target has {d}")
-                prepared.append(("ptrace", t.block, t.scale, (base, offsets)))
+                prepared.append((t.kind, t.block, t.scale, (base, offsets)))
+                embeddings.append(Embedding(t.block, start, d, dims, drop, t.scale))
             elif t.kind == "scalar":
                 if t.matrix.shape[0] != d:
                     raise ValueError("scalar term matrix does not match the target")
+                if t.block not in self._free and self._block_dim(t.block) != 1:
+                    raise ValueError(f"scalar term on {t.block!r} needs a dimension-1 block")
                 prepared.append(("scalar", t.block, t.scale, t.matrix))
             else:
                 raise ValueError(f"unknown term kind {t.kind!r}")
+        self._embeddings += embeddings
 
         for r, e in enumerate(hermitian_basis_triplets(d)):
             parts: dict[str, list[Triplets]] = {}
@@ -421,7 +469,8 @@ class ProblemBuilder:
         objective = {k: _merge_triplets(v) for k, v in self._objective.items()}
         p = SdpProblem(blocks=list(self._blocks), objective=objective,
                        rows=list(self._rows),
-                       allow_large_blocks=self.allow_large_blocks)
+                       allow_large_blocks=self.allow_large_blocks,
+                       embeddings=list(self._embeddings))
         p.validate()
         return p
 

@@ -2,12 +2,19 @@
 
 The algorithm is a path-following method on the homogeneous self-dual
 embedding with Nesterov-Todd scaling and a Mehrotra predictor-corrector step,
-the standard recipe for this problem class.  Complex Hermitian blocks are
-realified internally: an n x n Hermitian block becomes the real symmetric
-2n x 2n block [[Re, -Im], [Im, Re]].  The factor 2 that realification
-introduces into inner products is divided out during assembly, so objective
-and constraint values agree with the complex-domain problem; eigenvalues of
-the realified block are those of the complex block with doubled multiplicity.
+the standard recipe for this problem class.  Hermitian blocks stay in the
+complex domain, as in SeDuMi and SDPT3: the NT scaling, the step length and
+the corrector work on complex matrices, and a block's vector form is its
+coordinates in the orthonormal basis of ``hermitian_basis_triplets``, so that
+inner products are Re Tr(A X).  Dimension-1 blocks form one nonnegative
+orthant.
+
+The Schur complement M_ij = Re Tr(A_i W A_j W) is assembled one block and one
+pair of row groups at a time (Fujisawa, Kojima and Nakata, Math. Prog. 79,
+1997).  The rows of an operator equation embed a Hermitian basis as E (x) I,
+so a pair of groups is the single contraction Tr_drop_i[W (E (x) I_drop_j) W]
+of the reshaped scaling matrix W, followed by a change to the Hermitian basis.
+Rows with any other coefficient on a block are paired through W A W.
 
 The embedding tracks (x, y, s, tau, kappa) with the invariants
 
@@ -22,6 +29,7 @@ certificate of primal or dual infeasibility.
 
 from __future__ import annotations
 
+import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -30,8 +38,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from ..linalg import hermitian_part
-from .problem import SdpProblem, Triplets
+from .problem import SdpProblem, _basis
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iterations"
@@ -85,118 +92,154 @@ def record_solves():
 
 
 # ---------------------------------------------------------------------------
-# svec / smat machinery per realified block size
+# Hermitian-basis coordinates and the structured Schur blocks
 # ---------------------------------------------------------------------------
 
-class _BlockOps:
-    """Symmetric vectorization caches for one realified block size."""
+@functools.lru_cache(maxsize=256)
+def _contraction(dims: tuple[int, ...], drop_i: tuple[int, ...],
+                 drop_j: tuple[int, ...]):
+    """Plan of K[(p, q), (r, s)] = Tr_drop_i[W (|r><s| (x) I_drop_j) W]_pq.
 
-    def __init__(self, n: int):
-        self.n = n
-        p, q = np.triu_indices(n)
-        self.p, self.q = p, q
-        self.w = np.where(p == q, 1.0, np.sqrt(2.0))
-        self.N = p.size
-        pos = np.full((n, n), -1, dtype=np.int64)
-        pos[p, q] = np.arange(p.size)
-        self.pos = pos
-
-    def svec(self, m: np.ndarray) -> np.ndarray:
-        return m[..., self.p, self.q] * self.w
-
-    def smat(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(v.shape[:-1] + (self.n, self.n))
-        vals = v / self.w
-        out[..., self.p, self.q] = vals
-        out[..., self.q, self.p] = vals
-        return out
-
-
-_OPS_CACHE: dict[int, _BlockOps] = {}
-
-
-def _ops(n: int) -> _BlockOps:
-    if n not in _OPS_CACHE:
-        _OPS_CACHE[n] = _BlockOps(n)
-    return _OPS_CACHE[n]
-
-
-def _realified_svec_entries(trip: Triplets, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """svec coordinates/values of realify(A)/2 for canonical Hermitian triplets.
-
-    For dim == 1 the block is a plain real scalar (no realification, no halving).
+    With kept/dropped factor indices p, t for i and r, u for j this is
+    sum_{t,u} W[(p, t), (r, u)] W[(s, u), (q, t)]: one matrix product of two
+    transposed views of W reshaped to ``dims + dims``.
     """
-    ii, jj, vv = trip
-    if dim == 1:
-        return np.zeros(ii.size, dtype=np.int64), vv.real.copy()
-    n = dim
-    ops = _ops(2 * n)
-    pos = ops.pos
-    s2 = np.sqrt(2.0)
-    diag = ii == jj
-    di, dv = ii[diag], vv[diag].real / 2.0
-    oi, oj, ov = ii[~diag], jj[~diag], vv[~diag]
-    re, im = ov.real / 2.0, ov.imag / 2.0
-    coords = np.concatenate([
-        pos[di, di], pos[n + di, n + di],
-        pos[oi, oj], pos[n + oi, n + oj],
-        pos[oi, n + oj], pos[oj, n + oi],
-    ])
-    vals = np.concatenate([dv, dv, s2 * re, s2 * re, -s2 * im, s2 * im])
-    return coords, vals
+    k, n = len(dims), int(np.prod(dims))
+    keep_i = [f for f in range(k) if f not in drop_i]
+    keep_j = [f for f in range(k) if f not in drop_j]
+    n_p, n_r = int(np.prod([dims[f] for f in keep_i])), int(np.prod([dims[f] for f in keep_j]))
+    left = (*keep_i, *(k + f for f in keep_j), *drop_i, *(k + f for f in drop_j))
+    right = (*(k + f for f in drop_i), *drop_j, *keep_j, *(k + f for f in keep_i))
+    return left, right, n_p, n_r, (n // n_p) * (n // n_r)
 
 
-def _extract_complex(y: np.ndarray, dim: int) -> np.ndarray:
-    """Undo realification; the projection also absorbs roundoff drift."""
-    if dim == 1:
-        return np.array([[float(y[0, 0])]])
-    n = dim
-    re = 0.5 * (y[:n, :n] + y[n:, n:])
-    im = 0.5 * (y[n:, :n] - y[:n, n:])
-    return hermitian_part(re + 1j * im)
+def _pair_map(wt: np.ndarray, dims, drop_i, drop_j) -> np.ndarray:
+    left, right, n_p, n_r, inner = _contraction(dims, drop_i, drop_j)
+    k = (wt.transpose(left).reshape(n_p * n_r, inner)
+         @ wt.transpose(right).reshape(inner, n_r * n_p))           # (p, r | s, q)
+    return k.reshape(n_p, n_r, n_r, n_p).transpose(0, 3, 1, 2).reshape(n_p ** 2, n_r ** 2)
+
+
+class _Cone:
+    """The orthant of the dimension-1 blocks times the Hermitian blocks.
+
+    A point is ``(lin, mats)``; its vector is ``lin`` followed by the
+    Hermitian-basis coordinates of each matrix.
+    """
+
+    def __init__(self, dims: list[int]):
+        self.lin = [k for k, n in enumerate(dims) if n == 1]
+        self.mat = [k for k, n in enumerate(dims) if n > 1]
+        self.bases = [_basis(dims[k]) for k in self.mat]
+        self.offsets = np.cumsum([0, len(self.lin)] + [b.N for b in self.bases])
+        self.total = int(self.offsets[-1])
+        self.degree = float(len(self.lin) + sum(b.n for b in self.bases))
+
+    def split(self, v: np.ndarray):
+        o = self.offsets
+        return v[:o[1]], [b.mat(v[o[i + 1]:o[i + 2]]) for i, b in enumerate(self.bases)]
+
+    def vec(self, lin: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate([lin] + [b.vec(m) for b, m in zip(self.bases, mats)])
+
+
+@dataclass
+class _BlockRows:
+    """The rows on one Hermitian block: ``groups`` of embeddings (row slice,
+    target basis, drop, scale) on the block's ``layout``, and the other rows
+    ``mrows`` with coefficient matrices ``hmats`` and constraint columns
+    ``a_block``."""
+
+    layout: tuple[int, ...]
+    groups: list
+    mrows: np.ndarray
+    hmats: np.ndarray
+    a_block: sp.csr_matrix
+
+
+def _block_rows(problem: SdpProblem, cone: _Cone, a_full: sp.csr_matrix) -> list[_BlockRows]:
+    out = []
+    for i, (k, basis) in enumerate(zip(cone.mat, cone.bases)):
+        name = problem.blocks[k].name
+        a_block = a_full[:, cone.offsets[i + 1]:cone.offsets[i + 2]]
+        emb = [e for e in problem.embeddings if e.block == name]
+        layouts = {e.dims for e in emb if e.drop}
+        if len(layouts) > 1:
+            emb = []    # no common factorization: every row is paired as a matrix
+        layout = layouts.pop() if len(layouts) == 1 else (basis.n,)
+        groups = [(slice(e.start, e.start + e.dim ** 2), _basis(e.dim), e.drop, e.scale)
+                  for e in emb]
+        mrows = np.diff(a_block.indptr) > 0
+        for rows, *_ in groups:
+            mrows[rows] = False
+        mrows = np.flatnonzero(mrows)
+        out.append(_BlockRows(layout, groups, mrows,
+                              basis.mat(a_block[mrows].toarray()), a_block))
+    return out
+
+
+def _schur(a_lin: sp.csr_matrix, p_lin: np.ndarray, blocks: list[_BlockRows],
+           w_list: list[np.ndarray]) -> np.ndarray:
+    """M_ij = sum over blocks of Re Tr(A_i W A_j W) on all rows: the orthant
+    through its sparse columns ``a_lin`` scaled by ``p_lin``, each Hermitian
+    block through its rows and its NT scaling matrix W."""
+    schur = (a_lin @ sp.diags(p_lin) @ a_lin.T).toarray()
+    for blk, w in zip(blocks, w_list):
+        wt = w.reshape(blk.layout * 2)
+        for a, (rows_g, basis_g, drop_g, scale_g) in enumerate(blk.groups):
+            for b in range(a, len(blk.groups)):
+                rows_h, basis_h, drop_h, scale_h = blk.groups[b]
+                k = _pair_map(wt, blk.layout, drop_g, drop_h)
+                m_gh = (scale_g * scale_h) * basis_g.pair(basis_h, k)
+                schur[rows_g, rows_h] += m_gh
+                if b != a:
+                    schur[rows_h, rows_g] += m_gh.T
+        if blk.mrows.size:
+            # column i: <A_j, W H_i W> for every row j; the (mrows, mrows)
+            # part would be added twice
+            r = blk.a_block @ _basis(w.shape[0]).vec(w @ blk.hmats @ w).T
+            schur[:, blk.mrows] += r
+            schur[blk.mrows, :] += r.T
+            schur[np.ix_(blk.mrows, blk.mrows)] -= r[blk.mrows]
+    return schur
 
 
 # ---------------------------------------------------------------------------
 # Assembly and preprocessing
 # ---------------------------------------------------------------------------
 
-def _assemble(problem: SdpProblem):
-    problem.validate()
-    names = [b.name for b in problem.blocks]
-    sizes = [b.real_dim for b in problem.blocks]
-    dims = [b.dim for b in problem.blocks]
+def _assemble(problem: SdpProblem, cone: _Cone):
+    """Sparse constraint matrix in cone coordinates, objective vector, rhs."""
+    column = {problem.blocks[k].name: (_basis(1), i) for i, k in enumerate(cone.lin)}
+    for i, k in enumerate(cone.mat):
+        column[problem.blocks[k].name] = (cone.bases[i], int(cone.offsets[i + 1]))
+
+    def coords(name, trip):
+        basis, offset = column[name]
+        idx, vals = basis.coords(trip)
+        return offset + idx, vals
+
+    rows_idx, cols_idx, vals = [], [], []
+    for r, row in enumerate(problem.rows):
+        for name, trip in row.coeffs.items():
+            idx, v = coords(name, trip)
+            rows_idx.append(np.full(idx.size, r, dtype=np.int64))
+            cols_idx.append(idx)
+            vals.append(v)
     m = len(problem.rows)
+    if rows_idx:
+        a_full = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
+            shape=(m, cone.total)).tocsr()
+    else:
+        a_full = sp.csr_matrix((m, cone.total))
 
-    a_blocks = []
-    for k, b in enumerate(problem.blocks):
-        n_sv = _ops(sizes[k]).N if sizes[k] > 1 else 1
-        rows_idx, cols_idx, vals = [], [], []
-        for r, row in enumerate(problem.rows):
-            if b.name in row.coeffs:
-                coords, v = _realified_svec_entries(row.coeffs[b.name], b.dim)
-                rows_idx.append(np.full(coords.size, r, dtype=np.int64))
-                cols_idx.append(coords)
-                vals.append(v)
-        if rows_idx:
-            a = sp.coo_matrix(
-                (np.concatenate(vals),
-                 (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-                shape=(m, n_sv)).tocsr()
-        else:
-            a = sp.csr_matrix((m, n_sv))
-        a_blocks.append(a)
-
-    c_blocks = []
-    for k, b in enumerate(problem.blocks):
-        n_sv = _ops(sizes[k]).N if sizes[k] > 1 else 1
-        c = np.zeros(n_sv)
-        if b.name in problem.objective:
-            coords, v = _realified_svec_entries(problem.objective[b.name], b.dim)
-            np.add.at(c, coords, v)
-        c_blocks.append(c)
-
+    c = np.zeros(cone.total)
+    for name, trip in problem.objective.items():
+        idx, v = coords(name, trip)
+        np.add.at(c, idx, v)
     b_vec = np.array([row.rhs for row in problem.rows], dtype=float)
-    return names, dims, sizes, a_blocks, c_blocks, b_vec
+    return a_full, c, b_vec
 
 
 def _select_independent_rows(a_full: sp.csr_matrix, b: np.ndarray, tol_rel: float):
@@ -208,11 +251,10 @@ def _select_independent_rows(a_full: sp.csr_matrix, b: np.ndarray, tol_rel: floa
     """
     m = a_full.shape[0]
     gram = np.asarray((a_full @ a_full.T).todense(), dtype=float)
-    diag = gram.diagonal().copy()
-    scale = max(float(diag.max(initial=0.0)), 1e-300)
+    d = gram.diagonal().copy()
+    scale = max(float(d.max(initial=0.0)), 1e-300)
     lfac = np.zeros((m, m))
     avail = np.ones(m, dtype=bool)
-    d = diag.copy()
     perm: list[int] = []
     for step in range(m):
         masked = np.where(avail, d, -np.inf)
@@ -227,43 +269,22 @@ def _select_independent_rows(a_full: sp.csr_matrix, b: np.ndarray, tol_rel: floa
 
     r = len(perm)
     kept = sorted(perm)
-    dropped = [i for i in range(m) if i not in set(perm)]
+    dropped = np.flatnonzero(avail)
     inconsistency = 0.0
-    if dropped and r:
+    if dropped.size and r:
         lp = lfac[perm, :r]
         w = sla.solve_triangular(lp, b[perm], lower=True)
-        for i in dropped:
-            pred = float(lfac[i, :r] @ w)
-            denom = 1.0 + abs(b[i]) + float(np.linalg.norm(lfac[i, :r])) * float(np.linalg.norm(w))
-            inconsistency = max(inconsistency, abs(b[i] - pred) / denom)
-    elif dropped:
-        inconsistency = max((abs(b[i]) for i in dropped), default=0.0)
-    return kept, dropped, inconsistency
+        ld = lfac[dropped, :r]
+        denom = 1.0 + np.abs(b[dropped]) + np.linalg.norm(ld, axis=1) * np.linalg.norm(w)
+        inconsistency = float(np.max(np.abs(b[dropped] - ld @ w) / denom))
+    elif dropped.size:
+        inconsistency = float(np.max(np.abs(b[dropped])))
+    return kept, dropped.tolist(), inconsistency
 
 
 # ---------------------------------------------------------------------------
 # The HSD engine
 # ---------------------------------------------------------------------------
-
-class _Cone:
-    """Per-iteration Nesterov-Todd scaling data for the block cone."""
-
-    def __init__(self, sizes: list[int]):
-        self.sizes = sizes
-        self.ops = [_ops(n) for n in sizes]
-        self.offsets = np.cumsum([0] + [op.N for op in self.ops])
-        self.total = int(self.offsets[-1])
-        self.degree = float(sum(sizes))
-
-    def split(self, v: np.ndarray) -> list[np.ndarray]:
-        return [v[self.offsets[k]:self.offsets[k + 1]] for k in range(len(self.sizes))]
-
-    def mats(self, v: np.ndarray) -> list[np.ndarray]:
-        return [op.smat(part) for op, part in zip(self.ops, self.split(v))]
-
-    def vec(self, mats: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate([op.svec(m) for op, m in zip(self.ops, mats)])
-
 
 def _chol_with_jitter(m: np.ndarray) -> np.ndarray:
     """Cholesky with a tiny escalating diagonal shift to absorb terminal roundoff."""
@@ -271,7 +292,7 @@ def _chol_with_jitter(m: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         pass
-    base = max(float(np.trace(m)) / m.shape[0], 1.0)
+    base = max(float(np.trace(m).real) / m.shape[0], 1.0)
     for expo in (-14, -12, -10):
         try:
             return np.linalg.cholesky(m + (10.0 ** expo) * base * np.eye(m.shape[0]))
@@ -280,112 +301,99 @@ def _chol_with_jitter(m: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("matrix is not positive definite")
 
 
-def _max_step(mats_x: list[np.ndarray], chol_x: list[np.ndarray],
-              mats_dx: list[np.ndarray]) -> float:
-    """Largest alpha with X + alpha dX staying PSD (per block, exact eigenvalue test)."""
-    alpha = np.inf
-    for lx, dx in zip(chol_x, mats_dx):
-        z = sla.solve_triangular(lx, dx, lower=True)
-        z = sla.solve_triangular(lx, z.T, lower=True)
-        lam_min = float(np.linalg.eigvalsh(0.5 * (z + z.T))[0])
+def _max_step(lin: np.ndarray, linv: list[np.ndarray], d_lin: np.ndarray,
+              d_mats: list[np.ndarray]) -> float:
+    """Largest alpha keeping a cone point plus alpha times a direction in the
+    cone: a ratio test on the orthant, and per block the exact smallest
+    eigenvalue of L^-1 dX L^-H for the inverse Cholesky factor L^-1 of X."""
+    neg = d_lin < 0
+    alpha = float(np.min(-lin[neg] / d_lin[neg])) if neg.any() else np.inf
+    for li, dx in zip(linv, d_mats):
+        lam_min = float(np.linalg.eigvalsh(li @ dx @ li.conj().T)[0])
         if lam_min < 0:
             alpha = min(alpha, -1.0 / lam_min)
     return alpha
 
 
-def _hsd_solve(cone: _Cone, a_blocks: list[sp.csr_matrix], b: np.ndarray,
-               c_blocks: list[np.ndarray], cfg: SolverConfig):
+def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
+               b_full: np.ndarray, kept: list[int], c: np.ndarray, cfg: SolverConfig):
+    """Run the HSD iteration on rows ``kept`` of ``a_full`` and ``b_full``;
+    returns the status, the best iterate (x, s, y) and its diagnostics."""
+    a_red = a_full[kept]
+    a_lin = a_full[:, :len(cone.lin)]
+    keep_ix = np.ix_(kept, kept)
+    b = b_full[kept]
     m = b.size
-    a_full = sp.hstack(a_blocks, format="csr") if m else sp.csr_matrix((0, cone.total))
-    c = np.concatenate(c_blocks)
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.linalg.norm(c))
+    c_parts = cone.split(c)
 
-    # static per-block dense stacks of constraint matrices (active rows only)
-    active, tstacks = [], []
-    for k, (ak, op) in enumerate(zip(a_blocks, cone.ops)):
-        idx = np.flatnonzero(np.diff(ak.indptr) > 0)
-        active.append(idx)
-        dense = np.asarray(ak[idx].todense()) if idx.size else np.zeros((0, op.N))
-        tstacks.append(op.smat(dense))
-
-    x_mats = [np.eye(n) for n in cone.sizes]
-    s_mats = [np.eye(n) for n in cone.sizes]
+    xv = cone.vec(np.ones(len(cone.lin)), [np.eye(bs.n) for bs in cone.bases])
+    sv = xv.copy()
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
-    best = None
+    best = (xv, sv, y, tau, kappa)
     best_score = np.inf
     stall = 0
-    history = []
 
-    def current_metrics(xv, sv, yv, tau_v, kappa_v):
-        xhat = xv / tau_v
-        shat = sv / tau_v
-        yhat = yv / tau_v
-        pres = float(np.linalg.norm(a_full @ xhat - b)) / (1.0 + norm_b)
-        dres = float(np.linalg.norm(a_full.T @ yhat + shat - c)) / (1.0 + norm_c)
-        pobj = float(c @ xhat)
-        dobj = float(b @ yhat)
-        relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return pres, dres, relgap, pobj, dobj
+    def current_metrics(xv, sv, yv, tau_v):
+        xhat, shat, yhat = xv / tau_v, sv / tau_v, yv / tau_v
+        pres = float(np.linalg.norm(a_red @ xhat - b)) / (1.0 + norm_b)
+        dres = float(np.linalg.norm(a_red.T @ yhat + shat - c)) / (1.0 + norm_c)
+        pobj, dobj = float(c @ xhat), float(b @ yhat)
+        return pres, dres, abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)), pobj, dobj
 
     status = STATUS_MAX_ITER
     note = ""
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        xv = cone.vec(x_mats)
-        sv = cone.vec(s_mats)
-
-        pres, dres, relgap, pobj, dobj = current_metrics(xv, sv, y, tau, kappa)
+        pres, dres, relgap, pobj, dobj = current_metrics(xv, sv, y, tau)
         score = max(pres, dres, relgap)
         if score < 0.9 * best_score:
             best_score = score
             stall = 0
-            best = ([m.copy() for m in x_mats], [m.copy() for m in s_mats],
-                    y.copy(), tau, kappa)
+            best = (xv, sv, y, tau, kappa)
         else:
             if score < best_score:
                 best_score = score
-                best = ([m.copy() for m in x_mats], [m.copy() for m in s_mats],
-                        y.copy(), tau, kappa)
+                best = (xv, sv, y, tau, kappa)
             stall += 1
             if stall >= 25:
                 status = STATUS_NUMERICAL
                 note = f"no progress over {stall} iterations"
                 break
-        history.append((pres, dres, relgap, pobj, dobj, tau, kappa))
         if cfg.verbose:
             print(f"iter {it:3d}  pres {pres:8.2e}  dres {dres:8.2e} "
                   f"gap {relgap:8.2e}  tau {tau:8.2e}  kappa {kappa:8.2e}")
 
         if pres <= cfg.tol_feas and dres <= cfg.tol_feas and relgap <= cfg.tol_gap:
             status = STATUS_OPTIMAL
-            best = ([m.copy() for m in x_mats], [m.copy() for m in s_mats],
-                    y.copy(), tau, kappa)
+            best = (xv, sv, y, tau, kappa)
             break
 
         # Farkas certificates (scale-free residual ratios)
         by = float(b @ y)
         cx = float(c @ xv)
         if by > 0:
-            ratio = float(np.linalg.norm(a_full.T @ y + sv)) / by
+            ratio = float(np.linalg.norm(a_red.T @ y + sv)) / by
             if ratio <= cfg.infeas_tol * (1.0 + norm_c):
                 status = STATUS_PRIMAL_INFEASIBLE
                 note = f"dual improving ray with residual ratio {ratio:.2e}"
-                best = ([m.copy() for m in x_mats], [m.copy() for m in s_mats],
-                        y.copy(), tau, kappa)
+                best = (xv, sv, y, tau, kappa)
                 break
         if cx < 0:
-            ratio = float(np.linalg.norm(a_full @ xv)) / (-cx)
+            ratio = float(np.linalg.norm(a_red @ xv)) / (-cx)
             if ratio <= cfg.infeas_tol * (1.0 + norm_b):
                 status = STATUS_DUAL_INFEASIBLE
                 note = f"primal improving ray with residual ratio {ratio:.2e}"
-                best = ([m.copy() for m in x_mats], [m.copy() for m in s_mats],
-                        y.copy(), tau, kappa)
+                best = (xv, sv, y, tau, kappa)
                 break
 
-        # Nesterov-Todd scaling point per block
+        # Nesterov-Todd scaling point per block: W = G G^H with
+        # G^-1 X G^-H = G^H S G = diag(lam)
+        x_lin, x_mats = cone.split(xv)
+        s_lin, s_mats = cone.split(sv)
         try:
             chol_x = [_chol_with_jitter(xm) for xm in x_mats]
             chol_s = [_chol_with_jitter(sm) for sm in s_mats]
@@ -394,44 +402,35 @@ def _hsd_solve(cone: _Cone, a_blocks: list[sp.csr_matrix], b: np.ndarray,
             note = "iterate left the cone (Cholesky failure)"
             break
         g_list, ginv_list, lam_list, w_list = [], [], [], []
-        ok = True
         for lx, ls in zip(chol_x, chol_s):
-            u, sig, vt = np.linalg.svd(ls.T @ lx)
+            u, sig, vh = np.linalg.svd(ls.conj().T @ lx)
             if sig.min() <= 0 or not np.all(np.isfinite(sig)):
-                ok = False
                 break
-            g = lx @ vt.T / np.sqrt(sig)
-            ginv = (u / np.sqrt(sig)).T @ ls.T
+            g = lx @ vh.conj().T / np.sqrt(sig)
             g_list.append(g)
-            ginv_list.append(ginv)
+            ginv_list.append((u / np.sqrt(sig)).conj().T @ ls.conj().T)
             lam_list.append(sig)
-            w_list.append(g @ g.T)
-        if not ok:
+            w_list.append(g @ g.conj().T)
+        if len(w_list) < len(chol_x):
             status = STATUS_NUMERICAL
             note = "degenerate NT scaling"
             break
+        # inverse Cholesky factors, shared by the four step-length tests
+        linv_x = [sla.solve_triangular(lx, np.eye(lx.shape[0]), lower=True) for lx in chol_x]
+        linv_s = [sla.solve_triangular(ls, np.eye(ls.shape[0]), lower=True) for ls in chol_s]
+        p_lin = x_lin / s_lin
 
         mu = (float(xv @ sv) + tau * kappa) / (cone.degree + 1.0)
 
-        def conj_w(vec_parts_matrix=None, mats=None):
-            """Apply P = W . W blockwise; accepts svec vector or matrix list."""
-            if mats is None:
-                mats = cone.mats(vec_parts_matrix)
-            return [w @ mm @ w for w, mm in zip(w_list, mats)]
+        def scale_p(lin, mats):
+            """Apply P = W . W blockwise to a split cone vector."""
+            return cone.vec(p_lin * lin, [w @ mm @ w for w, mm in zip(w_list, mats)])
 
-        # Schur complement M = A P A^T (dense m x m) via batched conjugations
-        schur = np.zeros((m, m))
-        for k, (ak, op, idx, tk) in enumerate(zip(a_blocks, cone.ops, active, tstacks)):
-            if idx.size == 0:
-                continue
-            w = w_list[k]
-            img = op.svec(np.matmul(np.matmul(w, tk), w))
-            schur[:, idx] += ak @ img.T
-        schur = 0.5 * (schur + schur.T)
+        # Schur complement M = A P A^T, built on all rows and cut to the kept ones
+        schur = _schur(a_lin, p_lin, blocks, w_list)[keep_ix]
 
-        pc_mats = conj_w(c)
-        pc = cone.vec(pc_mats)
-        apc = a_full @ pc
+        pc = scale_p(*c_parts)
+        apc = a_red @ pc
         cpc = float(c @ pc)
 
         reg = cfg.schur_regularization * max(1.0, float(schur.diagonal().max(initial=0.0)))
@@ -459,12 +458,11 @@ def _hsd_solve(cone: _Cone, a_blocks: list[sp.csr_matrix], b: np.ndarray,
         vu = schur_solve(apc)
         v1 = vb + vu
 
-        r_p = tau * b - a_full @ xv
-        r_d = tau * c - a_full.T @ y - sv
+        r_p = tau * b - a_red @ xv
+        r_d = tau * c - a_red.T @ y - sv
         r_g = kappa + float(c @ xv) - float(b @ y)
-        prd_mats = conj_w(r_d)
-        prd = cone.vec(prd_mats)
-        aprd = a_full @ prd
+        prd = scale_p(*cone.split(r_d))
+        aprd = a_red @ prd
         cprd = float(c @ prd)
 
         # the reduced pivot equals b.M^-1.b + c.(P - PA^T M^-1 AP).c + kappa/tau,
@@ -478,32 +476,30 @@ def _hsd_solve(cone: _Cone, a_blocks: list[sp.csr_matrix], b: np.ndarray,
             break
 
         def direction(eta, h, d_tau_rhs):
-            rhs_y = eta * r_p - a_full @ h + eta * aprd
+            rhs_y = eta * r_p - a_red @ h + eta * aprd
             v2 = schur_solve(rhs_y)
             num = (eta * r_g + float(c @ h) - eta * cprd + d_tau_rhs / tau
                    - float((b - apc) @ v2))
             d_tau = num / den
             dy = v1 * d_tau + v2
-            ds = eta * r_d - a_full.T @ dy + c * d_tau
-            ds_mats = cone.mats(ds)
-            pds = cone.vec(conj_w(mats=ds_mats))
-            dx = h - pds
-            dx_mats = cone.mats(dx)
+            ds = eta * r_d - a_red.T @ dy + c * d_tau
             d_kappa = (d_tau_rhs - kappa * d_tau) / tau
-            return dx, dx_mats, dy, ds, ds_mats, d_tau, d_kappa
+            ds_parts = cone.split(ds)
+            dx = h - scale_p(*ds_parts)
+            return dx, dy, ds, d_tau, d_kappa, cone.split(dx), ds_parts
 
-        # predictor (affine scaling direction): h = -svec(X), d_tau rhs = -tau*kappa
-        h_aff = -xv
-        aff = direction(1.0, h_aff, -tau * kappa)
-        dx, dx_mats, dy, ds, ds_mats, d_tau, d_kappa = aff
+        def step_length(dx_parts, ds_parts, d_tau, d_kappa):
+            alpha = min(_max_step(x_lin, linv_x, *dx_parts),
+                        _max_step(s_lin, linv_s, *ds_parts))
+            if d_tau < 0:
+                alpha = min(alpha, -tau / d_tau)
+            if d_kappa < 0:
+                alpha = min(alpha, -kappa / d_kappa)
+            return alpha
 
-        alpha = min(_max_step(x_mats, chol_x, dx_mats),
-                    _max_step(s_mats, chol_s, ds_mats))
-        if d_tau < 0:
-            alpha = min(alpha, -tau / d_tau)
-        if d_kappa < 0:
-            alpha = min(alpha, -kappa / d_kappa)
-        alpha_aff = min(1.0, alpha)
+        # predictor (affine scaling direction): h = -x, d_tau rhs = -tau*kappa
+        dx, dy, ds, d_tau, d_kappa, dx_parts, ds_parts = direction(1.0, -xv, -tau * kappa)
+        alpha_aff = min(1.0, step_length(dx_parts, ds_parts, d_tau, d_kappa))
 
         mu_aff = ((float((xv + alpha_aff * dx) @ (sv + alpha_aff * ds))
                    + (tau + alpha_aff * d_tau) * (kappa + alpha_aff * d_kappa))
@@ -516,42 +512,29 @@ def _hsd_solve(cone: _Cone, a_blocks: list[sp.csr_matrix], b: np.ndarray,
             sigma = min(sigma, 0.5)
 
         # corrector: scaled cross terms from the affine direction
-        h_parts = []
-        for k, op in enumerate(cone.ops):
-            g, ginv, lam = g_list[k], ginv_list[k], lam_list[k]
-            dxa = op.smat(cone.split(dx)[k])
-            dsa = op.smat(cone.split(ds)[k])
-            dx_s = ginv @ dxa @ ginv.T
-            ds_s = g.T @ dsa @ g
+        (dx_lin, dx_mats), (ds_lin, ds_mats) = dx_parts, ds_parts
+        h_mats = []
+        for g, ginv, lam, dxa, dsa in zip(g_list, ginv_list, lam_list, dx_mats, ds_mats):
+            dx_s = ginv @ dxa @ ginv.conj().T
+            ds_s = g.conj().T @ dsa @ g
             cross = 0.5 * (dx_s @ ds_s + ds_s @ dx_s)
-            rc = sigma * mu * np.eye(op.n) - np.diag(lam ** 2) - cross
-            denom = 0.5 * (lam[:, None] + lam[None, :])
-            rtil = rc / denom
-            h_parts.append(g @ rtil @ g.T)
-        h_comb = cone.vec(h_parts)
+            rc = sigma * mu * np.eye(lam.size) - np.diag(lam ** 2) - cross
+            rtil = rc / (0.5 * (lam[:, None] + lam[None, :]))
+            h_mats.append(g @ rtil @ g.conj().T)
+        h_lin = (sigma * mu - x_lin * s_lin - dx_lin * ds_lin) / s_lin
         d_tau_rhs = sigma * mu - tau * kappa - d_tau * d_kappa
 
-        eta = 1.0 - sigma
-        comb = direction(eta, h_comb, d_tau_rhs)
-        dx, dx_mats, dy, ds, ds_mats, d_tau, d_kappa = comb
-
-        alpha = min(_max_step(x_mats, chol_x, dx_mats),
-                    _max_step(s_mats, chol_s, ds_mats))
-        if d_tau < 0:
-            alpha = min(alpha, -tau / d_tau)
-        if d_kappa < 0:
-            alpha = min(alpha, -kappa / d_kappa)
-        alpha = min(1.0, cfg.step_fraction * alpha)
+        dx, dy, ds, d_tau, d_kappa, dx_parts, ds_parts = direction(
+            1.0 - sigma, cone.vec(h_lin, h_mats), d_tau_rhs)
+        alpha = min(1.0, cfg.step_fraction
+                    * step_length(dx_parts, ds_parts, d_tau, d_kappa))
         if not np.isfinite(alpha) or alpha <= 0:
             status = STATUS_NUMERICAL
             note = f"step length collapsed ({alpha})"
             break
 
-        for k in range(len(cone.sizes)):
-            x_mats[k] = 0.5 * ((x_mats[k] + alpha * dx_mats[k])
-                               + (x_mats[k] + alpha * dx_mats[k]).T)
-            s_mats[k] = 0.5 * ((s_mats[k] + alpha * ds_mats[k])
-                               + (s_mats[k] + alpha * ds_mats[k]).T)
+        xv = xv + alpha * dx
+        sv = sv + alpha * ds
         y = y + alpha * dy
         tau = tau + alpha * d_tau
         kappa = kappa + alpha * d_kappa
@@ -560,12 +543,8 @@ def _hsd_solve(cone: _Cone, a_blocks: list[sp.csr_matrix], b: np.ndarray,
             note = "tau left the positive ray"
             break
 
-    if best is None:
-        best = (x_mats, s_mats, y, tau, kappa)
-    x_mats, s_mats, y, tau, kappa = best
-    xv = cone.vec(x_mats)
-    sv = cone.vec(s_mats)
-    pres, dres, relgap, pobj, dobj = current_metrics(xv, sv, y, tau, kappa)
+    xv, sv, y, tau, kappa = best
+    pres, dres, relgap, pobj, dobj = current_metrics(xv, sv, y, tau)
     if (status in (STATUS_MAX_ITER, STATUS_NUMERICAL)
             and pres <= cfg.tol_feas and dres <= cfg.tol_feas
             and relgap <= cfg.tol_gap):
@@ -573,20 +552,9 @@ def _hsd_solve(cone: _Cone, a_blocks: list[sp.csr_matrix], b: np.ndarray,
         # tolerance does not invalidate that iterate
         note = f"converged before terminal breakdown ({note or status})"
         status = STATUS_OPTIMAL
-    return {
-        "status": status,
-        "note": note,
-        "x_mats": x_mats,
-        "s_mats": s_mats,
-        "y": y,
-        "tau": tau,
-        "kappa": kappa,
-        "iterations": it,
-        "pres": pres,
-        "dres": dres,
-        "relgap": relgap,
-        "history": history,
-    }
+    return status, xv, sv, y, dict(
+        iterations=it, primal_residual=pres, dual_residual=dres, relative_gap=relgap,
+        tau=tau, kappa=kappa, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +571,12 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     """
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
-    names, dims, sizes, a_blocks, c_blocks, b_vec = _assemble(problem)
+    problem.validate()
+    names = [b.name for b in problem.blocks]
+    dims = [b.dim for b in problem.blocks]
+    cone = _Cone(dims)
+    a_full, c, b_vec = _assemble(problem, cone)
 
-    a_full = sp.hstack(a_blocks, format="csr") if b_vec.size else None
     if b_vec.size:
         kept, dropped, inconsistency = _select_independent_rows(
             a_full, b_vec, cfg.preprocess_tol)
@@ -631,52 +602,31 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             log.append((problem, solution))
         return solution
 
-    cone = _Cone(sizes)
-    a_red = [ak[kept] for ak in a_blocks]
-    res = _hsd_solve(cone, a_red, b_vec[kept], c_blocks, cfg)
+    status, xv, sv, y, info = _hsd_solve(cone, _block_rows(problem, cone, a_full),
+                                         a_full, b_vec, kept, c, cfg)
+    diagnostics.update(info, seconds=time.perf_counter() - t0)
 
-    tau = res["tau"]
-    scale = 1.0 / tau if res["status"] == STATUS_OPTIMAL else 1.0
-    if res["status"] in (STATUS_MAX_ITER, STATUS_NUMERICAL) and tau > 0:
-        scale = 1.0 / tau
-
+    # certificates are rays, reported unscaled
+    rays = status in (STATUS_PRIMAL_INFEASIBLE, STATUS_DUAL_INFEASIBLE)
+    scale = 1.0 if rays or info["tau"] <= 0 else 1.0 / info["tau"]
     x_blocks, s_blocks = {}, {}
-    for k, (name, d) in enumerate(zip(names, dims)):
-        xk = _extract_complex(res["x_mats"][k] * scale, d)
-        sk = _extract_complex(res["s_mats"][k] * scale, d)
-        if d > 1:
-            sk = 2.0 * sk  # dual slacks carry the realification half
-        x_blocks[name] = xk
-        s_blocks[name] = sk
-
+    for out, (lin, mats) in ((x_blocks, cone.split(xv * scale)),
+                             (s_blocks, cone.split(sv * scale))):
+        out.update((names[k], np.array([[v]])) for k, v in zip(cone.lin, lin))
+        out.update((names[k], mat) for k, mat in zip(cone.mat, mats))
     y_full = np.zeros(b_vec.size)
-    y_full[kept] = res["y"] * scale
+    y_full[kept] = y * scale
 
     pobj = problem.objective_value(x_blocks)
     dobj = float(b_vec @ y_full)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    if rays:
+        pobj = dobj = gap = np.nan
 
-    diagnostics.update({
-        "iterations": res["iterations"],
-        "primal_residual": res["pres"],
-        "dual_residual": res["dres"],
-        "relative_gap": res["relgap"],
-        "tau": res["tau"],
-        "kappa": res["kappa"],
-        "note": res["note"],
-        "seconds": time.perf_counter() - t0,
-    })
-
-    if res["status"] in (STATUS_PRIMAL_INFEASIBLE, STATUS_DUAL_INFEASIBLE):
-        # certificates are rays; report them unscaled
-        pobj = np.nan
-        dobj = np.nan
-        gap = np.nan
-
-    solution = SdpSolution(status=res["status"], x_blocks=x_blocks, y=y_full,
+    solution = SdpSolution(status=status, x_blocks=x_blocks, y=y_full,
                            s_blocks=s_blocks, primal_objective=pobj,
                            dual_objective=dobj, gap=gap,
-                           iterations=res["iterations"], diagnostics=diagnostics)
+                           iterations=info["iterations"], diagnostics=diagnostics)
     for log in _ACTIVE_RECORDERS:
         log.append((problem, solution))
     return solution

@@ -211,3 +211,19 @@ def test_tight_config_threading():
     cfg = SolverConfig(tol_gap=1e-9, tol_feas=1e-9)
     res = bc.depolarizing_overhead(1.0, 2, config=cfg)
     assert abs(res.nu - 1.0) <= 1e-8
+
+
+class TestUncertified:
+    def test_failed_certificate_changes_overhead_status(self, corrupted_solves):
+        res = bc.exact_overhead(2)
+        assert res.status == bc.STATUS_UNCERTIFIED
+        assert res.certificate.passed is False
+
+    def test_failed_certificate_changes_tradeoff_status(self, corrupted_solves):
+        point = bc.min_error(1.8, 2)
+        assert point.status == bc.STATUS_UNCERTIFIED
+        assert point.certificate.passed is False
+
+    def test_passed_certificate_stays_optimal(self):
+        res = bc.exact_overhead(2)
+        assert res.status == "optimal" and res.certificate.passed is True

@@ -120,9 +120,9 @@ class TestBuilder:
 
     def test_size_guardrail(self):
         b = ProblemBuilder()
-        b.add_psd_block("huge", 131)   # realifies to 262 > 260
+        b.add_psd_block("huge", 131)   # one past the guardrail of 130
         b.add_scalar_eq({"huge": np.eye(131)}, 1.0)
-        with pytest.raises(ValueError, match="realifies"):
+        with pytest.raises(ValueError, match="dimension 131"):
             b.build()
         b2 = ProblemBuilder(allow_large_blocks=True)
         b2.add_psd_block("huge", 131)
