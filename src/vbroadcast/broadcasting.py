@@ -38,6 +38,7 @@ from .channels import (
 )
 from .linalg import min_eigenvalue, permute_subsystems
 from .sdp import (
+    STATUS_UNCERTIFIED,
     CertificateReport,
     ProblemBuilder,
     SdpSolution,
@@ -55,9 +56,6 @@ from .sdp import (
 ZERO_THRESHOLD = 1e-12
 
 DEFAULT_CONFIG = SolverConfig()
-
-# an optimal solve whose independent certificate check failed
-STATUS_UNCERTIFIED = "uncertified"
 
 
 @dataclass(frozen=True)

@@ -176,18 +176,19 @@ def apply_choi_with_ancilla(j: ChoiOperator, x: np.ndarray, anc_dim: int) -> np.
     """Apply (E (x) id) to an operator on B (x) ancilla.
 
     Output lives on (out, ancilla).  Used for stabilized norms, where the
-    ancilla dimension matching the input dimension suffices.
+    ancilla dimension matching the input dimension suffices.  Leading axes of
+    ``x`` index a batch of operators.
     """
     x = np.asarray(x, dtype=complex)
     d = j.in_dim
     da = int(anc_dim)
-    if x.shape != (d * da, d * da):
+    if x.shape[-2:] != (d * da, d * da):
         raise ValueError(f"operator shape {x.shape} does not match {d} x {da}")
     dout = j.out_dim
     jt = j.op.reshape(d, dout, d, dout)
-    xt = x.reshape(d, da, d, da)
-    out = np.einsum("bxcy,bacm->xaym", jt, xt)
-    return out.reshape(dout * da, dout * da)
+    xt = x.reshape(x.shape[:-2] + (d, da, d, da))
+    out = np.einsum("bxcy,...bacm->...xaym", jt, xt)
+    return out.reshape(x.shape[:-2] + (dout * da, dout * da))
 
 
 def choi_of_map(fn: Callable[[np.ndarray], np.ndarray], d_in: int,

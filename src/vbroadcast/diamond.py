@@ -22,6 +22,7 @@ import numpy as np
 from .channels import ChoiOperator, apply_choi_with_ancilla, max_entangled_state
 from .linalg import haar_unitary
 from .sdp import (
+    STATUS_UNCERTIFIED,
     CertificateReport,
     ProblemBuilder,
     SdpSolution,
@@ -39,7 +40,8 @@ DEFAULT_SEED = 20240917
 
 @dataclass
 class DiamondResult:
-    """Half diamond norm with its optimal witness and sampled lower bound."""
+    """Half diamond norm with its optimal witness and sampled lower bound;
+    ``status`` is ``uncertified`` when the certificate check fails."""
 
     value: float
     witness_z: np.ndarray
@@ -88,7 +90,7 @@ def half_diamond_distance(j_phi: ChoiOperator,
         value=float(sol.primal_objective),
         witness_z=sol.x_blocks["Z"],
         lower_bound=lower,
-        status=sol.status,
+        status=sol.status if cert.passed else STATUS_UNCERTIFIED,
         solution=sol,
         certificate=cert,
     )
@@ -107,18 +109,9 @@ def lower_bound_by_states(j_phi: ChoiOperator, samples: int = DEFAULT_SAMPLES,
         raise ValueError("need at least one sample")
     d = j_phi.in_dim
     dd = d * d
-
-    def half_trace_norm_of_output(state: np.ndarray) -> float:
-        out = apply_choi_with_ancilla(j_phi, state, anc_dim=d)
-        return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(out))))
-
-    best = half_trace_norm_of_output(max_entangled_state(d))
     rng = np.random.default_rng(seed)
-    drawn = 0
-    while drawn < samples:
-        u = haar_unitary(dd, rng)
-        for col in range(min(dd, samples - drawn)):
-            psi = u[:, col]
-            best = max(best, half_trace_norm_of_output(np.outer(psi, psi.conj())))
-            drawn += 1
-    return best
+    psi = np.hstack([haar_unitary(dd, rng) for _ in range(-(-samples // dd))])[:, :samples].T
+    states = np.concatenate([max_entangled_state(d)[None],
+                             psi[:, :, None] * psi[:, None, :].conj()])
+    out = apply_choi_with_ancilla(j_phi, states, anc_dim=d)
+    return 0.5 * float(np.max(np.sum(np.abs(np.linalg.eigvalsh(out)), axis=-1)))

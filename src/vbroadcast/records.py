@@ -33,8 +33,11 @@ class SweepRecord:
     seconds: float | None = None
 
     def sort_key(self):
+        """Order by the inputs as rendered, so a parsed file sorts the same."""
         def key(v):
-            return (v is not None, v if v is not None else 0.0)
+            if v is None:
+                return (False, 0.0)
+            return (True, v if isinstance(v, int) else _round9(v))
 
         return (key(self.a), key(self.b), key(self.gamma), key(self.d))
 

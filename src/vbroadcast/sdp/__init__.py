@@ -1,6 +1,6 @@
 """Self-contained semidefinite programming over Hermitian PSD blocks."""
 
-from .certificate import CertificateReport, check_certificate
+from .certificate import STATUS_UNCERTIFIED, CertificateReport, check_certificate
 from .problem import (
     BlockSpec,
     OpTerm,
@@ -31,5 +31,5 @@ __all__ = [
     "SdpSolution", "SolverConfig", "solve",
     "CertificateReport", "check_certificate",
     "STATUS_OPTIMAL", "STATUS_MAX_ITER", "STATUS_PRIMAL_INFEASIBLE",
-    "STATUS_DUAL_INFEASIBLE", "STATUS_NUMERICAL",
+    "STATUS_DUAL_INFEASIBLE", "STATUS_NUMERICAL", "STATUS_UNCERTIFIED",
 ]

@@ -16,6 +16,9 @@ from ..linalg import min_eigenvalue
 from .problem import SdpProblem
 from .solver import STATUS_OPTIMAL, SdpSolution
 
+# an optimal solve whose independent certificate check failed
+STATUS_UNCERTIFIED = "uncertified"
+
 
 @dataclass(frozen=True)
 class CertificateReport:

@@ -9,14 +9,19 @@ unbiased for Tr[O Tr_other(E(rho))]; the price is the (x+y)^2 variance
 inflation that the overhead optimizations in :mod:`vbroadcast.broadcasting`
 minimize.
 
-Randomness comes from the counter-based Philox generator keyed by the run
-seed, so runs are bit-for-bit reproducible and shots could be assigned
-disjoint counters and evaluated in any order without changing the result.
+Shots are exchangeable: the estimator's mean and sample deviation depend only
+on how many shots fall in each (branch, outcome) cell.  So the simulator draws
+those counts, n+ ~ Binomial(shots, p+), then each branch's outcome counts ~
+Multinomial(n_branch, probs).  Jointly that is Multinomial(shots, [p+ probs+,
+p- probs-]), the law of shot-by-shot sampling, at a cost in time and memory
+set by the number of outcomes, not of shots.  Randomness comes from the Philox
+generator keyed by the run seed, so runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,10 +123,9 @@ class ProtocolEstimate:
 def _branch_state(j: ChoiOperator, weight: float, rho: np.ndarray,
                   marginal: int) -> np.ndarray:
     """Output state of one normalized CP part on the requested receiver."""
-    out = apply_choi(ChoiOperator(j.op / weight, j.in_dim, j.out_dims), rho)
-    dims = j.out_dims
+    out = apply_choi(j, rho) / weight
     drop = 1 if marginal == 1 else 0
-    return partial_trace(out, dims, drop=drop)
+    return partial_trace(out, j.out_dims, drop=drop)
 
 
 def run_protocol(dec: BroadcastDecomposition, rho: np.ndarray, obs: Observable,
@@ -132,6 +136,7 @@ def run_protocol(dec: BroadcastDecomposition, rho: np.ndarray, obs: Observable,
     chosen part normalized to a channel, measure ``obs`` on receiver
     ``marginal`` (1 or 2), and record (x+y) times the signed eigenvalue.
     """
+    shots = operator.index(shots)
     if shots < 1:
         raise ValueError("need at least one shot")
     if marginal not in (1, 2):
@@ -149,26 +154,29 @@ def run_protocol(dec: BroadcastDecomposition, rho: np.ndarray, obs: Observable,
         p_plus = x / scale
 
     probs_plus = obs.outcome_probabilities(_branch_state(dec.j1, x, rho, marginal))
-    probs_minus = None
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    n_plus = shots if p_plus == 1.0 else int(rng.binomial(shots, p_plus))
+    values, counts = scale * obs.values, rng.multinomial(n_plus, probs_plus)
     if p_plus < 1.0:
         probs_minus = obs.outcome_probabilities(_branch_state(dec.j2, y, rho, marginal))
+        values = np.concatenate([values, -values])
+        counts = np.concatenate([counts, rng.multinomial(shots - n_plus, probs_minus)])
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    plus_mask = rng.random(shots) < p_plus
-    n_plus = int(plus_mask.sum())
-    n_minus = shots - n_plus
+    mean, sample_std = _count_statistics(values, counts)
+    return ProtocolEstimate(mean=mean, sample_std=sample_std, shots=shots, scale=scale,
+                            seed=seed, n_plus=n_plus, n_minus=shots - n_plus)
 
-    samples = np.empty(shots)
-    samples[plus_mask] = scale * rng.choice(obs.values, size=n_plus, p=probs_plus)
-    if n_minus:
-        samples[~plus_mask] = -scale * rng.choice(obs.values, size=n_minus,
-                                                  p=probs_minus)
 
-    return ProtocolEstimate(
-        mean=float(samples.mean()),
-        sample_std=float(samples.std(ddof=1)) if shots > 1 else 0.0,
-        shots=shots, scale=scale, seed=seed,
-        n_plus=n_plus, n_minus=n_minus)
+def _count_statistics(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    """Mean and sample standard deviation (ddof=1) of the sample holding
+    ``counts[k]`` copies of ``values[k]``, by a centred two-pass sum; the
+    deviation is 0 for a single shot."""
+    n = int(counts.sum())
+    mean = float(counts @ values) / n
+    if n < 2:
+        return mean, 0.0
+    dev = values - mean
+    return mean, math.sqrt(float(counts @ (dev * dev)) / (n - 1))
 
 
 def protocol_expectation(dec: BroadcastDecomposition, rho: np.ndarray,
@@ -201,13 +209,11 @@ def naive_baseline(rho: np.ndarray, obs: Observable, shots: int,
                    seed: int) -> ProtocolEstimate:
     """Sample-splitting baseline: half the shots per receiver, measuring rho
     directly; unbiased for Tr[O rho] with scale 1."""
+    shots = operator.index(shots)
     if shots < 2:
         raise ValueError("the baseline splits shots between two receivers")
     probs = obs.outcome_probabilities(np.asarray(rho, dtype=complex))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    samples = rng.choice(obs.values, size=shots, p=probs)
-    return ProtocolEstimate(
-        mean=float(samples.mean()),
-        sample_std=float(samples.std(ddof=1)),
-        shots=shots, scale=1.0, seed=seed,
-        n_plus=shots, n_minus=0)
+    mean, sample_std = _count_statistics(obs.values, rng.multinomial(shots, probs))
+    return ProtocolEstimate(mean=mean, sample_std=sample_std, shots=shots,
+                            scale=1.0, seed=seed, n_plus=shots, n_minus=0)

@@ -3,12 +3,13 @@ from dataclasses import replace
 import pytest
 
 from vbroadcast import broadcasting as bc
+from vbroadcast import diamond
 
 
 @pytest.fixture
 def corrupted_solves(monkeypatch):
-    """Every broadcasting solve returns its optimum scaled by 1.01, the
-    corrupted solution of acceptance criterion 11."""
+    """Every broadcasting and diamond-norm solve returns its optimum scaled by
+    1.01, the corrupted solution of acceptance criterion 11."""
     real_solve = bc.solve
 
     def solve(problem, config=None):
@@ -16,3 +17,4 @@ def corrupted_solves(monkeypatch):
         return replace(sol, x_blocks={k: 1.01 * v for k, v in sol.x_blocks.items()})
 
     monkeypatch.setattr(bc, "solve", solve)
+    monkeypatch.setattr(diamond, "solve", solve)

@@ -6,6 +6,7 @@ from vbroadcast.channels import (
     ChoiOperator,
     DepolarizingParam,
     apply_choi,
+    apply_choi_with_ancilla,
     canonical_broadcast_choi,
     check_structural_conditions,
     choi_of_map,
@@ -115,6 +116,18 @@ class TestApplyChoi:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_choi(identity_choi(2), np.eye(3) / 3)
+
+    def test_ancilla_batch_maps_each_operator(self):
+        rng = np.random.default_rng(24)
+        j = depolarizing_choi(0.4, 2)
+        batch = np.stack([random_density(4, rng) for _ in range(3)])
+        got = apply_choi_with_ancilla(j, batch, anc_dim=2)
+        assert got.shape == (3, 4, 4)
+        for k in range(3):
+            np.testing.assert_array_equal(
+                got[k], apply_choi_with_ancilla(j, batch[k], anc_dim=2))
+        with pytest.raises(ValueError, match="does not match"):
+            apply_choi_with_ancilla(j, np.zeros((3, 6, 6)), anc_dim=2)
 
 
 class TestLinkProduct:

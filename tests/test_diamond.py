@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
+from vbroadcast import broadcasting as bc
 from vbroadcast.channels import (
     ChoiOperator,
     apply_choi,
+    apply_choi_with_ancilla,
     choi_of_map,
     depolarizing_choi,
     gamma_operator,
     identity_choi,
+    max_entangled_state,
     replacement_choi,
 )
 from vbroadcast.diamond import half_diamond_distance, lower_bound_by_states
 from vbroadcast.linalg import haar_unitary, min_eigenvalue, random_hermitian
+from vbroadcast.sdp import STATUS_UNCERTIFIED
 
 D2 = 2
 
@@ -73,6 +77,37 @@ class TestLowerBound:
         a = lower_bound_by_states(phi, samples=32, seed=7)
         b = lower_bound_by_states(phi, samples=32, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_per_state_loop(self, d):
+        rng = np.random.default_rng(60 + d)
+        instances = [ChoiOperator(gamma_operator(d) - replacement_choi(d).op, d, (d,)),
+                     hermitian_difference_choi(d, rng)]
+        for phi in instances:
+            for samples, seed in ((1, 3), (d * d + 1, 4), (37, 5)):
+                got = lower_bound_by_states(phi, samples=samples, seed=seed)
+                assert abs(got - per_state_lower_bound(phi, samples, seed)) <= 1e-12
+
+
+def per_state_lower_bound(j_phi, samples, seed):
+    """Reference: one candidate state at a time, the maximally entangled
+    state first, then the columns of successive Haar unitaries."""
+    d = j_phi.in_dim
+
+    def half_trace_norm_of_output(state):
+        out = apply_choi_with_ancilla(j_phi, state, anc_dim=d)
+        return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(out))))
+
+    best = half_trace_norm_of_output(max_entangled_state(d))
+    rng = np.random.default_rng(seed)
+    drawn = 0
+    while drawn < samples:
+        u = haar_unitary(d * d, rng)
+        for col in range(min(d * d, samples - drawn)):
+            psi = u[:, col]
+            best = max(best, half_trace_norm_of_output(np.outer(psi, psi.conj())))
+            drawn += 1
+    return best
 
 
 class TestNormProperties:
@@ -139,3 +174,16 @@ def test_identity_choi_sanity():
     # distance between identity and itself is zero
     phi = ChoiOperator(identity_choi(2).op - gamma_operator(2), 2, (2,))
     assert abs(half_diamond_distance(phi, lower_bound_samples=1).value) <= 1e-8
+
+
+class TestUncertified:
+    def test_failed_certificate_changes_status(self, corrupted_solves):
+        phi = ChoiOperator(gamma_operator(D2) - replacement_choi(D2).op, D2, (D2,))
+        res = half_diamond_distance(phi, lower_bound_samples=1)
+        assert res.certificate.passed is False
+        assert res.status == STATUS_UNCERTIFIED == bc.STATUS_UNCERTIFIED
+
+    def test_passed_certificate_stays_optimal(self):
+        phi = ChoiOperator(gamma_operator(D2) - replacement_choi(D2).op, D2, (D2,))
+        res = half_diamond_distance(phi, lower_bound_samples=1)
+        assert res.status == "optimal" and res.certificate.passed is True

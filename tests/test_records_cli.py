@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vbroadcast import broadcasting as bc
 from vbroadcast.cli import main
@@ -65,6 +67,32 @@ class TestRecords:
         path = str(tmp_path / "out.csv")
         write_records([SweepRecord(d=2, nu=1.0)], "csv", path)
         assert parse_csv(open(path).read())[0].d == 2
+
+
+NUMBERS = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+RECORDS = st.lists(st.builds(
+    SweepRecord, a=NUMBERS, b=NUMBERS, gamma=NUMBERS,
+    d=st.none() | st.integers(1, 10 ** 6), nu=NUMBERS, s=NUMBERS, mu=NUMBERS,
+    t=NUMBERS, status=st.none() | st.sampled_from(["optimal", bc.STATUS_UNCERTIFIED]),
+    gap=NUMBERS, seconds=NUMBERS), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RECORDS)
+# inputs that differ only past the ninth digit must sort as rendered
+@example([SweepRecord(a=1.0000000002, b=0.0), SweepRecord(a=1.0000000001, b=5.0)])
+def test_csv_round_trip_property(records):
+    text = render_csv(records)
+    parsed = parse_csv(text)
+    assert render_csv(parsed) == text
+    for rec, got in zip(sorted(records, key=SweepRecord.sort_key), parsed, strict=True):
+        for name in CSV_HEADER.split(","):
+            want, have = getattr(rec, name), getattr(got, name)
+            if want is None or name in ("d", "status"):
+                assert have == want
+            else:
+                # half a unit in the ninth significant digit
+                assert abs(have - want) <= 5.000001e-9 * abs(want)
 
 
 class TestCliCommands:

@@ -1,7 +1,13 @@
+import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from vbroadcast import simulator as sim
 from vbroadcast.broadcasting import discard_prepare_point
@@ -141,6 +147,63 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="weight"):
             sim.run_protocol(bad, KET0, obs, marginal=1, shots=10, seed=0)
 
+    def test_float_shots_rejected(self):
+        dec, _, _ = discard_prepare_point(1.5, 2)
+        obs = sim.Observable.from_matrix(PAULI_Z)
+        with pytest.raises(TypeError):
+            sim.run_protocol(dec, KET0, obs, marginal=1, shots=1e6, seed=0)
+
+    def test_exact_law_of_three_shots(self):
+        # per-shot law: each shot lands in cell (branch, outcome) with
+        # probability p_branch probs_branch[k]; enumerate all 4^3 sequences
+        dec, _, _ = discard_prepare_point(1.5, 2)
+        obs = sim.Observable.from_matrix(PAULI_Z)
+        shots, runs = 3, 20_000
+        p_plus = dec.x / dec.nu
+        cells = []
+        for sign, p_branch, j, w in ((1, p_plus, dec.j1, dec.x),
+                                     (-1, 1 - p_plus, dec.j2, dec.y)):
+            probs = obs.outcome_probabilities(sim._branch_state(j, w, KET0, 1))
+            assert probs.min() > 0.2   # both branches give both outcomes
+            cells += [(sign, sign * v, p_branch * p) for v, p in zip(obs.values, probs)]
+        law = Counter()
+        for seq in itertools.product(cells, repeat=shots):
+            key = (sum(c[0] > 0 for c in seq), round(sum(c[1] for c in seq)))
+            law[key] += math.prod(c[2] for c in seq)
+        assert abs(sum(law.values()) - 1.0) <= 1e-12
+
+        seen = Counter()
+        for seed in range(runs):
+            est = sim.run_protocol(dec, KET0, obs, marginal=1, shots=shots, seed=seed)
+            total = est.mean * shots / est.scale
+            assert abs(total - round(total)) <= 1e-9
+            seen[(est.n_plus, round(total))] += 1
+        assert set(seen) <= set(law)
+        # pool the cells expected fewer than 5 times so the chi-square
+        # approximation holds
+        big = [k for k in law if law[k] * runs >= 5]
+        observed = [seen[k] for k in big] + [runs - sum(seen[k] for k in big)]
+        expected = [law[k] * runs for k in big] + [runs * (1 - sum(law[k] for k in big))]
+        assert chisquare(observed, expected).pvalue >= 1e-3
+
+    def test_shot_count_costs_no_memory(self):
+        dec, _, _ = discard_prepare_point(2.0, 2)
+        obs = sim.Observable.from_matrix(PAULI_Z)
+        rho = np.diag([0.7, 0.3]).astype(complex)
+        shots = 10 ** 12   # 8 TB for one float per shot
+        tracemalloc.start()
+        try:
+            est = sim.run_protocol(dec, rho, obs, marginal=1, shots=shots, seed=13)
+            base = sim.naive_baseline(rho, obs, shots, seed=14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        for e, want in ((est, sim.protocol_expectation(dec, rho, obs, marginal=1)),
+                        (base, 0.4)):
+            assert e.n_plus + e.n_minus == e.shots == shots
+            assert abs(e.mean - want) <= 5 * e.sample_std / math.sqrt(shots)
+
     def test_non_physical_branch_guard(self):
         d = 2
         t = -0.3
@@ -167,6 +230,11 @@ class TestNaiveBaseline:
         se = est.sample_std / math.sqrt(est.shots)
         assert abs(est.mean) <= 4 * se
 
+    def test_float_shots_rejected(self):
+        obs = sim.Observable.from_matrix(PAULI_Z)
+        with pytest.raises(TypeError):
+            sim.naive_baseline(KET0, obs, shots=1e6, seed=0)
+
     def test_variance_overhead_vs_naive(self):
         # population second moments: virtual nu^2 * E[lambda^2] vs naive E[lambda^2]
         dec, _, _ = discard_prepare_point(2.0, 2)
@@ -187,3 +255,20 @@ def test_protocol_estimate_fields():
     assert est.n_plus + est.n_minus == est.shots == 1000
     assert est.scale == dec.nu
     assert est.seed == 9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.integers(0, 40)),
+                min_size=1, max_size=6).filter(lambda cells: sum(c for _, c in cells) >= 2))
+def test_count_statistics_match_per_shot_sample(cells):
+    values = np.array([v for v, _ in cells])
+    counts = np.array([c for _, c in cells])
+    mean, std = sim._count_statistics(values, counts)
+    shots = np.repeat(values, counts)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
+    assert mean == pytest.approx(np.mean(shots), rel=1e-12, abs=tol)
+    assert std == pytest.approx(np.std(shots, ddof=1), rel=1e-12, abs=tol)
+
+
+def test_count_statistics_single_shot():
+    assert sim._count_statistics(np.array([-2.0, 3.0]), np.array([0, 1])) == (3.0, 0.0)
