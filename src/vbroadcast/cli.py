@@ -21,12 +21,13 @@ I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -189,96 +190,67 @@ def _exit_code(statuses: list[str]) -> int:
     return 0
 
 
-# -- sweep worker (module level so process pools can pickle it) --------------
+# -- solves (module level so process pools can pickle the worker) ------------
 
-def _sweep_point(task):
-    a, b, d, tol_gap, tol_feas, max_iter, allow_large = task
+def _solve_point(point: SweepRecord, config: SolverConfig,
+                 allow_large: bool) -> SweepRecord:
+    """``point`` with its outputs filled in: ``min_error`` when it has a
+    ``gamma``, ``approx_overhead`` when it has thresholds ``a`` and ``b``,
+    else ``exact_overhead``, each at dimension ``d``."""
     t0 = time.perf_counter()
-    res = bc.approx_overhead((a, b), d, config=SolverConfig(
-        tol_gap=tol_gap, tol_feas=tol_feas, max_iter=max_iter),
-        allow_large_blocks=allow_large)
-    return SweepRecord(a=a, b=b, d=d, nu=res.nu, s=res.s, status=res.status,
-                       gap=res.solution.gap if res.solution else None,
-                       seconds=time.perf_counter() - t0)
+    kwargs = dict(config=config, allow_large_blocks=allow_large)
+    if point.gamma is not None:
+        res = bc.min_error(point.gamma, point.d, **kwargs)
+        nu = res.decomposition.nu if res.decomposition else None
+        outputs = dict(mu=res.mu, t=res.t, nu=nu, s=None if nu is None else nu ** 2)
+    else:
+        res = (bc.exact_overhead(point.d, **kwargs) if point.a is None
+               else bc.approx_overhead((point.a, point.b), point.d, **kwargs))
+        outputs = dict(nu=res.nu, s=res.s)
+    return replace(point, **outputs, status=res.status,
+                   gap=res.solution.gap if res.solution else None,
+                   seconds=time.perf_counter() - t0)
 
 
-def _run_exact(cfg: RunConfig) -> int:
+def _points(cfg: RunConfig) -> list[SweepRecord]:
+    """The inputs of every solve the subcommand runs, as records."""
     d = cfg.dims[0]
-    t0 = time.perf_counter()
-    res = bc.exact_overhead(d, config=cfg.solver_config(),
-                            allow_large_blocks=cfg.allow_large_dim)
-    print(f"nu={res.nu:.6f} s={res.s:.6f}")
-    if cfg.out:
-        rec = SweepRecord(d=d, nu=res.nu, s=res.s, status=res.status,
-                          gap=res.solution.gap,
-                          seconds=time.perf_counter() - t0)
-        _emit([rec], cfg)
-    return _exit_code([res.status])
-
-
-def _run_sweep_ab(cfg: RunConfig) -> int:
-    d = cfg.dims[0]
+    if cfg.subcommand == "exact":
+        return [SweepRecord(d=d)]
+    if cfg.subcommand == "min-error":
+        return [SweepRecord(gamma=cfg.gammas[0], d=d)]
+    if cfg.subcommand == "tradeoff":
+        return [SweepRecord(gamma=g, d=dim) for g in cfg.gammas for dim in cfg.dims]
     if cfg.deltas is not None:
-        points = [(v, v) for v in cfg.deltas]
-    else:
-        axis = np.linspace(0.0, 1.0, cfg.grid)
-        points = [(float(a), float(b)) for a in axis for b in axis]
-    tasks = [(a, b, d, cfg.tol_gap, cfg.tol_feas, cfg.max_iter, cfg.allow_large_dim)
-             for a, b in points]
+        return [SweepRecord(a=v, b=v, d=d) for v in cfg.deltas]
+    axis = [float(v) for v in np.linspace(0.0, 1.0, cfg.grid)]
+    return [SweepRecord(a=a, b=b, d=d) for a in axis for b in axis]
+
+
+def _summary(rec: SweepRecord) -> str:
+    """The line ``exact`` and ``min-error`` print for their one solve."""
+    if rec.gamma is None:
+        return f"nu={rec.nu:.6f} s={rec.s:.6f}"
+    if rec.nu is None:
+        return f"gamma={rec.gamma:.6f} d={rec.d} status={rec.status}"
+    return (f"gamma={rec.gamma:.6f} d={rec.d} mu={rec.mu:.6f} t={rec.t:.6f} "
+            f"nu={rec.nu:.6f} status={rec.status}")
+
+
+def _run_solves(cfg: RunConfig) -> int:
+    solve_point = functools.partial(_solve_point, config=cfg.solver_config(),
+                                    allow_large=cfg.allow_large_dim)
+    points = _points(cfg)
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(_sweep_point, tasks, chunksize=4))
+            records = list(pool.map(solve_point, points))
     else:
-        records = [_sweep_point(t) for t in tasks]
-    _emit(records, cfg)
-    return _exit_code([r.status for r in records])
-
-
-def _run_min_error(cfg: RunConfig) -> int:
-    d = cfg.dims[0]
-    gamma = cfg.gammas[0]
-    t0 = time.perf_counter()
-    point = bc.min_error(gamma, d, config=cfg.solver_config(),
-                         allow_large_blocks=cfg.allow_large_dim)
-    if point.decomposition is not None:
-        nu = point.decomposition.nu
-        print(f"gamma={gamma:.6f} d={d} mu={point.mu:.6f} t={point.t:.6f} "
-              f"nu={nu:.6f} status={point.status}")
-    else:
-        nu = None
-        print(f"gamma={gamma:.6f} d={d} status={point.status}")
-    if cfg.out:
-        rec = SweepRecord(gamma=gamma, d=d, mu=point.mu, t=point.t,
-                          nu=nu, s=None if nu is None else nu ** 2,
-                          status=point.status,
-                          gap=point.solution.gap if point.solution else None,
-                          seconds=time.perf_counter() - t0)
-        _emit([rec], cfg)
-    return _exit_code([point.status])
-
-
-def _tradeoff_point(task):
-    gamma, d, tol_gap, tol_feas, max_iter, allow_large = task
-    t0 = time.perf_counter()
-    point = bc.min_error(gamma, d, config=SolverConfig(
-        tol_gap=tol_gap, tol_feas=tol_feas, max_iter=max_iter),
-        allow_large_blocks=allow_large)
-    nu = point.decomposition.nu if point.decomposition else None
-    return SweepRecord(gamma=gamma, d=d, mu=point.mu, t=point.t, nu=nu,
-                       s=None if nu is None else nu ** 2, status=point.status,
-                       gap=point.solution.gap if point.solution else None,
-                       seconds=time.perf_counter() - t0)
-
-
-def _run_tradeoff(cfg: RunConfig) -> int:
-    tasks = [(g, d, cfg.tol_gap, cfg.tol_feas, cfg.max_iter, cfg.allow_large_dim)
-             for g in cfg.gammas for d in cfg.dims]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(_tradeoff_point, tasks))
-    else:
-        records = [_tradeoff_point(t) for t in tasks]
-    _emit(records, cfg)
+        records = [solve_point(p) for p in points]
+    single = cfg.subcommand in ("exact", "min-error")
+    if single:
+        print(_summary(records[0]))
+    if cfg.out or not single:
+        _emit(records, cfg)
     return _exit_code([r.status for r in records])
 
 
@@ -329,16 +301,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    runners = {
-        "exact": _run_exact,
-        "sweep-ab": _run_sweep_ab,
-        "min-error": _run_min_error,
-        "tradeoff": _run_tradeoff,
-        "simulate": _run_simulate,
-        "verify": _run_verify,
-    }
+    runners = {"simulate": _run_simulate, "verify": _run_verify}
     try:
-        return runners[cfg.subcommand](cfg)
+        return runners.get(cfg.subcommand, _run_solves)(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,13 +5,11 @@ from .problem import (
     BlockSpec,
     OpTerm,
     ProblemBuilder,
-    Row,
     SdpProblem,
     dump_problem,
     full_term,
     ptrace_term,
     scalar_term,
-    triplets_from_dense,
 )
 from .solver import (
     STATUS_DUAL_INFEASIBLE,
@@ -25,9 +23,8 @@ from .solver import (
 )
 
 __all__ = [
-    "BlockSpec", "OpTerm", "ProblemBuilder", "Row", "SdpProblem",
+    "BlockSpec", "OpTerm", "ProblemBuilder", "SdpProblem",
     "dump_problem", "full_term", "ptrace_term", "scalar_term",
-    "triplets_from_dense",
     "SdpSolution", "SolverConfig", "solve",
     "CertificateReport", "check_certificate",
     "STATUS_OPTIMAL", "STATUS_MAX_ITER", "STATUS_PRIMAL_INFEASIBLE",

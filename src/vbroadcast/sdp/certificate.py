@@ -1,9 +1,10 @@
 """Independent verification of solver output against the original problem data.
 
-The checks below recompute everything from the :class:`SdpProblem` triplets
-and the complex-domain solution blocks; nothing is taken from solver
-internals.  All residuals are normalized by the natural scale of the
-quantity they measure.
+The checks below recompute everything from the :class:`SdpProblem` data
+(its Hermitian-basis coefficients ``a``, ``b`` and ``c``) and the
+complex-domain solution blocks; nothing is taken from solver internals.
+All residuals are normalized by the natural scale of the quantity they
+measure.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution,
     """
     x = solution.x_blocks
     s = solution.s_blocks
-    b = np.array([row.rhs for row in problem.rows])
+    b = problem.b
 
     vals = problem.constraint_values(x)
     pres = float(np.max(np.abs(vals - b), initial=0.0)) / (1.0 + float(np.max(np.abs(b), initial=0.0)))

@@ -8,12 +8,17 @@ A problem is
 
 where every ``X_k`` is a complex Hermitian PSD block (dimension-1 blocks are
 plain nonnegative scalars) and all coefficient operators are Hermitian.
-Coefficients are stored as canonical sparse triplets ``(i, j, v)`` with
-``i <= j``; the mirrored entry ``(j, i, conj(v))`` is implied.
+Every coefficient is stored once, as its coordinates in the orthonormal
+Hermitian basis of its block (``_basis(dim)``): block k's constraint
+coefficients are the rows of a sparse m x dim^2 matrix ``a[k]`` and its
+objective is the vector ``c[k]``, so <A_{i,k}, X_k> = a[k][i] . vec(X_k).
+The builder writes these, and the solver and the certificate checker read
+them.
 
-The builder assembles the equality rows of operator-valued constraints by
-pairing them against an orthonormal Hermitian basis of the target space, and
-turns inequalities into equalities with slack blocks:
+An operator-valued constraint has one row per element of the orthonormal
+Hermitian basis of its target space.  The builder writes each of its terms
+with one sparse construction and turns inequalities into equalities with
+slack blocks:
 
 * ``<A, X> <= b``        adds a nonnegative scalar slack,
 * ``sum terms >= R``     adds a PSD slack block,
@@ -28,15 +33,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..linalg import as_hermitian
 
 # Largest block dimension accepted without an explicit override; keeps
 # accidental huge dense solves from hanging a session.
 MAX_BLOCK_DIM = 130
-
-Triplets = tuple[np.ndarray, np.ndarray, np.ndarray]  # (ii, jj, vv), ii <= jj
-_EMPTY: Triplets = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))
 
 
 @dataclass(frozen=True)
@@ -47,21 +50,12 @@ class BlockSpec:
     dim: int
 
 
-@dataclass
-class Row:
-    """One scalar equality row: sum_k <coeffs[k], X_k> = rhs."""
-
-    coeffs: dict[str, Triplets]
-    rhs: float
-    label: str = ""
-
-
 @dataclass(frozen=True)
 class Embedding:
     """The terms ``scale * <E_r, Tr_drop[X_block]>`` of operator-equation rows
-    ``start + r``, r < dim**2, for the basis ``hermitian_basis_triplets(dim)``;
-    a full term is the layout ``(block dim,)`` with nothing dropped.  The
-    solver builds its Schur complement from these, not from the triplets."""
+    ``start + r``, r < dim**2, for the basis ``_basis(dim)``; a full term is
+    the layout ``(block dim,)`` with nothing dropped.  The solver builds its
+    Schur complement from these row ranges; their coefficients are in ``a``."""
 
     block: str
     start: int
@@ -73,15 +67,20 @@ class Embedding:
 
 @dataclass
 class SdpProblem:
+    """minimize sum_k c[k] . vec(X_k) s.t. sum_k a[k] @ vec(X_k) = b, X_k >= 0,
+    with vec the coordinates in ``_basis(dim)``; ``a`` and ``c`` hold one
+    entry per block."""
+
     blocks: list[BlockSpec]
-    objective: dict[str, Triplets]
-    rows: list[Row]
+    a: dict[str, sp.csr_matrix]
+    b: np.ndarray
+    c: dict[str, np.ndarray]
     allow_large_blocks: bool = False
     embeddings: list[Embedding] = field(default_factory=list)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.b.size
 
     def block(self, name: str) -> BlockSpec:
         for b in self.blocks:
@@ -104,82 +103,44 @@ class SdpProblem:
                 warnings.warn(f"block {b.name!r} exceeds the desk-scale guardrail "
                               f"(dimension {b.dim}); expect long solve times",
                               RuntimeWarning)
-        for which, coeffs in [("objective", self.objective)] + [
-                (f"row {i}", r.coeffs) for i, r in enumerate(self.rows)]:
-            for name, (ii, jj, vv) in coeffs.items():
-                if name not in dims:
-                    raise ValueError(f"{which} references unknown block {name!r}")
-                d = dims[name]
-                if ii.size and (ii.min() < 0 or jj.max() >= d):
-                    raise ValueError(f"{which} has out-of-range indices for block {name!r}")
-                if np.any(ii > jj):
-                    raise ValueError(f"{which} has non-canonical triplets for block {name!r}")
-                diag = ii == jj
-                if np.any(np.abs(vv[diag].imag) > 1e-12):
-                    raise ValueError(f"{which} has complex diagonal entries for block {name!r}")
+        for which, coeffs in (("constraint", self.a), ("objective", self.c)):
+            if coeffs.keys() != dims.keys():
+                raise ValueError(f"{which} coefficients are for blocks {sorted(coeffs)}, "
+                                 f"not the declared {sorted(dims)}")
+        m = self.n_rows
+        for name, d in dims.items():
+            if self.a[name].shape != (m, d * d) or self.c[name].shape != (d * d,):
+                raise ValueError(f"coefficients of block {name!r} do not match "
+                                 f"its dimension {d} and {m} rows")
         for e in self.embeddings:
             if (int(np.prod(e.dims)) != dims.get(e.block)
-                    or not 0 <= e.start <= e.start + e.dim ** 2 <= len(self.rows)):
+                    or not 0 <= e.start <= e.start + e.dim ** 2 <= m):
                 raise ValueError(f"embedding of block {e.block!r} does not fit the problem")
 
     # -- evaluation helpers used by the certificate checker ------------------
 
     def constraint_values(self, x_blocks: dict[str, np.ndarray]) -> np.ndarray:
         """Evaluate <A_i, X> for every row."""
-        return np.array([_eval_coeffs(row.coeffs, x_blocks) for row in self.rows], dtype=float)
+        vals = np.zeros(self.n_rows)
+        for blk in self.blocks:
+            vals += self.a[blk.name] @ _basis(blk.dim).vec(np.asarray(x_blocks[blk.name]))
+        return vals
 
     def objective_value(self, x_blocks: dict[str, np.ndarray]) -> float:
-        return _eval_coeffs(self.objective, x_blocks)
+        return float(sum(self.c[blk.name] @ _basis(blk.dim).vec(np.asarray(x_blocks[blk.name]))
+                         for blk in self.blocks))
 
     def adjoint(self, y: np.ndarray) -> dict[str, np.ndarray]:
         """Dense Hermitian matrices of A^*(y) = sum_i y_i A_i per block."""
-        parts: dict[str, list[Triplets]] = {b.name: [_EMPTY] for b in self.blocks}
-        for yi, row in zip(y, self.rows):
-            if yi != 0.0:
-                for name, (ii, jj, vv) in row.coeffs.items():
-                    parts[name].append((ii, jj, yi * vv))
-        return {b.name: dense_from_triplets(_merge_triplets(parts[b.name]), b.dim)
-                for b in self.blocks}
+        return {blk.name: _basis(blk.dim).mat(self.a[blk.name].T @ y)
+                for blk in self.blocks}
 
     def objective_matrices(self) -> dict[str, np.ndarray]:
-        return {b.name: dense_from_triplets(self.objective.get(b.name, _EMPTY), b.dim)
-                for b in self.blocks}
-
-
-def _eval_coeffs(coeffs: dict[str, Triplets], x_blocks: dict[str, np.ndarray]) -> float:
-    return sum(_triplet_inner(t, np.asarray(x_blocks[name])) for name, t in coeffs.items())
-
-
-def dense_from_triplets(trip: Triplets, dim: int) -> np.ndarray:
-    """The dense Hermitian matrix of canonical triplets (duplicates add up)."""
-    ii, jj, vv = trip
-    m = np.zeros((dim, dim), dtype=complex)
-    np.add.at(m, (ii, jj), vv)
-    off = ii != jj
-    np.add.at(m, (jj[off], ii[off]), vv[off].conj())
-    return m
-
-
-def triplets_from_dense(a: np.ndarray, tol: float = 0.0) -> Triplets:
-    """Canonical upper-triangular triplets of a dense Hermitian matrix."""
-    a = as_hermitian(np.atleast_2d(np.asarray(a, dtype=complex)))
-    ii, jj = np.nonzero(np.abs(np.triu(a)) > tol)
-    return ii.astype(np.int64), jj.astype(np.int64), a[ii, jj]
-
-
-def scalar_triplets(value: float) -> Triplets:
-    return (np.array([0]), np.array([0]), np.array([complex(value)]))
-
-
-def _merge_triplets(parts: list[Triplets]) -> Triplets:
-    ii = np.concatenate([p[0] for p in parts])
-    jj = np.concatenate([p[1] for p in parts])
-    vv = np.concatenate([p[2] for p in parts])
-    return ii, jj, vv
+        return {blk.name: _basis(blk.dim).mat(self.c[blk.name]) for blk in self.blocks}
 
 
 # ---------------------------------------------------------------------------
-# Hermitian basis of a D-dimensional space, as canonical triplets
+# Orthonormal Hermitian basis of an n x n space
 # ---------------------------------------------------------------------------
 
 _SQRT2 = np.sqrt(2.0)
@@ -187,18 +148,21 @@ _SQRT2 = np.sqrt(2.0)
 
 class _Basis:
     """Coordinates of n x n Hermitian matrices in the orthonormal basis of
-    ``hermitian_basis_triplets(n)``: the diagonal, then sqrt(2) Re and
-    -sqrt(2) Im of each upper entry.  Coordinate r of X is <E_r, X>, so the
-    coefficients of an operator equation's row r are the unit vector r.
+    the diagonal units |i><i|, then for each upper entry i < j the pair
+    (|i><j| + |j><i|) / sqrt(2), (-i|i><j| + i|j><i|) / sqrt(2).
+    Coordinate r of X is <E_r, X>, so the coefficients of an operator
+    equation's row r are the unit vector r.
 
     Basis element r has at most two nonzeros: ``c1[r]`` at flat index
-    ``i1[r]`` and ``c2[r]`` at ``i2[r]`` (``c2 = 0`` on the diagonal).
+    ``i1[r]`` (on or above the diagonal) and ``c2[r]`` at ``i2[r]``
+    (``c2 = 0`` on the diagonal); ``pos[i, j]`` (i <= j) is the first
+    coordinate of entry (i, j).
     """
 
     def __init__(self, n: int):
         self.n, self.N = n, n * n
         iu, ju = np.triu_indices(n, 1)
-        self.pos = np.diag(np.arange(n))          # coordinate of entry (i, j), i <= j
+        self.pos = np.diag(np.arange(n))
         self.pos[iu, ju] = n + 2 * np.arange(iu.size)
         diag = np.arange(n) * (n + 1)
         self.i1 = np.concatenate([diag, np.repeat(iu * n + ju, 2)])
@@ -220,14 +184,6 @@ class _Basis:
         out[..., self.i2[n::2]] = u.conj()
         return out.reshape(v.shape[:-1] + (n, n))
 
-    def coords(self, trip: Triplets) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates and values of the matrix of canonical triplets."""
-        ii, jj, vv = trip
-        diag = ii == jj
-        oi, oj, ov = ii[~diag], jj[~diag], vv[~diag]
-        return (np.concatenate([ii[diag], self.pos[oi, oj], self.pos[oi, oj] + 1]),
-                np.concatenate([vv[diag].real, _SQRT2 * ov.real, -_SQRT2 * ov.imag]))
-
     def pair(self, other: _Basis, k: np.ndarray) -> np.ndarray:
         """M_ab = <E_a, L(F_b)> for the map with k[(p, q), (r, s)] = L(|r><s|)_pq,
         F the basis of ``other``."""
@@ -241,22 +197,24 @@ def _basis(n: int) -> _Basis:
     return _Basis(n)
 
 
-def hermitian_basis_triplets(d: int) -> list[Triplets]:
-    """Orthonormal Hermitian basis: diagonal units, then (real, imaginary)
-    off-diagonal pairs scaled by 1/sqrt(2)."""
-    basis = _basis(d)
-    return [(np.array([i // d]), np.array([i % d]), np.array([c]))
-            for i, c in zip(basis.i1, basis.c1)]
+def _embedding_columns(dims: tuple[int, ...], drop: tuple[int, ...]) -> np.ndarray:
+    """Block coordinates of E_r (x) I_drop, the adjoint of Tr_drop applied to
+    the target's basis element E_r, on a block with factor layout ``dims``.
 
-
-def _triplet_inner(e: Triplets, m: np.ndarray) -> float:
-    """<E, M> = Tr[E M] for canonical triplets E and dense Hermitian M."""
-    ii, jj, vv = e
-    diag = ii == jj
-    val = float(np.sum(vv[diag].real * m[ii[diag], jj[diag]].real))
-    off = ~diag
-    val += float(2.0 * np.sum((vv[off] * m[jj[off], ii[off]]).real))
-    return val
+    Each copy E_r (x) |u><u| of the kept part on one dropped index u is
+    itself a block basis element, so row r of the result lists the block
+    coordinates at which E_r (x) I_drop has coefficient 1.
+    """
+    keep = [f for f in range(len(dims)) if f not in drop]
+    kept_dim = int(np.prod([dims[f] for f in keep]))
+    index = np.arange(int(np.prod(dims))).reshape(dims).transpose(keep + list(drop))
+    index = index.reshape(kept_dim, -1)
+    target, block = _basis(kept_dim), _basis(index.size)
+    # kept entry (p, q), p <= q, on dropped index u is block entry
+    # (index[p, u], index[q, u]), again on or above the diagonal
+    p, q = np.divmod(target.i1, kept_dim)
+    imag = (target.c1.imag != 0)[:, None]
+    return block.pos[index[p], index[q]] + imag
 
 
 # ---------------------------------------------------------------------------
@@ -297,42 +255,19 @@ def scalar_term(block: str, matrix: np.ndarray, scale: float = 1.0) -> OpTerm:
                   matrix=as_hermitian(matrix))
 
 
-def _ptrace_embedding(dims: tuple[int, ...], drop: tuple[int, ...]):
-    """Precompute flat-index arithmetic for the adjoint of a partial trace.
-
-    The adjoint of Tr_drop places the target operator on the kept factors and
-    the identity on the dropped ones.  Returns (kept_dim, base, offsets) with
-    flat_block_index = base[kept_flat] + offsets[dropped_flat].
-    """
-    keep = [f for f in range(len(dims)) if f not in drop]
-    kept_dim = int(np.prod([dims[f] for f in keep]))
-    index = np.arange(int(np.prod(dims))).reshape(dims).transpose(keep + list(drop))
-    index = index.reshape(kept_dim, -1)
-    return kept_dim, index[:, 0], index[0]
-
-
-def _embed_triplets(e: Triplets, base: np.ndarray, offsets: np.ndarray,
-                    scale: float) -> Triplets:
-    """Triplets of scale * (E on kept factors (x) I on dropped factors)."""
-    ii_e, jj_e, vv_e = e
-    n_off = offsets.size
-    ii = np.repeat(base[ii_e], n_off) + np.tile(offsets, ii_e.size)
-    jj = np.repeat(base[jj_e], n_off) + np.tile(offsets, jj_e.size)
-    vv = np.repeat(vv_e * scale, n_off)
-    swap = ii > jj
-    ii2 = np.where(swap, jj, ii)
-    jj2 = np.where(swap, ii, jj)
-    vv2 = np.where(swap, vv.conj(), vv)
-    return ii2, jj2, vv2
-
-
 class ProblemBuilder:
-    """Incremental construction of an :class:`SdpProblem`."""
+    """Incremental construction of an :class:`SdpProblem`.
+
+    Coefficients are written as sparse (row, coordinate, value) entries per
+    block.  The ``label`` arguments name constraints at the call site; the
+    problem does not store them.
+    """
 
     def __init__(self, allow_large_blocks: bool = False):
-        self._blocks: list[BlockSpec] = []
-        self._objective: dict[str, list[Triplets]] = {}
-        self._rows: list[Row] = []
+        self._dims: dict[str, int] = {}
+        self._a: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+        self._b: list[float] = []
+        self._c: dict[str, np.ndarray] = {}
         self._embeddings: list[Embedding] = []
         self._free: dict[str, tuple[str, str]] = {}
         self.allow_large_blocks = allow_large_blocks
@@ -340,9 +275,9 @@ class ProblemBuilder:
     # -- variables -----------------------------------------------------------
 
     def add_psd_block(self, name: str, dim: int) -> str:
-        if any(b.name == name for b in self._blocks):
+        if name in self._dims:
             raise ValueError(f"block {name!r} already declared")
-        self._blocks.append(BlockSpec(name=name, dim=int(dim)))
+        self._dims[name] = int(dim)
         return name
 
     def add_scalar(self, name: str) -> str:
@@ -356,21 +291,34 @@ class ProblemBuilder:
         return name
 
     def _scalar_parts(self, name: str) -> list[tuple[str, float]]:
+        """The dimension-1 blocks, with signs, that a number multiplies."""
         if name in self._free:
             pos, neg = self._free[name]
             return [(pos, 1.0), (neg, -1.0)]
+        if self._dims.get(name, 1) != 1:
+            raise ValueError(f"a scalar coefficient on {name!r} needs a dimension-1 "
+                             f"block, not dimension {self._dims[name]}")
         return [(name, 1.0)]
+
+    def _coords(self, name: str, coeff) -> list[tuple[str, np.ndarray]]:
+        """(block, Hermitian-basis coordinates) of the coefficient ``coeff``
+        on ``name``; a number applies to a dimension-1 block or free scalar."""
+        if np.isscalar(coeff):
+            return [(part, np.array([sign * float(coeff)]))
+                    for part, sign in self._scalar_parts(name)]
+        coeff = as_hermitian(np.atleast_2d(coeff))
+        n = coeff.shape[0]
+        if self._dims.get(name, n) != n:
+            raise ValueError(f"coefficient of dimension {n} on block {name!r} "
+                             f"of dimension {self._dims[name]}")
+        return [(name, _basis(n).vec(coeff))]
 
     # -- objective -----------------------------------------------------------
 
     def add_objective(self, block: str, coeff) -> None:
         """Add <coeff, X_block> to the minimization objective."""
-        if np.isscalar(coeff):
-            for part, sign in self._scalar_parts(block):
-                self._objective.setdefault(part, []).append(
-                    scalar_triplets(sign * float(coeff)))
-        else:
-            self._objective.setdefault(block, []).append(triplets_from_dense(coeff))
+        for part, v in self._coords(block, coeff):
+            self._c[part] = self._c.get(part, 0.0) + v
 
     def minimize(self, linear: dict[str, float]) -> None:
         for name, w in linear.items():
@@ -380,95 +328,81 @@ class ProblemBuilder:
 
     def add_scalar_eq(self, coeffs: dict[str, float | np.ndarray], rhs: float,
                       label: str = "") -> None:
-        parts: dict[str, list[Triplets]] = {}
-        for name, c in coeffs.items():
-            if np.isscalar(c):
-                for part, sign in self._scalar_parts(name):
-                    parts.setdefault(part, []).append(scalar_triplets(sign * float(c)))
-            else:
-                parts.setdefault(name, []).append(triplets_from_dense(c))
-        self._rows.append(Row(coeffs={k: _merge_triplets(v) for k, v in parts.items()},
-                              rhs=float(rhs), label=label))
+        row = len(self._b)
+        for name, coeff in coeffs.items():
+            for part, v in self._coords(name, coeff):
+                nz = np.flatnonzero(v)
+                self._a.setdefault(part, []).append((np.full(nz.size, row), nz, v[nz]))
+        self._b.append(float(rhs))
 
     def add_scalar_ineq(self, coeffs: dict[str, float | np.ndarray], rhs: float,
                         label: str = "") -> str:
         """<coeffs, X> <= rhs via a nonnegative slack scalar; returns its name."""
-        slack = self.add_scalar(f"_slack{len(self._blocks)}")
-        coeffs = dict(coeffs)
-        coeffs[slack] = 1.0
-        self.add_scalar_eq(coeffs, rhs, label=label or f"ineq<{slack}>")
+        slack = self.add_scalar(f"_slack{len(self._dims)}")
+        self.add_scalar_eq({**coeffs, slack: 1.0}, rhs, label=label)
         return slack
 
     def add_operator_eq(self, terms: Sequence[OpTerm], rhs: np.ndarray,
                         label: str = "") -> None:
-        """sum of terms = rhs, expanded over a Hermitian basis of the target."""
+        """sum of terms = rhs, one row per Hermitian basis element of the target."""
         rhs = as_hermitian(rhs)
         d = rhs.shape[0]
-        start = len(self._rows)
-        prepared, embeddings = [], []
+        start = len(self._b)
+        rows = np.arange(start, start + d * d)
+        entries, embeddings = [], []
         for t in terms:
             if t.kind in ("full", "ptrace"):
-                bdim = self._block_dim(t.block)
+                if t.block not in self._dims:
+                    raise KeyError(f"no block named {t.block!r}")
+                bdim = self._dims[t.block]
                 dims, drop = ((bdim,), ()) if t.kind == "full" else (t.dims, t.drop)
                 if int(np.prod(dims)) != bdim:
                     raise ValueError(f"layout {dims} does not match block "
                                      f"{t.block!r} of dimension {bdim}")
-                kept_dim, base, offsets = _ptrace_embedding(dims, drop)
-                if kept_dim != d:
+                cols = _embedding_columns(dims, drop)
+                if cols.shape[0] != d * d:
                     raise ValueError(f"term on {t.block!r} has dimension "
-                                     f"{kept_dim}, target has {d}")
-                prepared.append((t.kind, t.block, t.scale, (base, offsets)))
+                                     f"{bdim // cols.shape[1]}, target has {d}")
+                entries.append((t.block, np.repeat(rows, cols.shape[1]), cols.ravel(),
+                                np.full(cols.size, float(t.scale))))
                 embeddings.append(Embedding(t.block, start, d, dims, drop, t.scale))
             elif t.kind == "scalar":
                 if t.matrix.shape[0] != d:
                     raise ValueError("scalar term matrix does not match the target")
-                if t.block not in self._free and self._block_dim(t.block) != 1:
-                    raise ValueError(f"scalar term on {t.block!r} needs a dimension-1 block")
-                prepared.append(("scalar", t.block, t.scale, t.matrix))
+                w = t.scale * _basis(d).vec(t.matrix)
+                nz = np.flatnonzero(w)
+                entries += [(part, rows[nz], np.zeros(nz.size, np.int64), sign * w[nz])
+                            for part, sign in self._scalar_parts(t.block)]
             else:
                 raise ValueError(f"unknown term kind {t.kind!r}")
+        for block, *entry in entries:
+            self._a.setdefault(block, []).append(entry)
         self._embeddings += embeddings
-
-        for r, e in enumerate(hermitian_basis_triplets(d)):
-            parts: dict[str, list[Triplets]] = {}
-            for kind, block, scale, aux in prepared:
-                if kind == "full":
-                    ii, jj, vv = e
-                    parts.setdefault(block, []).append((ii, jj, vv * scale))
-                elif kind == "ptrace":
-                    base, offsets = aux
-                    parts.setdefault(block, []).append(
-                        _embed_triplets(e, base, offsets, scale))
-                else:
-                    w = scale * _triplet_inner(e, aux)
-                    if w != 0.0:
-                        for part, sign in self._scalar_parts(block):
-                            parts.setdefault(part, []).append(scalar_triplets(sign * w))
-            self._rows.append(Row(
-                coeffs={k: _merge_triplets(v) for k, v in parts.items()},
-                rhs=_triplet_inner(e, rhs),
-                label=f"{label}[{r}]" if label else ""))
+        self._b.extend(_basis(d).vec(rhs))
 
     def add_operator_ineq(self, terms: Sequence[OpTerm], rhs: np.ndarray,
                           label: str = "") -> str:
         """sum of terms >= rhs via a PSD slack block; returns the slack name."""
         rhs = as_hermitian(rhs)
-        d = rhs.shape[0]
-        slack = self.add_psd_block(f"_psd_slack{len(self._blocks)}", d)
-        self.add_operator_eq(list(terms) + [full_term(slack, -1.0)], rhs,
-                             label=label or f"opineq<{slack}>")
+        slack = self.add_psd_block(f"_psd_slack{len(self._dims)}", rhs.shape[0])
+        self.add_operator_eq(list(terms) + [full_term(slack, -1.0)], rhs, label=label)
         return slack
 
-    def _block_dim(self, name: str) -> int:
-        for b in self._blocks:
-            if b.name == name:
-                return b.dim
-        raise KeyError(f"no block named {name!r}")
-
     def build(self) -> SdpProblem:
-        objective = {k: _merge_triplets(v) for k, v in self._objective.items()}
-        p = SdpProblem(blocks=list(self._blocks), objective=objective,
-                       rows=list(self._rows),
+        for name in (self._a.keys() | self._c.keys()) - self._dims.keys():
+            raise ValueError(f"coefficient references unknown block {name!r}")
+        m = len(self._b)
+        a, c = {}, {}
+        for name, d in self._dims.items():
+            entries = self._a.get(name)
+            if entries:
+                rows, cols, vals = (np.concatenate(x) for x in zip(*entries))
+                a[name] = sp.csr_matrix((vals, (rows, cols)), shape=(m, d * d))
+            else:
+                a[name] = sp.csr_matrix((m, d * d))
+            c[name] = self._c.get(name, np.zeros(d * d))
+        p = SdpProblem(blocks=[BlockSpec(n, d) for n, d in self._dims.items()],
+                       a=a, b=np.array(self._b), c=c,
                        allow_large_blocks=self.allow_large_blocks,
                        embeddings=list(self._embeddings))
         p.validate()
@@ -489,22 +423,33 @@ def dump_problem(problem: SdpProblem, path: str) -> None:
         con   <constraint_index> <block_index> <row> <col> <re> <im>
         rhs   <constraint_index> <value>
 
-    Only canonical entries with row <= col are listed; the mirrored conjugate
-    entry is implied.  Suitable for cross-checking against external solvers.
+    Only the nonzero entries with row <= col are listed; the mirrored
+    conjugate entry is implied.  Suitable for cross-checking against
+    external solvers.
     """
-    index = {b.name: k for k, b in enumerate(problem.blocks)}
+    def upper_entries(coords: sp.spmatrix, n: int) -> sp.coo_matrix:
+        # coordinates -> flat entries i * n + j, i <= j, of each row's matrix
+        basis = _basis(n)
+        to_upper = sp.csr_matrix((basis.c1, (np.arange(basis.N), basis.i1)),
+                                 shape=(basis.N, basis.N))
+        return (coords @ to_upper).tocoo()
+
+    con = []
     with open(path, "w") as fh:
         fh.write("# vbroadcast SDP dump: minimize sum_k <C_k, X_k> "
                  "s.t. <A_i, X> = b_i, X >= 0\n")
-        for k, b in enumerate(problem.blocks):
-            fh.write(f"block {k} {b.name} {b.dim}\n")
-        for name, (ii, jj, vv) in problem.objective.items():
-            for i, j, v in zip(ii, jj, vv):
-                fh.write(f"obj {index[name]} {i} {j} {v.real:.17g} {v.imag:.17g}\n")
-        for r, row in enumerate(problem.rows):
-            for name, (ii, jj, vv) in row.coeffs.items():
-                for i, j, v in zip(ii, jj, vv):
-                    fh.write(f"con {r} {index[name]} {i} {j} "
-                             f"{v.real:.17g} {v.imag:.17g}\n")
-        for r, row in enumerate(problem.rows):
-            fh.write(f"rhs {r} {row.rhs:.17g}\n")
+        for k, blk in enumerate(problem.blocks):
+            fh.write(f"block {k} {blk.name} {blk.dim}\n")
+        for k, blk in enumerate(problem.blocks):
+            obj = upper_entries(sp.csr_matrix(problem.c[blk.name]), blk.dim)
+            for f, v in zip(obj.col, obj.data):
+                fh.write(f"obj {k} {f // blk.dim} {f % blk.dim} "
+                         f"{v.real:.17g} {v.imag:.17g}\n")
+            e = upper_entries(problem.a[blk.name], blk.dim)
+            con.append((e.row, np.full(e.nnz, k), e.col // blk.dim, e.col % blk.dim, e.data))
+        rows, ks, ii, jj, vals = (np.concatenate(x) for x in zip(*con))
+        for n in np.lexsort((jj, ii, ks, rows)):
+            fh.write(f"con {rows[n]} {ks[n]} {ii[n]} {jj[n]} "
+                     f"{vals[n].real:.17g} {vals[n].imag:.17g}\n")
+        for r, value in enumerate(problem.b):
+            fh.write(f"rhs {r} {value:.17g}\n")

@@ -5,9 +5,10 @@ embedding with Nesterov-Todd scaling and a Mehrotra predictor-corrector step,
 the standard recipe for this problem class.  Hermitian blocks stay in the
 complex domain, as in SeDuMi and SDPT3: the NT scaling, the step length and
 the corrector work on complex matrices, and a block's vector form is its
-coordinates in the orthonormal basis of ``hermitian_basis_triplets``, so that
-inner products are Re Tr(A X).  Dimension-1 blocks form one nonnegative
-orthant.
+coordinates in the orthonormal Hermitian basis the problem stores its
+coefficients in, so that inner products are Re Tr(A X) and the constraint
+matrix is the problem's blocks side by side.  Dimension-1 blocks form one
+nonnegative orthant.
 
 The Schur complement M_ij = Re Tr(A_i W A_j W) is assembled one block and one
 pair of row groups at a time (Fujisawa, Kojima and Nakata, Math. Prog. 79,
@@ -56,7 +57,6 @@ class SolverConfig:
     infeas_tol: float = 1e-8
     preprocess_tol: float = 1e-12
     schur_regularization: float = 1e-12
-    verbose: bool = False
 
 
 @dataclass
@@ -132,7 +132,6 @@ class _Cone:
         self.mat = [k for k, n in enumerate(dims) if n > 1]
         self.bases = [_basis(dims[k]) for k in self.mat]
         self.offsets = np.cumsum([0, len(self.lin)] + [b.N for b in self.bases])
-        self.total = int(self.offsets[-1])
         self.degree = float(len(self.lin) + sum(b.n for b in self.bases))
 
     def split(self, v: np.ndarray):
@@ -157,11 +156,11 @@ class _BlockRows:
     a_block: sp.csr_matrix
 
 
-def _block_rows(problem: SdpProblem, cone: _Cone, a_full: sp.csr_matrix) -> list[_BlockRows]:
+def _block_rows(problem: SdpProblem, cone: _Cone) -> list[_BlockRows]:
     out = []
-    for i, (k, basis) in enumerate(zip(cone.mat, cone.bases)):
+    for k, basis in zip(cone.mat, cone.bases):
         name = problem.blocks[k].name
-        a_block = a_full[:, cone.offsets[i + 1]:cone.offsets[i + 2]]
+        a_block = problem.a[name]
         emb = [e for e in problem.embeddings if e.block == name]
         layouts = {e.dims for e in emb if e.drop}
         if len(layouts) > 1:
@@ -209,37 +208,10 @@ def _schur(a_lin: sp.csr_matrix, p_lin: np.ndarray, blocks: list[_BlockRows],
 # ---------------------------------------------------------------------------
 
 def _assemble(problem: SdpProblem, cone: _Cone):
-    """Sparse constraint matrix in cone coordinates, objective vector, rhs."""
-    column = {problem.blocks[k].name: (_basis(1), i) for i, k in enumerate(cone.lin)}
-    for i, k in enumerate(cone.mat):
-        column[problem.blocks[k].name] = (cone.bases[i], int(cone.offsets[i + 1]))
-
-    def coords(name, trip):
-        basis, offset = column[name]
-        idx, vals = basis.coords(trip)
-        return offset + idx, vals
-
-    rows_idx, cols_idx, vals = [], [], []
-    for r, row in enumerate(problem.rows):
-        for name, trip in row.coeffs.items():
-            idx, v = coords(name, trip)
-            rows_idx.append(np.full(idx.size, r, dtype=np.int64))
-            cols_idx.append(idx)
-            vals.append(v)
-    m = len(problem.rows)
-    if rows_idx:
-        a_full = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-            shape=(m, cone.total)).tocsr()
-    else:
-        a_full = sp.csr_matrix((m, cone.total))
-
-    c = np.zeros(cone.total)
-    for name, trip in problem.objective.items():
-        idx, v = coords(name, trip)
-        np.add.at(c, idx, v)
-    b_vec = np.array([row.rhs for row in problem.rows], dtype=float)
-    return a_full, c, b_vec
+    """Constraint matrix in cone coordinates, objective vector, rhs."""
+    names = [problem.blocks[k].name for k in cone.lin + cone.mat]
+    return (sp.hstack([problem.a[n] for n in names], format="csr"),
+            np.concatenate([problem.c[n] for n in names]), problem.b)
 
 
 def _select_independent_rows(a_full: sp.csr_matrix, b: np.ndarray, tol_rel: float):
@@ -249,37 +221,23 @@ def _select_independent_rows(a_full: sp.csr_matrix, b: np.ndarray, tol_rel: floa
     the last entry measures how badly any dropped row's right-hand side
     disagrees with the rows that span it (nonzero means infeasible input).
     """
-    m = a_full.shape[0]
-    gram = np.asarray((a_full @ a_full.T).todense(), dtype=float)
-    d = gram.diagonal().copy()
-    scale = max(float(d.max(initial=0.0)), 1e-300)
-    lfac = np.zeros((m, m))
-    avail = np.ones(m, dtype=bool)
-    perm: list[int] = []
-    for step in range(m):
-        masked = np.where(avail, d, -np.inf)
-        j = int(np.argmax(masked))
-        if masked[j] <= tol_rel * scale:
-            break
-        col = gram[:, j] - lfac[:, :step] @ lfac[j, :step]
-        lfac[:, step] = col / np.sqrt(d[j])
-        d = d - lfac[:, step] ** 2
-        avail[j] = False
-        perm.append(j)
-
-    r = len(perm)
-    kept = sorted(perm)
-    dropped = np.flatnonzero(avail)
+    gram = (a_full @ a_full.T).toarray()
+    scale = max(float(gram.diagonal().max(initial=0.0)), 1e-300)
+    # P^T G P = L L^T on the first r pivots; the rows of L past r hold the
+    # dropped rows' coordinates on those pivots
+    lfac, piv, r, _ = sla.lapack.dpstrf(gram, tol=tol_rel * scale, lower=1)
+    piv -= 1
+    lfac = np.tril(lfac[:, :r])
+    perm, dropped = piv[:r], piv[r:]
     inconsistency = 0.0
     if dropped.size and r:
-        lp = lfac[perm, :r]
-        w = sla.solve_triangular(lp, b[perm], lower=True)
-        ld = lfac[dropped, :r]
+        w = sla.solve_triangular(lfac[:r], b[perm], lower=True)
+        ld = lfac[r:]
         denom = 1.0 + np.abs(b[dropped]) + np.linalg.norm(ld, axis=1) * np.linalg.norm(w)
         inconsistency = float(np.max(np.abs(b[dropped] - ld @ w) / denom))
     elif dropped.size:
         inconsistency = float(np.max(np.abs(b[dropped])))
-    return kept, dropped.tolist(), inconsistency
+    return sorted(perm.tolist()), sorted(dropped.tolist()), inconsistency
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +321,6 @@ def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
                 status = STATUS_NUMERICAL
                 note = f"no progress over {stall} iterations"
                 break
-        if cfg.verbose:
-            print(f"iter {it:3d}  pres {pres:8.2e}  dres {dres:8.2e} "
-                  f"gap {relgap:8.2e}  tau {tau:8.2e}  kappa {kappa:8.2e}")
-
         if pres <= cfg.tol_feas and dres <= cfg.tol_feas and relgap <= cfg.tol_gap:
             status = STATUS_OPTIMAL
             best = (xv, sv, y, tau, kappa)
@@ -602,7 +556,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             log.append((problem, solution))
         return solution
 
-    status, xv, sv, y, info = _hsd_solve(cone, _block_rows(problem, cone, a_full),
+    status, xv, sv, y, info = _hsd_solve(cone, _block_rows(problem, cone),
                                          a_full, b_vec, kept, c, cfg)
     diagnostics.update(info, seconds=time.perf_counter() - t0)
 

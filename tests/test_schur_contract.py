@@ -1,26 +1,34 @@
-"""Contract of the solver's structured Schur complement.
+"""Contract of the problem's constraint representation and the solver's
+structured Schur complement.
 
-The solver never forms the constraint matrices A_i; it assembles
-M_ij = Re Tr(A_i W A_j W) from the embeddings the builder records.  These
-properties pin it to the rows' triplets, which stay the reference: the
-structured matrix equals the dense one built here from those triplets, and
-the builder's embedding E -> E (x) I is the adjoint of the partial trace.
+A problem stores each block's coefficients once, as Hermitian-basis
+coordinates ``a``, ``b`` and ``c``.  These properties pin that data to its
+meaning: a built problem's rows evaluate partial traces and full terms, its
+adjoint is the adjoint, the problem dump reproduces it, the certificate does
+not depend on block names or order, and the solver's structured Schur
+complement M_ij = Re Tr(A_i W A_j W), assembled from the embeddings the
+builder records, equals the dense one built here from the coefficients.
 """
+
+import dataclasses
+import functools
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbroadcast.channels import gamma_operator
 from vbroadcast.linalg import partial_trace
-from vbroadcast.sdp import ProblemBuilder, full_term, ptrace_term, scalar_term
-from vbroadcast.sdp.problem import (
-    _basis,
-    _embed_triplets,
-    _ptrace_embedding,
-    dense_from_triplets,
-    hermitian_basis_triplets,
-    triplets_from_dense,
+from vbroadcast.sdp import (
+    ProblemBuilder,
+    check_certificate,
+    dump_problem,
+    full_term,
+    ptrace_term,
+    scalar_term,
+    solve,
 )
+from vbroadcast.sdp.problem import _basis
 from vbroadcast.sdp.solver import _assemble, _block_rows, _Cone, _schur
 
 ALL_DROPS = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
@@ -85,14 +93,11 @@ def problems(draw):
 
 
 def dense_schur(problem, w):
-    """Reference sum over blocks of Re Tr(A_i W A_j W) from the row triplets."""
+    """Reference sum over blocks of Re Tr(A_i W A_j W) from dense A_i."""
     m = problem.n_rows
     ref = np.zeros((m, m))
     for blk in problem.blocks:
-        zero = np.zeros((blk.dim, blk.dim), dtype=complex)
-        aw = np.array([(dense_from_triplets(row.coeffs[blk.name], blk.dim)
-                        if blk.name in row.coeffs else zero) @ w[blk.name]
-                       for row in problem.rows])
+        aw = _basis(blk.dim).mat(problem.a[blk.name].toarray()) @ w[blk.name]
         ref += np.einsum("iab,jba->ij", aw, aw).real
     return ref
 
@@ -105,7 +110,7 @@ def test_structured_schur_matches_dense_reference(case):
     a_full, _, _ = _assemble(problem, cone)
     p_lin = rng.uniform(0.2, 3.0, len(cone.lin))
     w_mats = [rand_pd(rng, basis.n) for basis in cone.bases]
-    blocks = _block_rows(problem, cone, a_full)
+    blocks = _block_rows(problem, cone)
     got = _schur(a_full[:, :len(cone.lin)], p_lin, blocks, w_mats)
 
     # P = W . W, so a scalar block's W is the square root of its P
@@ -117,18 +122,26 @@ def test_structured_schur_matches_dense_reference(case):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.data())
-def test_embedding_is_adjoint_of_partial_trace(dims, data):
-    drop = tuple(sorted(data.draw(st.sets(st.integers(0, len(dims) - 1)))))
+def test_rows_evaluate_partial_trace(dims, data):
+    full = data.draw(st.booleans())
+    drop = () if full else tuple(sorted(data.draw(st.sets(st.integers(0, len(dims) - 1)))))
+    scale = data.draw(SCALES)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     n = int(np.prod(dims))
-    kept_dim, base, offsets = _ptrace_embedding(tuple(dims), drop)
+    kept = n // int(np.prod([dims[f] for f in drop]))
+    b = ProblemBuilder()
+    b.add_psd_block("X", n)
+    term = full_term("X", scale) if full else ptrace_term("X", dims, drop, scale)
+    b.add_operator_eq([term], np.zeros((kept, kept), dtype=complex))
+    problem = b.build()
     x = rand_hermitian(rng, n)
-    e = rand_hermitian(rng, kept_dim)
-    embedded = dense_from_triplets(
-        _embed_triplets(triplets_from_dense(e), base, offsets, 1.0), n)
-    lhs = np.trace(partial_trace(x, dims, drop) @ e).real
-    rhs = np.trace(x @ embedded).real
-    assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
+    want = scale * _basis(kept).vec(partial_trace(x, dims, drop))
+    got = problem.constraint_values({"X": x})
+    assert np.allclose(got, want, rtol=0, atol=1e-12 * (1.0 + np.abs(want).max()))
+    # the certificate's adjoint is the adjoint of these rows
+    y = rng.standard_normal(problem.n_rows)
+    lhs = np.trace(problem.adjoint(y)["X"] @ x).real
+    assert abs(lhs - y @ got) <= 1e-12 * (1.0 + abs(lhs))
 
 
 @settings(max_examples=30, deadline=None)
@@ -138,7 +151,93 @@ def test_hermitian_coordinates_round_trip(n, seed):
     basis = _basis(n)
     x = rand_hermitian(rng, n)
     assert np.allclose(basis.mat(basis.vec(x)), x, rtol=0, atol=1e-14)
+    elements = basis.mat(np.eye(basis.N))
+    assert np.allclose(elements, elements.conj().transpose(0, 2, 1), rtol=0, atol=0)
+    gram = np.einsum("aij,bji->ab", elements, elements)
+    assert np.allclose(gram, np.eye(basis.N), rtol=0, atol=1e-15)
     # coordinate r is the inner product with basis element r
-    elements = [dense_from_triplets(t, n) for t in hermitian_basis_triplets(n)]
-    want = [np.trace(e @ x).real for e in elements]
+    want = np.einsum("aij,ji->a", elements, x).real
     assert np.allclose(basis.vec(x), want, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(problems())
+def test_dump_round_trip(tmp_path_factory, case):
+    problem, rng = case
+    problem.c = {blk.name: rng.standard_normal(blk.dim ** 2) for blk in problem.blocks}
+    path = tmp_path_factory.mktemp("dump") / "problem.txt"
+    dump_problem(problem, str(path))
+    dims = [blk.dim for blk in problem.blocks]
+    c = [np.zeros((n, n), dtype=complex) for n in dims]
+    a = [np.zeros((problem.n_rows, n, n), dtype=complex) for n in dims]
+    rhs = np.full(problem.n_rows, np.nan)
+    for line in path.read_text().splitlines():
+        kind, *f = line.split()
+        if kind == "obj":
+            k, i, j = map(int, f[:3])
+            c[k][i, j] = complex(float(f[3]), float(f[4]))
+        elif kind == "con":
+            r, k, i, j = map(int, f[:4])
+            a[k][r, i, j] = complex(float(f[4]), float(f[5]))
+        elif kind == "rhs":
+            rhs[int(f[0])] = float(f[1])
+    for m in c + a:
+        m += np.triu(m, 1).conj().swapaxes(-1, -2)
+    x = {blk.name: rand_hermitian(rng, blk.dim) for blk in problem.blocks}
+    want = sum(np.einsum("rij,ji->r", ak, x[blk.name]).real
+               for ak, blk in zip(a, problem.blocks))
+    assert np.allclose(problem.constraint_values(x), want, rtol=0, atol=1e-12)
+    got_obj = sum(np.trace(ck @ x[blk.name]).real for ck, blk in zip(c, problem.blocks))
+    assert abs(problem.objective_value(x) - got_obj) <= 1e-12
+    assert np.array_equal(rhs, problem.b)
+
+
+BLOCKS = (("J1", 8), ("J2", 8), ("x", 1), ("y", 1))
+
+
+def exact_broadcast(names, order):
+    """The d = 2 exact-broadcasting SDP with the blocks of BLOCKS named
+    ``names`` and declared in ``order``."""
+    j1, j2, x, y = names
+    d, dd = 2, (2, 2, 2)
+    b = ProblemBuilder()
+    for k in order:
+        b.add_psd_block(names[k], BLOCKS[k][1])
+    b.minimize({x: 1.0, y: 1.0})
+    for drop in ((2,), (1,)):
+        b.add_operator_eq([ptrace_term(j1, dd, drop), ptrace_term(j2, dd, drop, -1.0)],
+                          gamma_operator(d))
+    for j, s in ((j1, x), (j2, y)):
+        b.add_operator_eq([ptrace_term(j, dd, (1, 2)), scalar_term(s, np.eye(d), -1.0)],
+                          np.zeros((d, d), dtype=complex))
+    b.add_scalar_eq({x: 1.0, y: -1.0}, 1.0)
+    return b.build()
+
+
+@functools.lru_cache(maxsize=None)
+def exact_broadcast_solution():
+    names = [name for name, _ in BLOCKS]
+    problem = exact_broadcast(names, range(4))
+    return problem, solve(problem)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(range(4)), st.lists(st.text("abcXYZ_", min_size=1, max_size=4),
+                                           min_size=4, max_size=4, unique=True),
+       st.booleans())
+def test_certificate_invariant_under_block_relabeling(order, names, corrupt):
+    problem, sol = exact_broadcast_solution()
+    if corrupt:
+        sol = dataclasses.replace(sol, x_blocks={k: 1.01 * v for k, v in sol.x_blocks.items()})
+    report = check_certificate(problem, sol)
+    rename = {old: new for (old, _), new in zip(BLOCKS, names)}
+    relabeled = exact_broadcast(names, order)
+    moved = dataclasses.replace(
+        sol, x_blocks={rename[k]: v for k, v in sol.x_blocks.items()},
+        s_blocks={rename[k]: v for k, v in sol.s_blocks.items()})
+    again = check_certificate(relabeled, moved)
+    assert (again.passed, again.status) == (report.passed, report.status)
+    assert report.passed is (not corrupt)
+    for field in ("primal_residual", "dual_residual", "complementarity",
+                  "duality_gap", "min_eig_x", "min_eig_s"):
+        assert abs(getattr(again, field) - getattr(report, field)) <= 1e-12

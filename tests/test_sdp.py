@@ -112,6 +112,20 @@ class TestBuilder:
         with pytest.raises(ValueError, match="unknown block"):
             b.build()
 
+    @pytest.mark.parametrize("add", [
+        lambda b: b.minimize({"X": 1.0}),
+        lambda b: b.add_objective("X", 2.0),
+        lambda b: b.add_scalar_eq({"X": 1.0}, 1.0),
+        lambda b: b.add_scalar_eq({"X": np.eye(2)}, 1.0),
+        lambda b: b.add_operator_eq([scalar_term("X", np.eye(2))], np.eye(2)),
+    ], ids=["minimize", "objective", "scalar-eq", "matrix-eq", "scalar-term"])
+    def test_coefficient_must_match_block_dimension(self, add):
+        # a number on a matrix block used to mean its (0, 0) entry
+        b = ProblemBuilder()
+        b.add_psd_block("X", 3)
+        with pytest.raises(ValueError, match="dimension"):
+            add(b)
+
     def test_dimension_mismatch(self):
         b = ProblemBuilder()
         b.add_psd_block("X", 3)
