@@ -8,11 +8,14 @@ the corrector work on complex matrices, and a block's vector form is its
 coordinates in the orthonormal Hermitian basis the problem stores its
 coefficients in, so that inner products are Re Tr(A X) and the constraint
 matrix is the problem's blocks side by side.  Dimension-1 blocks form one
-nonnegative orthant.
+nonnegative orthant.  The Hermitian blocks of one dimension are processed as
+one stacked (k, n, n) array: each Cholesky factorization, NT scaling, inverse
+factor, step-length eigenvalue test and corrector term of an iteration is one
+batched call per block dimension, as SeDuMi and SDPT3 treat a cone.
 
-The Schur complement M_ij = Re Tr(A_i W A_j W) is assembled one block and one
-pair of row groups at a time (Fujisawa, Kojima and Nakata, Math. Prog. 79,
-1997).  The rows of an operator equation embed a Hermitian basis as E (x) I,
+The Schur complement M_ij = Re Tr(A_i W A_j W) stays per block: it is
+assembled one block and one pair of row groups at a time (Fujisawa, Kojima
+and Nakata, Math. Prog. 79, 1997).  The rows of an operator equation embed a Hermitian basis as E (x) I,
 so a pair of groups is the single contraction Tr_drop_i[W (E (x) I_drop_j) W]
 of the reshaped scaling matrix W, followed by a change to the Hermitian basis.
 Rows with any other coefficient on a block are paired through W A W.
@@ -123,23 +126,31 @@ def _pair_map(wt: np.ndarray, dims, drop_i, drop_j) -> np.ndarray:
 class _Cone:
     """The orthant of the dimension-1 blocks times the Hermitian blocks.
 
-    A point is ``(lin, mats)``; its vector is ``lin`` followed by the
-    Hermitian-basis coordinates of each matrix.
+    The Hermitian blocks ``mat`` are ordered by decreasing dimension, stable
+    in declaration order, so that the blocks of one dimension n are one
+    ``(k, n, n)`` stack: a point is ``(lin, stacks)``, one stack per
+    dimension, and its vector is ``lin`` followed by the Hermitian-basis
+    coordinates of each matrix, stack by stack.  Problems that declare their
+    largest blocks first keep their declared column order.
     """
 
     def __init__(self, dims: list[int]):
         self.lin = [k for k, n in enumerate(dims) if n == 1]
-        self.mat = [k for k, n in enumerate(dims) if n > 1]
+        self.mat = sorted((k for k, n in enumerate(dims) if n > 1), key=lambda k: -dims[k])
         self.bases = [_basis(dims[k]) for k in self.mat]
-        self.offsets = np.cumsum([0, len(self.lin)] + [b.N for b in self.bases])
-        self.degree = float(len(self.lin) + sum(b.n for b in self.bases))
+        sizes = [b.n for b in self.bases]
+        self.stacks = [(_basis(n), sizes.count(n)) for n in sorted(set(sizes), reverse=True)]
+        self.offsets = np.cumsum([0, len(self.lin)] + [b.N * k for b, k in self.stacks])
+        self.degree = float(len(self.lin) + sum(sizes))
 
     def split(self, v: np.ndarray):
         o = self.offsets
-        return v[:o[1]], [b.mat(v[o[i + 1]:o[i + 2]]) for i, b in enumerate(self.bases)]
+        return v[:o[1]], [b.mat(v[o[i + 1]:o[i + 2]].reshape(k, b.N))
+                          for i, (b, k) in enumerate(self.stacks)]
 
-    def vec(self, lin: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate([lin] + [b.vec(m) for b, m in zip(self.bases, mats)])
+    def vec(self, lin: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate([lin] + [b.vec(m).ravel()
+                                       for (b, _), m in zip(self.stacks, stacks)])
 
 
 @dataclass
@@ -177,12 +188,12 @@ def _block_rows(problem: SdpProblem, cone: _Cone) -> list[_BlockRows]:
     return out
 
 
-def _schur(a_lin: sp.csr_matrix, p_lin: np.ndarray, blocks: list[_BlockRows],
+def _schur(a_lin: np.ndarray, p_lin: np.ndarray, blocks: list[_BlockRows],
            w_list: list[np.ndarray]) -> np.ndarray:
     """M_ij = sum over blocks of Re Tr(A_i W A_j W) on all rows: the orthant
-    through its sparse columns ``a_lin`` scaled by ``p_lin``, each Hermitian
+    through its dense columns ``a_lin`` scaled by ``p_lin``, each Hermitian
     block through its rows and its NT scaling matrix W."""
-    schur = (a_lin @ sp.diags(p_lin) @ a_lin.T).toarray()
+    schur = (a_lin * p_lin) @ a_lin.T
     for blk, w in zip(blocks, w_list):
         wt = w.reshape(blk.layout * 2)
         for a, (rows_g, basis_g, drop_g, scale_g) in enumerate(blk.groups):
@@ -259,15 +270,31 @@ def _chol_with_jitter(m: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("matrix is not positive definite")
 
 
+def _chol_stack(m: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a (k, n, n) stack in one call; when one block
+    fails, the stack goes through ``_chol_with_jitter`` block by block, so
+    only the failing blocks are shifted."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return np.stack([_chol_with_jitter(b) for b in m])
+
+
+def _herm(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def _max_step(lin: np.ndarray, linv: list[np.ndarray], d_lin: np.ndarray,
-              d_mats: list[np.ndarray]) -> float:
+              d_stacks: list[np.ndarray]) -> float:
     """Largest alpha keeping a cone point plus alpha times a direction in the
     cone: a ratio test on the orthant, and per block the exact smallest
-    eigenvalue of L^-1 dX L^-H for the inverse Cholesky factor L^-1 of X."""
+    eigenvalue of L^-1 dX L^-H for the inverse Cholesky factor L^-1 of X,
+    one batched call per stack."""
     neg = d_lin < 0
     alpha = float(np.min(-lin[neg] / d_lin[neg])) if neg.any() else np.inf
-    for li, dx in zip(linv, d_mats):
-        lam_min = float(np.linalg.eigvalsh(li @ dx @ li.conj().T)[0])
+    for li, dx in zip(linv, d_stacks):
+        lam_min = float(np.linalg.eigvalsh(li @ dx @ _herm(li))[:, 0].min())
         if lam_min < 0:
             alpha = min(alpha, -1.0 / lam_min)
     return alpha
@@ -278,7 +305,8 @@ def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
     """Run the HSD iteration on rows ``kept`` of ``a_full`` and ``b_full``;
     returns the status, the best iterate (x, s, y) and its diagnostics."""
     a_red = a_full[kept]
-    a_lin = a_full[:, :len(cone.lin)]
+    a_red_t = a_red.T.tocsr()
+    a_lin = a_full[:, :len(cone.lin)].toarray()
     keep_ix = np.ix_(kept, kept)
     b = b_full[kept]
     m = b.size
@@ -286,7 +314,8 @@ def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
     norm_c = float(np.linalg.norm(c))
     c_parts = cone.split(c)
 
-    xv = cone.vec(np.ones(len(cone.lin)), [np.eye(bs.n) for bs in cone.bases])
+    xv = cone.vec(np.ones(len(cone.lin)),
+                  [np.broadcast_to(np.eye(bs.n), (k, bs.n, bs.n)) for bs, k in cone.stacks])
     sv = xv.copy()
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
@@ -298,7 +327,7 @@ def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
     def current_metrics(xv, sv, yv, tau_v):
         xhat, shat, yhat = xv / tau_v, sv / tau_v, yv / tau_v
         pres = float(np.linalg.norm(a_red @ xhat - b)) / (1.0 + norm_b)
-        dres = float(np.linalg.norm(a_red.T @ yhat + shat - c)) / (1.0 + norm_c)
+        dres = float(np.linalg.norm(a_red_t @ yhat + shat - c)) / (1.0 + norm_c)
         pobj, dobj = float(c @ xhat), float(b @ yhat)
         return pres, dres, abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)), pobj, dobj
 
@@ -330,7 +359,7 @@ def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
         by = float(b @ y)
         cx = float(c @ xv)
         if by > 0:
-            ratio = float(np.linalg.norm(a_red.T @ y + sv)) / by
+            ratio = float(np.linalg.norm(a_red_t @ y + sv)) / by
             if ratio <= cfg.infeas_tol * (1.0 + norm_c):
                 status = STATUS_PRIMAL_INFEASIBLE
                 note = f"dual improving ray with residual ratio {ratio:.2e}"
@@ -344,44 +373,45 @@ def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
                 best = (xv, sv, y, tau, kappa)
                 break
 
-        # Nesterov-Todd scaling point per block: W = G G^H with
-        # G^-1 X G^-H = G^H S G = diag(lam)
-        x_lin, x_mats = cone.split(xv)
-        s_lin, s_mats = cone.split(sv)
+        # Nesterov-Todd scaling point per block, one stack of blocks at a
+        # time: W = G G^H with G^-1 X G^-H = G^H S G = diag(lam)
+        x_lin, x_st = cone.split(xv)
+        s_lin, s_st = cone.split(sv)
         try:
-            chol_x = [_chol_with_jitter(xm) for xm in x_mats]
-            chol_s = [_chol_with_jitter(sm) for sm in s_mats]
+            chol_x = [_chol_stack(xm) for xm in x_st]
+            chol_s = [_chol_stack(sm) for sm in s_st]
         except np.linalg.LinAlgError:
             status = STATUS_NUMERICAL
             note = "iterate left the cone (Cholesky failure)"
             break
-        g_list, ginv_list, lam_list, w_list = [], [], [], []
+        g_st, ginv_st, lam_st, w_st = [], [], [], []
         for lx, ls in zip(chol_x, chol_s):
-            u, sig, vh = np.linalg.svd(ls.conj().T @ lx)
+            u, sig, vh = np.linalg.svd(_herm(ls) @ lx)
             if sig.min() <= 0 or not np.all(np.isfinite(sig)):
                 break
-            g = lx @ vh.conj().T / np.sqrt(sig)
-            g_list.append(g)
-            ginv_list.append((u / np.sqrt(sig)).conj().T @ ls.conj().T)
-            lam_list.append(sig)
-            w_list.append(g @ g.conj().T)
-        if len(w_list) < len(chol_x):
+            root = np.sqrt(sig)[:, None, :]
+            g = lx @ _herm(vh) / root
+            g_st.append(g)
+            ginv_st.append(_herm(u / root) @ _herm(ls))
+            lam_st.append(sig)
+            w_st.append(g @ _herm(g))
+        if len(w_st) < len(chol_x):
             status = STATUS_NUMERICAL
             note = "degenerate NT scaling"
             break
         # inverse Cholesky factors, shared by the four step-length tests
-        linv_x = [sla.solve_triangular(lx, np.eye(lx.shape[0]), lower=True) for lx in chol_x]
-        linv_s = [sla.solve_triangular(ls, np.eye(ls.shape[0]), lower=True) for ls in chol_s]
+        linv_x = [np.linalg.inv(lx) for lx in chol_x]
+        linv_s = [np.linalg.inv(ls) for ls in chol_s]
         p_lin = x_lin / s_lin
 
         mu = (float(xv @ sv) + tau * kappa) / (cone.degree + 1.0)
 
-        def scale_p(lin, mats):
+        def scale_p(lin, stacks):
             """Apply P = W . W blockwise to a split cone vector."""
-            return cone.vec(p_lin * lin, [w @ mm @ w for w, mm in zip(w_list, mats)])
+            return cone.vec(p_lin * lin, [w @ mm @ w for w, mm in zip(w_st, stacks)])
 
         # Schur complement M = A P A^T, built on all rows and cut to the kept ones
-        schur = _schur(a_lin, p_lin, blocks, w_list)[keep_ix]
+        schur = _schur(a_lin, p_lin, blocks, [w for ws in w_st for w in ws])[keep_ix]
 
         pc = scale_p(*c_parts)
         apc = a_red @ pc
@@ -413,7 +443,7 @@ def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
         v1 = vb + vu
 
         r_p = tau * b - a_red @ xv
-        r_d = tau * c - a_red.T @ y - sv
+        r_d = tau * c - a_red_t @ y - sv
         r_g = kappa + float(c @ xv) - float(b @ y)
         prd = scale_p(*cone.split(r_d))
         aprd = a_red @ prd
@@ -436,7 +466,7 @@ def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
                    - float((b - apc) @ v2))
             d_tau = num / den
             dy = v1 * d_tau + v2
-            ds = eta * r_d - a_red.T @ dy + c * d_tau
+            ds = eta * r_d - a_red_t @ dy + c * d_tau
             d_kappa = (d_tau_rhs - kappa * d_tau) / tau
             ds_parts = cone.split(ds)
             dx = h - scale_p(*ds_parts)
@@ -466,20 +496,20 @@ def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
             sigma = min(sigma, 0.5)
 
         # corrector: scaled cross terms from the affine direction
-        (dx_lin, dx_mats), (ds_lin, ds_mats) = dx_parts, ds_parts
-        h_mats = []
-        for g, ginv, lam, dxa, dsa in zip(g_list, ginv_list, lam_list, dx_mats, ds_mats):
-            dx_s = ginv @ dxa @ ginv.conj().T
-            ds_s = g.conj().T @ dsa @ g
+        (dx_lin, dx_st), (ds_lin, ds_st) = dx_parts, ds_parts
+        h_st = []
+        for g, ginv, lam, dxa, dsa in zip(g_st, ginv_st, lam_st, dx_st, ds_st):
+            dx_s = ginv @ dxa @ _herm(ginv)
+            ds_s = _herm(g) @ dsa @ g
             cross = 0.5 * (dx_s @ ds_s + ds_s @ dx_s)
-            rc = sigma * mu * np.eye(lam.size) - np.diag(lam ** 2) - cross
-            rtil = rc / (0.5 * (lam[:, None] + lam[None, :]))
-            h_mats.append(g @ rtil @ g.conj().T)
+            rc = (sigma * mu - lam ** 2)[:, :, None] * np.eye(lam.shape[1]) - cross
+            rtil = rc / (0.5 * (lam[:, :, None] + lam[:, None, :]))
+            h_st.append(g @ rtil @ _herm(g))
         h_lin = (sigma * mu - x_lin * s_lin - dx_lin * ds_lin) / s_lin
         d_tau_rhs = sigma * mu - tau * kappa - d_tau * d_kappa
 
         dx, dy, ds, d_tau, d_kappa, dx_parts, ds_parts = direction(
-            1.0 - sigma, cone.vec(h_lin, h_mats), d_tau_rhs)
+            1.0 - sigma, cone.vec(h_lin, h_st), d_tau_rhs)
         alpha = min(1.0, cfg.step_fraction
                     * step_length(dx_parts, ds_parts, d_tau, d_kappa))
         if not np.isfinite(alpha) or alpha <= 0:
@@ -564,10 +594,11 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     rays = status in (STATUS_PRIMAL_INFEASIBLE, STATUS_DUAL_INFEASIBLE)
     scale = 1.0 if rays or info["tau"] <= 0 else 1.0 / info["tau"]
     x_blocks, s_blocks = {}, {}
-    for out, (lin, mats) in ((x_blocks, cone.split(xv * scale)),
-                             (s_blocks, cone.split(sv * scale))):
-        out.update((names[k], np.array([[v]])) for k, v in zip(cone.lin, lin))
-        out.update((names[k], mat) for k, mat in zip(cone.mat, mats))
+    for out, (lin, stacks) in ((x_blocks, cone.split(xv * scale)),
+                               (s_blocks, cone.split(sv * scale))):
+        mats = [np.array([[v]]) for v in lin] + [mat for st in stacks for mat in st]
+        by_index = dict(zip(cone.lin + cone.mat, mats))
+        out.update((name, by_index[k]) for k, name in enumerate(names))
     y_full = np.zeros(b_vec.size)
     y_full[kept] = y * scale
 

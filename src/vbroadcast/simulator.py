@@ -26,8 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import BroadcastDecomposition, ChoiOperator, apply_choi
-from .linalg import Spectrum, as_hermitian, eig_hermitian, partial_trace
+# apply_choi is not called here; it stays a name of this module because
+# bench/tracing.py wraps ``simulator.apply_choi``
+from .channels import BroadcastDecomposition, ChoiOperator, apply_choi  # noqa: F401
+from .linalg import Spectrum, as_hermitian, eig_hermitian
 
 DEGENERACY_TOL = 1e-10
 # decompositions typically come from the SDP layer, so physicality guards sit
@@ -40,14 +42,15 @@ class Observable:
     """Measured observable with its eigendecomposition.
 
     Degenerate eigenvalues (within ``DEGENERACY_TOL``) are merged into joint
-    eigenprojectors; ``range_m`` is the spread between extreme eigenvalues,
-    the quantity entering the Hoeffding budget.
+    eigenprojectors, stacked as ``projectors[k]`` for outcome ``values[k]``;
+    ``range_m`` is the spread between extreme eigenvalues, the quantity
+    entering the Hoeffding budget.
     """
 
     op: np.ndarray
     spectrum: Spectrum = field(repr=False)
     values: np.ndarray
-    projectors: tuple[np.ndarray, ...] = field(repr=False)
+    projectors: np.ndarray = field(repr=False)
 
     @classmethod
     def from_matrix(cls, op: np.ndarray, tol: float = DEGENERACY_TOL) -> "Observable":
@@ -64,7 +67,7 @@ class Observable:
         for g in groups:
             v = spec.eigenvectors[:, g]
             projectors.append(v @ v.conj().T)
-        return cls(op=op, spectrum=spec, values=values, projectors=tuple(projectors))
+        return cls(op=op, spectrum=spec, values=values, projectors=np.stack(projectors))
 
     @property
     def range_m(self) -> float:
@@ -76,7 +79,9 @@ class Observable:
         Raises if any probability is negative beyond tolerance, which signals
         that a non-completely-positive part was used as a physical channel.
         """
-        probs = np.array([float(np.real(np.trace(p @ state))) for p in self.projectors])
+        # Tr(P_k rho) for every k at once: vec(P_k) . vec(rho^T)
+        probs = (self.projectors.reshape(len(self.values), -1)
+                 @ np.asarray(state).T.reshape(-1)).real
         if probs.min() < -PROBABILITY_TOL:
             raise ValueError(f"negative outcome probability {probs.min():.3e}; "
                              "a channel branch is not physical")
@@ -122,10 +127,13 @@ class ProtocolEstimate:
 
 def _branch_state(j: ChoiOperator, weight: float, rho: np.ndarray,
                   marginal: int) -> np.ndarray:
-    """Output state of one normalized CP part on the requested receiver."""
-    out = apply_choi(j, rho) / weight
-    drop = 1 if marginal == 1 else 0
-    return partial_trace(out, j.out_dims, drop=drop)
+    """Output state of one normalized CP part on the requested receiver:
+    Tr_other[E(rho)] / weight, contracted from the Choi operator of E on
+    (input, receiver 1, receiver 2) in one step."""
+    (d1, d2), d = j.out_dims, j.in_dim
+    t = j.op.reshape(d, d1, d2, d, d1, d2)
+    subscripts = "ij,iaujbu->ab" if marginal == 1 else "ij,iuajub->ab"
+    return np.einsum(subscripts, rho, t) / weight
 
 
 def run_protocol(dec: BroadcastDecomposition, rho: np.ndarray, obs: Observable,

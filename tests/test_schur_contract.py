@@ -111,7 +111,7 @@ def test_structured_schur_matches_dense_reference(case):
     p_lin = rng.uniform(0.2, 3.0, len(cone.lin))
     w_mats = [rand_pd(rng, basis.n) for basis in cone.bases]
     blocks = _block_rows(problem, cone)
-    got = _schur(a_full[:, :len(cone.lin)], p_lin, blocks, w_mats)
+    got = _schur(a_full[:, :len(cone.lin)].toarray(), p_lin, blocks, w_mats)
 
     # P = W . W, so a scalar block's W is the square root of its P
     w = {problem.blocks[k].name: np.sqrt([[p]]) for k, p in zip(cone.lin, p_lin)}
@@ -158,6 +158,32 @@ def test_hermitian_coordinates_round_trip(n, seed):
     # coordinate r is the inner product with basis element r
     want = np.einsum("aij,ji->a", elements, x).real
     assert np.allclose(basis.vec(x), want, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))
+def test_cone_stacks_round_trip(dims, seed):
+    # blocks in any order, with repeated and dimension-1 blocks
+    rng = np.random.default_rng(seed)
+    cone = _Cone(dims)
+    assert cone.lin == [k for k, n in enumerate(dims) if n == 1]
+    assert sorted(cone.mat) == [k for k, n in enumerate(dims) if n > 1]
+    assert [(-dims[k], k) for k in cone.mat] == sorted((-dims[k], k) for k in cone.mat)
+    assert [b.n for b in cone.bases] == [dims[k] for k in cone.mat]
+    lin = rng.standard_normal(len(cone.lin))
+    mats = [rand_hermitian(rng, dims[k]) for k in cone.mat]
+    # the vector is lin, then each block's own coordinates in cone.mat order
+    v = np.concatenate([lin] + [_basis(dims[k]).vec(m) for k, m in zip(cone.mat, mats)])
+    got_lin, stacks = cone.split(v)
+    assert np.array_equal(got_lin, lin)
+    assert [s.shape[1:] for s in stacks] == [(b.n, b.n) for b, _ in cone.stacks]
+    assert len({s.shape[1] for s in stacks}) == len(stacks)
+    flat = [m for s in stacks for m in s]
+    assert len(flat) == len(mats)
+    for got, want in zip(flat, mats):
+        assert np.allclose(got, want, rtol=0, atol=1e-14)
+    assert np.allclose(cone.vec(got_lin, stacks), v, rtol=0, atol=1e-14)
+    assert cone.degree == sum(dims)
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vbroadcast.channels import gamma_operator
-from vbroadcast.linalg import random_hermitian
+from vbroadcast.linalg import partial_trace, random_hermitian
 from vbroadcast.sdp import (
     ProblemBuilder,
     SolverConfig,
@@ -13,6 +13,8 @@ from vbroadcast.sdp import (
     scalar_term,
     solve,
 )
+from vbroadcast.sdp import solver
+from vbroadcast.sdp.solver import _chol_stack, _chol_with_jitter
 
 
 def make_trace_one_problem(c):
@@ -315,3 +317,78 @@ def test_dump_problem_documented_format(tmp_path):
         if ln[0] == "con":
             assert 0 <= int(ln[2]) < nb
             assert int(ln[3]) <= int(ln[4])
+
+
+BLOCK_DIMS = {"A": 4, "B": 2, "x": 1, "C": 4, "D": 2}
+
+
+def blocks_problem(order):
+    """A problem on Hermitian blocks A, C (4 x 4), B, D (2 x 2) and a scalar
+    x, declared in ``order``, with a unique optimum:
+    min <C_A, A> + <C_B, B> + <C_C, C> + <C_D, D> + x with Tr_2 A = B,
+    Tr A = Tr C = 1 and Tr D + x = 2."""
+    rng = np.random.default_rng(41)
+    dims = BLOCK_DIMS
+    b = ProblemBuilder()
+    for name in order:
+        if dims[name] == 1:
+            b.add_scalar(name)
+        else:
+            b.add_psd_block(name, dims[name])
+    costs = {name: 1.0 if n == 1 else random_hermitian(n, rng) for name, n in dims.items()}
+    for name in order:
+        b.add_objective(name, costs[name])
+    b.add_operator_eq([ptrace_term("A", (2, 2), drop=(1,)), full_term("B", -1.0)],
+                      np.zeros((2, 2), dtype=complex))
+    b.add_scalar_eq({"A": np.eye(4)}, 1.0)
+    b.add_scalar_eq({"C": np.eye(4)}, 1.0)
+    b.add_scalar_eq({"D": np.eye(2), "x": 1.0}, 2.0)
+    return b.build()
+
+
+def test_blocks_returned_in_declared_names_and_dimensions():
+    # blocks of one dimension are not adjacent in the declaration; the
+    # solver stacks them by dimension and must map them back by name
+    mixed = solve(blocks_problem(["A", "B", "x", "C", "D"]))
+    ordered = solve(blocks_problem(["A", "C", "B", "D", "x"]))
+    assert mixed.status == ordered.status == "optimal"
+    assert abs(mixed.primal_objective - ordered.primal_objective) <= 1e-9
+    for sol in (mixed, ordered):
+        for name, n in BLOCK_DIMS.items():
+            assert sol.x_blocks[name].shape == sol.s_blocks[name].shape == (n, n)
+    for name in BLOCK_DIMS:
+        for got, want in ((mixed.x_blocks, ordered.x_blocks), (mixed.s_blocks, ordered.s_blocks)):
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-9
+    # B is the partial trace of A in both
+    np.testing.assert_allclose(mixed.x_blocks["B"],
+                               partial_trace(mixed.x_blocks["A"], (2, 2), 1), atol=1e-7)
+
+
+class TestBatchedCholesky:
+    def test_only_the_failing_block_is_shifted(self):
+        rng = np.random.default_rng(42)
+        good = [random_hermitian(3, rng) + 4.0 * np.eye(3) for _ in range(2)]
+        singular = np.diag([2.0, 1.0, 0.0]).astype(complex)   # PSD, plain Cholesky fails
+        stack = np.stack([good[0], singular, good[1]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(singular)
+        got = _chol_stack(stack)
+        assert np.array_equal(got, np.stack([_chol_with_jitter(m) for m in stack]))
+        for k in (0, 2):
+            assert np.array_equal(got[k], np.linalg.cholesky(stack[k]))
+        shifted = singular + 1e-14 * np.eye(3)
+        assert np.array_equal(got[1], np.linalg.cholesky(shifted))
+
+    def test_indefinite_block_raises(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            _chol_stack(stack)
+
+    def test_solver_reports_iterate_outside_the_cone(self, monkeypatch):
+        # every stack the solver factors is made indefinite
+        real = solver._chol_stack
+        monkeypatch.setattr(solver, "_chol_stack",
+                            lambda m: real(m - 2.0 * np.abs(m).sum() * np.eye(m.shape[-1])))
+        sol = solve(blocks_problem(["A", "B", "x", "C", "D"]))
+        assert sol.status == "numerical_failure"
+        assert "iterate left the cone" in sol.diagnostics["note"]

@@ -19,6 +19,7 @@ from vbroadcast.channels import (
     depolarizing_choi,
     marginal_choi,
 )
+from vbroadcast.linalg import partial_trace
 
 PAULI_Z = np.diag([1.0, -1.0])
 KET0 = np.diag([1.0, 0.0]).astype(complex)
@@ -78,6 +79,42 @@ class TestObservable:
         bad_state = np.diag([1.15, -0.15])
         with pytest.raises(ValueError, match="negative outcome probability"):
             obs.outcome_probabilities(bad_state)
+
+    def test_probability_sum_guard(self):
+        obs = sim.Observable.from_matrix(PAULI_Z)
+        with pytest.raises(ValueError, match="sum to"):
+            obs.outcome_probabilities(np.diag([0.7, 0.4]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_probabilities_match_projector_traces(self, seed):
+        # a complex state and a degenerate observable: Tr(P_k rho), not
+        # Tr(P_k rho^T), for every merged outcome
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        obs = sim.Observable.from_matrix(u @ np.diag([1.0, 1.0, -2.0]) @ u.conj().T)
+        ref = [np.trace(p @ rho).real for p in obs.projectors]
+        np.testing.assert_allclose(obs.outcome_probabilities(rho), ref, atol=1e-12)
+
+
+class TestBranchState:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("marginal", [1, 2])
+    def test_matches_channel_then_partial_trace(self, d, marginal):
+        # receivers of different dimensions, so a swapped pair cannot pass
+        rng = np.random.default_rng(10 * d + marginal)
+        n = d * d * (d + 1)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        j = ChoiOperator(a + a.conj().T, d, (d, d + 1))
+        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = b @ b.conj().T
+        weight = 1.7
+        ref = partial_trace(apply_choi(j, rho) / weight, j.out_dims,
+                            drop=1 if marginal == 1 else 0)
+        got = sim._branch_state(j, weight, rho, marginal)
+        np.testing.assert_allclose(got, ref, atol=1e-12 * np.abs(ref).max())
 
 
 class TestRunProtocol:
