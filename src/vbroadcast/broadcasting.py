@@ -43,6 +43,7 @@ from .sdp import (
     ProblemBuilder,
     SdpSolution,
     SolverConfig,
+    SolverFailure,
     check_certificate,
     full_term,
     ptrace_term,
@@ -170,8 +171,8 @@ def _finish(problem, sol, in_dim, out_dims, t=None) -> OverheadResult:
     if sol.status in ("primal_infeasible_certificate", "dual_infeasible_certificate"):
         return OverheadResult(nu=math.nan, decomposition=None, status=sol.status,
                               t=t, solution=sol, certificate=None)
-    raise RuntimeError(f"overhead SDP failed: {sol.status} "
-                       f"({sol.diagnostics.get('note', '')})")
+    raise SolverFailure(f"overhead SDP failed: {sol.status} "
+                        f"({sol.diagnostics.get('note', '')})", sol.status)
 
 
 def _certified_status(cert: CertificateReport) -> str:
@@ -333,8 +334,8 @@ def min_error(gamma: float, d: int, config: SolverConfig | None = None,
     if sol.status in ("primal_infeasible_certificate", "dual_infeasible_certificate"):
         return TradeoffPoint(gamma=gamma, d=d, mu=math.nan, t=math.nan,
                              decomposition=None, status=sol.status, solution=sol)
-    raise RuntimeError(f"trade-off SDP failed: {sol.status} "
-                       f"({sol.diagnostics.get('note', '')})")
+    raise SolverFailure(f"trade-off SDP failed: {sol.status} "
+                        f"({sol.diagnostics.get('note', '')})", sol.status)
 
 
 def min_error_upper_bound(gamma: float, d: int) -> float:

@@ -15,7 +15,8 @@ significant digits, rows sorted by inputs); relative ``--out`` paths resolve
 against ``$VBROADCAST_OUT_DIR`` when set.  Exit codes: 0 success, 1 verify
 failure, 2 bad arguments (including blocks past the size guardrail without
 ``--allow-large-dim``), 3 solver failure or an uncertified optimum, 4 output
-I/O failure.
+I/O failure.  A point whose solve fails is still written, with its status and
+empty outputs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,13 @@ import numpy as np
 from . import broadcasting as bc
 from . import simulator as sim
 from .records import SweepRecord, render_csv, render_json, write_records
-from .sdp import SolverConfig
+from .sdp import (
+    STATUS_DUAL_INFEASIBLE,
+    STATUS_OPTIMAL,
+    STATUS_PRIMAL_INFEASIBLE,
+    SolverConfig,
+    SolverFailure,
+)
 from .sdp.problem import MAX_BLOCK_DIM
 
 OUT_DIR_ENV = "VBROADCAST_OUT_DIR"
@@ -180,12 +187,19 @@ def _emit(records: list[SweepRecord], cfg: RunConfig) -> None:
         print(f"wrote {len(records)} records to {path}")
 
 
+# statuses that answer the question asked; an infeasibility certificate is an
+# answer (no decomposition exists), not a failure
+_ANSWERS = (STATUS_OPTIMAL, STATUS_PRIMAL_INFEASIBLE, STATUS_DUAL_INFEASIBLE)
+
+
 def _exit_code(statuses: list[str]) -> int:
-    """3 when any optimum failed its certificate check, else 0."""
-    bad = statuses.count(bc.STATUS_UNCERTIFIED)
+    """3 when any solve failed or its optimum failed the certificate check,
+    else 0."""
+    bad = [s for s in statuses if s not in _ANSWERS]
     if bad:
-        print(f"solver failure: {bad} of {len(statuses)} optima failed the "
-              "certificate check", file=sys.stderr)
+        print(f"solver failure: {len(bad)} of {len(statuses)} solves reached neither "
+              "a certified optimum nor an infeasibility certificate "
+              f"({', '.join(sorted(set(bad)))})", file=sys.stderr)
         return 3
     return 0
 
@@ -196,17 +210,21 @@ def _solve_point(point: SweepRecord, config: SolverConfig,
                  allow_large: bool) -> SweepRecord:
     """``point`` with its outputs filled in: ``min_error`` when it has a
     ``gamma``, ``approx_overhead`` when it has thresholds ``a`` and ``b``,
-    else ``exact_overhead``, each at dimension ``d``."""
+    else ``exact_overhead``, each at dimension ``d``.  A solve that fails
+    gives the point its status and no outputs."""
     t0 = time.perf_counter()
     kwargs = dict(config=config, allow_large_blocks=allow_large)
-    if point.gamma is not None:
-        res = bc.min_error(point.gamma, point.d, **kwargs)
-        nu = res.decomposition.nu if res.decomposition else None
-        outputs = dict(mu=res.mu, t=res.t, nu=nu, s=None if nu is None else nu ** 2)
-    else:
-        res = (bc.exact_overhead(point.d, **kwargs) if point.a is None
-               else bc.approx_overhead((point.a, point.b), point.d, **kwargs))
-        outputs = dict(nu=res.nu, s=res.s)
+    try:
+        if point.gamma is not None:
+            res = bc.min_error(point.gamma, point.d, **kwargs)
+            nu = res.decomposition.nu if res.decomposition else None
+            outputs = dict(mu=res.mu, t=res.t, nu=nu, s=None if nu is None else nu ** 2)
+        else:
+            res = (bc.exact_overhead(point.d, **kwargs) if point.a is None
+                   else bc.approx_overhead((point.a, point.b), point.d, **kwargs))
+            outputs = dict(nu=res.nu, s=res.s)
+    except SolverFailure as exc:
+        return replace(point, status=exc.status, seconds=time.perf_counter() - t0)
     return replace(point, **outputs, status=res.status,
                    gap=res.solution.gap if res.solution else None,
                    seconds=time.perf_counter() - t0)
@@ -230,6 +248,8 @@ def _points(cfg: RunConfig) -> list[SweepRecord]:
 def _summary(rec: SweepRecord) -> str:
     """The line ``exact`` and ``min-error`` print for their one solve."""
     if rec.gamma is None:
+        if rec.nu is None:
+            return f"d={rec.d} status={rec.status}"
         return f"nu={rec.nu:.6f} s={rec.s:.6f}"
     if rec.nu is None:
         return f"gamma={rec.gamma:.6f} d={rec.d} status={rec.status}"

@@ -27,6 +27,7 @@ from .sdp import (
     ProblemBuilder,
     SdpSolution,
     SolverConfig,
+    SolverFailure,
     check_certificate,
     full_term,
     ptrace_term,
@@ -76,14 +77,15 @@ def half_diamond_distance(j_phi: ChoiOperator,
     """Compute (1/2)||Phi||_diamond for a Hermitian single-output Choi operator.
 
     The stabilizing ancilla dimension equals the input dimension, which is
-    sufficient for the supremum.  Solver failures propagate as RuntimeError.
+    sufficient for the supremum.  Solver failures propagate as
+    :class:`~vbroadcast.sdp.SolverFailure`, a ``RuntimeError``.
     """
     problem = diamond_problem(j_phi)
     cfg = config or SolverConfig(tol_gap=1e-9, tol_feas=1e-9)
     sol = solve(problem, cfg)
     if sol.status != "optimal":
-        raise RuntimeError(f"diamond-norm SDP did not reach optimality: {sol.status} "
-                           f"({sol.diagnostics.get('note', '')})")
+        raise SolverFailure(f"diamond-norm SDP did not reach optimality: {sol.status} "
+                            f"({sol.diagnostics.get('note', '')})", sol.status)
     cert = check_certificate(problem, sol, tol=1e-6)
     lower = lower_bound_by_states(j_phi, samples=lower_bound_samples, seed=seed)
     return DiamondResult(

@@ -19,13 +19,14 @@ from .solver import (
     STATUS_PRIMAL_INFEASIBLE,
     SdpSolution,
     SolverConfig,
+    SolverFailure,
     solve,
 )
 
 __all__ = [
     "BlockSpec", "OpTerm", "ProblemBuilder", "SdpProblem",
     "dump_problem", "full_term", "ptrace_term", "scalar_term",
-    "SdpSolution", "SolverConfig", "solve",
+    "SdpSolution", "SolverConfig", "SolverFailure", "solve",
     "CertificateReport", "check_certificate",
     "STATUS_OPTIMAL", "STATUS_MAX_ITER", "STATUS_PRIMAL_INFEASIBLE",
     "STATUS_DUAL_INFEASIBLE", "STATUS_NUMERICAL", "STATUS_UNCERTIFIED",

@@ -20,6 +20,16 @@ so a pair of groups is the single contraction Tr_drop_i[W (E (x) I_drop_j) W]
 of the reshaped scaling matrix W, followed by a change to the Hermitian basis.
 Rows with any other coefficient on a block are paired through W A W.
 
+M is factored with numpy's Cholesky, which runs on the same OpenBLAS as
+every other dense operation of the iteration.  scipy bundles a second
+OpenBLAS with its own thread pool, and switching between the two pools each
+iteration lets the idle, spinning threads of one take CPU from the other.
+The two triangular solves per right-hand side are BLAS-2 trsv calls, which
+start no threads.  When M is not numerically positive definite, a copy with
+a small diagonal shift is factored instead.  Each solve is then refined
+against the unshifted M while the residual norm falls, at most four passes
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12).
+
 The embedding tracks (x, y, s, tau, kappa) with the invariants
 
     A x - tau b            -> 0
@@ -41,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import blas
 
 from .problem import SdpProblem, _basis
 
@@ -49,6 +60,16 @@ STATUS_MAX_ITER = "max_iterations"
 STATUS_PRIMAL_INFEASIBLE = "primal_infeasible_certificate"
 STATUS_DUAL_INFEASIBLE = "dual_infeasible_certificate"
 STATUS_NUMERICAL = "numerical_failure"
+
+
+class SolverFailure(RuntimeError):
+    """Raised by a caller of :func:`solve` whose solve ended without a result
+    it can report, such as ``numerical_failure``; ``status`` is the solver's
+    status."""
+
+    def __init__(self, message: str, status: str):
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass(frozen=True)
@@ -280,6 +301,53 @@ def _chol_stack(m: np.ndarray) -> np.ndarray:
         return np.stack([_chol_with_jitter(b) for b in m])
 
 
+def _schur_factor(schur: np.ndarray, regularization: float) -> np.ndarray:
+    """Lower Cholesky factor of the Schur complement.  When it is not
+    numerically positive definite, a copy with a diagonal shift growing 100x
+    per attempt (from ``regularization`` times the largest diagonal entry) is
+    factored instead; three shifted attempts, then ``LinAlgError``."""
+    try:
+        return np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
+        pass
+    reg = regularization * max(1.0, float(schur.diagonal().max(initial=0.0)))
+    diag = np.diag_indices_from(schur)
+    for _ in range(3):
+        shifted = schur.copy()
+        shifted[diag] += reg
+        try:
+            return np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            reg *= 100.0
+    raise np.linalg.LinAlgError("singular Schur complement")
+
+
+def _schur_solve(schur: np.ndarray, chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``schur @ sol = rhs`` with its (possibly shifted) Cholesky factor
+    and refine against the unshifted ``schur`` while the residual falls, at
+    most four passes (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 12).  The triangular solves are BLAS-2 trsv on
+    the Fortran-ordered view ``chol.T``, so no copy is made per call."""
+    if rhs.size == 0:
+        return rhs
+    upper = chol.T
+
+    def tri_solve(v):
+        return blas.dtrsv(upper, blas.dtrsv(upper, v, trans=1))
+
+    sol = tri_solve(rhs)
+    res = rhs - schur @ sol
+    norm = np.linalg.norm(res)
+    for _ in range(4):
+        cand = sol + tri_solve(res)
+        cand_res = rhs - schur @ cand
+        cand_norm = np.linalg.norm(cand_res)
+        if not cand_norm < norm:
+            break
+        sol, res, norm = cand, cand_res, cand_norm
+    return sol
+
+
 def _herm(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix of a stack."""
     return m.conj().swapaxes(-1, -2)
@@ -417,26 +485,15 @@ def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
         apc = a_red @ pc
         cpc = float(c @ pc)
 
-        reg = cfg.schur_regularization * max(1.0, float(schur.diagonal().max(initial=0.0)))
-        cho = None
-        for attempt in range(4):
-            try:
-                cho = sla.cho_factor(schur + (reg if attempt else 0.0) * np.eye(m),
-                                     lower=True)
-                break
-            except np.linalg.LinAlgError:
-                reg *= 100.0
-        if cho is None and m:
+        try:
+            chol_m = _schur_factor(schur, cfg.schur_regularization)
+        except np.linalg.LinAlgError:
             status = STATUS_NUMERICAL
             note = "singular Schur complement"
             break
 
         def schur_solve(rhs):
-            if m == 0:
-                return rhs
-            sol = sla.cho_solve(cho, rhs)
-            sol += sla.cho_solve(cho, rhs - schur @ sol)  # one refinement pass
-            return sol
+            return _schur_solve(schur, chol_m, rhs)
 
         vb = schur_solve(b)
         vu = schur_solve(apc)

@@ -12,7 +12,7 @@ from vbroadcast.channels import (
     marginal_choi,
 )
 from vbroadcast.diamond import half_diamond_distance
-from vbroadcast.sdp import SolverConfig
+from vbroadcast.sdp import SolverConfig, SolverFailure
 
 
 class TestOverheadOfMap:
@@ -227,3 +227,45 @@ class TestUncertified:
     def test_passed_certificate_stays_optimal(self):
         res = bc.exact_overhead(2)
         assert res.status == "optimal" and res.certificate.passed is True
+
+
+KNEE_CONFIG = SolverConfig(tol_gap=1e-9, tol_feas=1e-9)
+
+
+def _status_and_nu(thresholds, d):
+    try:
+        res = bc.approx_overhead(thresholds, d, config=KNEE_CONFIG)
+    except SolverFailure as exc:
+        return exc.status, None
+    return res.status, res.nu
+
+
+@pytest.fixture(scope="module")
+def knee_grid():
+    """The 9 x 9 grid of acceptance criterion 8 at d = 2 and tol 1e-9."""
+    axis = [k / 8 for k in range(9)]
+    return {(a, b): _status_and_nu((a, b), 2) for a in axis for b in axis}
+
+
+class TestKnee:
+    """a = 1 - 1/d^2 with b = 0, where nu first reaches 1: a degenerate
+    optimum whose convergence at tol 1e-9 depends on rounding."""
+
+    @pytest.mark.xfail(strict=True, raises=SolverFailure,
+                       reason="the d = 2 knee still stalls at tol 1e-9 (ROADMAP item 2)")
+    @pytest.mark.parametrize("thresholds", [(0.75, 0.0), (0.0, 0.75)])
+    def test_d2_knee_is_certified_optimal(self, thresholds):
+        res = bc.approx_overhead(thresholds, 2, config=KNEE_CONFIG)
+        assert res.status == "optimal" and res.certificate.passed is True
+        assert abs(res.nu - 1.0) <= 1e-8
+
+    def test_grid_is_mirror_symmetric(self, knee_grid):
+        for (a, b), (status, nu) in knee_grid.items():
+            mirror_status, mirror_nu = knee_grid[(b, a)]
+            assert status == mirror_status, (a, b)
+            if status == "optimal":
+                assert abs(nu - mirror_nu) <= 1e-8, (a, b)
+
+    def test_d3_knee_pair_shares_its_status(self):
+        knee = 8 / 9
+        assert _status_and_nu((knee, 0.0), 3)[0] == _status_and_nu((0.0, knee), 3)[0]

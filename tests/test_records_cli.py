@@ -255,3 +255,33 @@ class TestUncertifiedExitCode:
     def test_failed_certificate_exits_3(self, argv, corrupted_solves, capsys):
         assert main(argv) == 3
         assert "certificate" in capsys.readouterr().err
+
+
+class TestFailedPoints:
+    """A point whose solve fails becomes a record with its status and empty
+    outputs; every other row is still written and the exit code is 3."""
+
+    # at 9 iterations some points of this grid are optimal and some are not
+    ARGV = ["sweep-ab", "--dim", "2", "--grid", "3", "--max-iter", "9"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_writes_every_row(self, jobs, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(self.ARGV + ["--jobs", jobs, "--out", str(out)]) == 3
+        assert "max_iterations" in capsys.readouterr().err
+        text = out.read_text()
+        assert text.splitlines()[0] == CSV_HEADER
+        recs = parse_csv(text)
+        assert len(recs) == 9
+        failed = [r for r in recs if r.status != "optimal"]
+        assert failed and len(failed) < 9
+        for r in failed:
+            assert r.status == "max_iterations"
+            assert (r.nu, r.s, r.mu, r.t, r.gap) == (None,) * 5
+            assert r.d == 2 and None not in (r.a, r.b, r.seconds)
+        line = next(l for l in text.splitlines()[1:] if "max_iterations" in l)
+        assert line.split(",")[4:10] == ["", "", "", "", "max_iterations", ""]
+
+    def test_single_solve_prints_its_status(self, capsys):
+        assert main(["exact", "--dim", "2", "--max-iter", "1"]) == 3
+        assert "d=2 status=max_iterations" in capsys.readouterr().out

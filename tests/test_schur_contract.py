@@ -8,12 +8,16 @@ adjoint is the adjoint, the problem dump reproduces it, the certificate does
 not depend on block names or order, and the solver's structured Schur
 complement M_ij = Re Tr(A_i W A_j W), assembled from the embeddings the
 builder records, equals the dense one built here from the coefficients.
+The Schur solve factors M once, shifting a copy only when M is not
+numerically positive definite, and refines against the unshifted M while the
+residual falls.
 """
 
 import dataclasses
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +33,17 @@ from vbroadcast.sdp import (
     solve,
 )
 from vbroadcast.sdp.problem import _basis
-from vbroadcast.sdp.solver import _assemble, _block_rows, _Cone, _schur
+from scipy.linalg import blas
+
+from vbroadcast.sdp import solver
+from vbroadcast.sdp.solver import (
+    _assemble,
+    _block_rows,
+    _Cone,
+    _schur,
+    _schur_factor,
+    _schur_solve,
+)
 
 ALL_DROPS = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 SCALES = st.sampled_from([1.0, -1.0, 0.5, -2.0, 3.0])
@@ -267,3 +281,62 @@ def test_certificate_invariant_under_block_relabeling(order, names, corrupt):
     for field in ("primal_residual", "dual_residual", "complementarity",
                   "duality_gap", "min_eig_x", "min_eig_s"):
         assert abs(getattr(again, field) - getattr(report, field)) <= 1e-12
+
+
+def first_pass(chol, rhs):
+    """The Schur solve before refinement: the two triangular solves alone."""
+    upper = chol.T
+    return blas.dtrsv(upper, blas.dtrsv(upper, rhs, trans=1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 60), st.floats(0.0, 8.0), st.floats(-3.0, 3.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_refined_schur_solve(m, log_cond, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    eig = np.logspace(0.0, -log_cond, m) * 10.0 ** log_scale
+    schur = (q * eig) @ q.T
+    rhs = rng.standard_normal(m)
+    chol = _schur_factor(schur, 1e-12)
+    sol = _schur_solve(schur, chol, rhs)
+    want = np.linalg.solve(schur, rhs)
+    # both solves are backward stable, so they agree to the forward error
+    # cond(M) * eps that either may carry
+    cond = eig.max() / eig.min()
+    tol = max(1e-10, 20.0 * cond * np.finfo(float).eps)
+    assert np.linalg.norm(sol - want) <= tol * np.linalg.norm(want)
+    first = first_pass(chol, rhs)
+    assert np.linalg.norm(rhs - schur @ sol) <= np.linalg.norm(rhs - schur @ first)
+
+
+def test_positive_definite_schur_is_not_shifted():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 6))
+    schur = a @ a.T + np.eye(6)
+    assert np.array_equal(_schur_factor(schur, 1e-6), np.linalg.cholesky(schur))
+
+
+def test_singular_schur_shifted_on_a_copy_and_refined_unshifted():
+    # PSD with an exactly zero pivot, so the unshifted factorization fails
+    schur = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    kept = schur.copy()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(schur)
+    chol = _schur_factor(schur, 1e-6)
+    assert np.array_equal(schur, kept)
+    # the first retry adds 1e-6 times the largest diagonal entry
+    np.testing.assert_allclose(chol @ chol.T, schur + 1e-6 * np.eye(3), atol=1e-15)
+    rhs = schur @ np.array([0.3, -0.7, 2.0])       # consistent right-hand side
+    first = np.linalg.norm(rhs - schur @ first_pass(chol, rhs))
+    refined = np.linalg.norm(rhs - schur @ _schur_solve(schur, chol, rhs))
+    assert first > 1e-7
+    # each pass against the unshifted M gains the factor shift / eigenvalue
+    assert refined <= 1e-4 * first
+
+
+def test_indefinite_schur_is_a_numerical_failure(monkeypatch):
+    monkeypatch.setattr(solver, "_schur", lambda *args: -_schur(*args))
+    sol = solve(exact_broadcast([name for name, _ in BLOCKS], range(4)))
+    assert sol.status == "numerical_failure"
+    assert sol.diagnostics["note"] == "singular Schur complement"

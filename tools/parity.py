@@ -1,0 +1,111 @@
+"""Parity set of 111 solves: record status, value and iterations per solve,
+and compare two such records.
+
+    python tools/parity.py run OUT.json [--src SRC]
+    python tools/parity.py compare BEFORE.json AFTER.json
+
+``run`` imports vbroadcast from ``SRC`` (default: the ``src/`` next to this
+directory, so a second checkout can be measured with the same script) and
+solves, at the CLI's default tolerance 1e-9:
+
+* ``exact_overhead``, ``min_error(1.8)`` and ``approx_overhead((0.1, 0.1))``
+  at d = 2, 3, 4;
+* the 9 x 9 ``approx_overhead`` grid of acceptance criterion 8 at d = 2;
+* ``depolarizing_overhead(t, 2)`` for t = -1.0, -0.9, ..., 1.0.
+
+The value is nu (mu for ``min_error``).  A solve that raises is recorded
+with the status and iteration count of its last SDP solution and no value.
+
+``compare`` prints the largest |value difference| over solves with a value
+in both files, every status difference, and the iteration totals over the
+solves whose status is the same in both.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+TOL = 1e-9
+DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _cases():
+    axis = [k / 8 for k in range(9)]
+    cases = []
+    for d in (2, 3, 4):
+        cases += [(f"exact-{d}", "exact", (d,)),
+                  (f"min-error-1.8-{d}", "min_error", (1.8, d)),
+                  (f"approx-0.1-0.1-{d}", "approx", ((0.1, 0.1), d))]
+    cases += [(f"grid-{a}-{b}", "approx", ((a, b), 2)) for a in axis for b in axis]
+    cases += [(f"depolarizing-{round(0.1 * k, 10)}", "depolarizing",
+               (round(0.1 * k, 10), 2)) for k in range(-10, 11)]
+    return cases
+
+
+def run(src: str) -> dict:
+    sys.path.insert(0, src)
+    from vbroadcast import broadcasting as bc
+    from vbroadcast.sdp import SolverConfig
+    from vbroadcast.sdp.solver import record_solves
+
+    config = SolverConfig(tol_gap=TOL, tol_feas=TOL)
+    calls = {"exact": bc.exact_overhead, "min_error": bc.min_error,
+             "approx": bc.approx_overhead, "depolarizing": bc.depolarizing_overhead}
+    out = {}
+    for key, kind, args in _cases():
+        with record_solves() as log:
+            try:
+                res = calls[kind](*args, config=config)
+                value = res.mu if kind == "min_error" else res.nu
+                status = res.status
+            except RuntimeError:
+                value, status = None, log[-1][1].status
+        out[key] = {"status": status, "value": value,
+                    "iterations": log[-1][1].iterations}
+    return out
+
+
+def compare(before: dict, after: dict) -> list[str]:
+    lines = []
+    if before.keys() != after.keys():
+        lines.append(f"different solve sets: {sorted(before.keys() ^ after.keys())}")
+    keys = [k for k in before if k in after]
+    diffs = [(abs(before[k]["value"] - after[k]["value"]), k) for k in keys
+             if before[k]["value"] is not None and after[k]["value"] is not None]
+    worst, at = max(diffs, default=(0.0, "-"))
+    lines.append(f"max |value difference| {worst:.3g} at {at} over {len(diffs)} solves")
+    same = [k for k in keys if before[k]["status"] == after[k]["status"]]
+    for k in keys:
+        if k not in same:
+            b, a = before[k], after[k]
+            lines.append(f"status {k}: {b['status']} ({b['iterations']} iterations) -> "
+                         f"{a['status']} ({a['iterations']} iterations)")
+    lines.append(f"iterations over {len(same)} solves with an unchanged status: "
+                 f"{sum(before[k]['iterations'] for k in same)} -> "
+                 f"{sum(after[k]['iterations'] for k in same)}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("run", help="solve the parity set and write it as JSON")
+    p.add_argument("out")
+    p.add_argument("--src", default=str(DEFAULT_SRC))
+    p = sub.add_parser("compare", help="compare two parity files")
+    p.add_argument("before")
+    p.add_argument("after")
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        Path(args.out).write_text(json.dumps(run(args.src), indent=1) + "\n")
+        return 0
+    before, after = (json.loads(Path(f).read_text()) for f in (args.before, args.after))
+    print("\n".join(compare(before, after)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
