@@ -227,13 +227,6 @@ def criterion_10() -> CriterionResult:
 def criterion_11(log: list) -> CriterionResult:
     """Every optimal solve recorded by the earlier criteria passes the
     independent certificate check, and a deliberately corrupted copy fails."""
-    if not log:
-        # standalone invocation: produce a representative set of solves
-        with record_solves() as fresh:
-            bc.exact_overhead(2)
-            bc.min_error(1.8, 2)
-            bc.approx_overhead((0.1, 0.1), 2)
-        log = fresh
     conds = []
     optimal = [(p, s) for p, s in log if s.status == "optimal"]
     bad = 0
@@ -261,15 +254,10 @@ CRITERIA = [
 ]
 
 
-def run_all(only: list[int] | None = None) -> list[CriterionResult]:
-    """Run the full suite (or a subset); the certification criterion covers
-    exactly the solves the selected criteria produced."""
-    results = []
+def run_all() -> list[CriterionResult]:
+    """Run the suite; the certification criterion covers exactly the solves
+    criteria 1-10 produced."""
     with record_solves() as log:
-        for cid, fn in CRITERIA:
-            if only and cid not in only:
-                continue
-            results.append(fn())
-    if not only or 11 in only:
-        results.append(criterion_11(log))
+        results = [fn() for _, fn in CRITERIA]
+    results.append(criterion_11(log))
     return results

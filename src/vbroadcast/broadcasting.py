@@ -161,22 +161,29 @@ def _extract_decomposition(sol: SdpSolution, in_dim: int,
     )
 
 
-def _finish(problem, sol, in_dim, out_dims, t=None) -> OverheadResult:
+def _outcome(problem, sol, in_dim, out_dims, kind: str):
+    """(objective, status, decomposition, certificate) of a finished solve.
+
+    An optimum is checked by the independent certificate and reported as
+    ``uncertified`` when the check fails; an infeasibility certificate is an
+    answer with a NaN objective and no decomposition; any other status raises
+    :class:`SolverFailure`.
+    """
     if sol.status == "optimal":
         cert = check_certificate(problem, sol, tol=1e-6)
-        return OverheadResult(nu=float(sol.primal_objective),
-                              decomposition=_extract_decomposition(sol, in_dim, out_dims),
-                              status=_certified_status(cert), t=t, solution=sol,
-                              certificate=cert)
+        return (float(sol.primal_objective),
+                "optimal" if cert.passed else STATUS_UNCERTIFIED,
+                _extract_decomposition(sol, in_dim, out_dims), cert)
     if sol.status in ("primal_infeasible_certificate", "dual_infeasible_certificate"):
-        return OverheadResult(nu=math.nan, decomposition=None, status=sol.status,
-                              t=t, solution=sol, certificate=None)
-    raise SolverFailure(f"overhead SDP failed: {sol.status} "
+        return math.nan, sol.status, None, None
+    raise SolverFailure(f"{kind} SDP failed: {sol.status} "
                         f"({sol.diagnostics.get('note', '')})", sol.status)
 
 
-def _certified_status(cert: CertificateReport) -> str:
-    return "optimal" if cert.passed else STATUS_UNCERTIFIED
+def _finish(problem, sol, in_dim, out_dims, t=None) -> OverheadResult:
+    nu, status, dec, cert = _outcome(problem, sol, in_dim, out_dims, "overhead")
+    return OverheadResult(nu=nu, decomposition=dec, status=status, t=t,
+                          solution=sol, certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +331,9 @@ def min_error(gamma: float, d: int, config: SolverConfig | None = None,
     builder.add_scalar_ineq({"x": 1.0, "y": 1.0}, math.sqrt(gamma), label="budget")
     problem = builder.build()
     sol = solve(problem, config or DEFAULT_CONFIG)
-    if sol.status == "optimal":
-        mu = float(sol.primal_objective)
-        cert = check_certificate(problem, sol, tol=1e-6)
-        return TradeoffPoint(gamma=gamma, d=d, mu=mu, t=mu * k,
-                             decomposition=_extract_decomposition(sol, d, (d, d)),
-                             status=_certified_status(cert), solution=sol,
-                             certificate=cert)
-    if sol.status in ("primal_infeasible_certificate", "dual_infeasible_certificate"):
-        return TradeoffPoint(gamma=gamma, d=d, mu=math.nan, t=math.nan,
-                             decomposition=None, status=sol.status, solution=sol)
-    raise SolverFailure(f"trade-off SDP failed: {sol.status} "
-                        f"({sol.diagnostics.get('note', '')})", sol.status)
+    mu, status, dec, cert = _outcome(problem, sol, d, (d, d), "trade-off")
+    return TradeoffPoint(gamma=gamma, d=d, mu=mu, t=mu * k, decomposition=dec,
+                         status=status, solution=sol, certificate=cert)
 
 
 def min_error_upper_bound(gamma: float, d: int) -> float:

@@ -13,7 +13,7 @@ convention
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -407,7 +407,6 @@ class BroadcastDecomposition:
     j2: ChoiOperator
     x: float
     y: float
-    diagnostics: dict = field(default_factory=dict, compare=False)
 
     @property
     def nu(self) -> float:

@@ -1,14 +1,22 @@
 """Command-line frontend: optimization sweeps, trade-off tables, protocol
 simulation, and the verification suite.
 
-Subcommands:
+Subcommands, with the flags each reads:
 
-* ``exact``     -- optimal overhead for exact broadcasting at one dimension
-* ``sweep-ab``  -- grid sweep of the overhead surface over error thresholds
-* ``min-error`` -- one point of the error-vs-budget trade-off
-* ``tradeoff``  -- table of minimum errors over budget and dimension lists
-* ``simulate``  -- Monte Carlo run of the explicit protocol vs the baseline
-* ``verify``    -- run the acceptance suite, one PASS/FAIL line per criterion
+* ``exact`` (``--dim``) -- optimal overhead for exact broadcasting
+* ``sweep-ab`` (``--dim --grid --delta``) -- overhead surface over error
+  thresholds, or only its diagonal (delta, delta) points
+* ``min-error`` (``--dim --gamma``) -- one point of the error-vs-budget
+  trade-off
+* ``tradeoff`` (``--gammas --dims``) -- minimum errors over both lists
+* ``simulate`` (``--dim --gamma --shots --seed``) -- Monte Carlo run of the
+  explicit protocol vs the baseline
+* ``verify`` -- run the acceptance suite, one PASS/FAIL line per criterion
+
+The four solve commands also read ``--tol-gap``, ``--tol-feas``,
+``--max-iter``, ``--out``, ``--format``, ``--jobs`` and ``--allow-large-dim``.
+A subcommand rejects any other flag, and an empty list argument, with exit
+code 2.
 
 Output files go through :mod:`vbroadcast.records` (fixed CSV header, 9
 significant digits, rows sorted by inputs); relative ``--out`` paths resolve
@@ -28,7 +36,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -47,44 +55,19 @@ from .sdp.problem import MAX_BLOCK_DIM
 OUT_DIR_ENV = "VBROADCAST_OUT_DIR"
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    dims: list[int] = field(default_factory=lambda: [2])
-    grid: int = 41
-    gammas: list[float] = field(default_factory=lambda: [1.0, 1.8])
-    deltas: list[float] | None = None
-    tol_gap: float = 1e-9
-    tol_feas: float = 1e-9
-    max_iter: int = 200
-    seed: int = 42
-    shots: int = 10 ** 6
-    out: str | None = None
-    fmt: str = "csv"
-    jobs: int = 1
-    allow_large_dim: bool = False
-
-    def validate(self) -> None:
-        if any(d < 2 for d in self.dims):
-            raise ValueError("dimensions must be at least 2")
-        if self.grid < 2:
-            raise ValueError("grid resolution must be at least 2")
-        if min(self.tol_gap, self.tol_feas) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1 or self.jobs < 1 or self.shots < 1:
-            raise ValueError("max-iter, jobs and shots must be positive")
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(tol_gap=self.tol_gap, tol_feas=self.tol_feas,
-                            max_iter=self.max_iter)
-
-
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _number_list(kind):
+    """argparse type for a comma-separated list of ``kind`` values; an empty
+    list is an error, not a sweep over nothing."""
+    def parse(text: str) -> list:
+        try:
+            values = [kind(v) for v in text.split(",") if v.strip()]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of {kind.__name__} values, got {text!r}")
+        return values
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,11 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="virtual broadcasting trade-off computations")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def solve_flags(p):
         p.add_argument("--tol-gap", type=float, default=1e-9)
         p.add_argument("--tol-feas", type=float, default=1e-9)
         p.add_argument("--max-iter", type=int, default=200)
-        p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", type=str, default=None,
                        help="output file (relative paths resolve against "
                             f"${OUT_DIR_ENV})")
@@ -107,66 +89,39 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--allow-large-dim", action="store_true",
                        help=f"accept SDP blocks above dimension {MAX_BLOCK_DIM} "
                             "(d >= 6)")
+        p.set_defaults(run=_run_solves)
 
     p = sub.add_parser("exact", help="exact-broadcasting overhead")
     p.add_argument("--dim", type=int, default=2)
-    common(p)
+    solve_flags(p)
 
     p = sub.add_parser("sweep-ab", help="overhead surface over error thresholds")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--grid", type=int, default=41)
-    p.add_argument("--delta", type=str, default=None,
+    p.add_argument("--delta", type=_number_list(float), default=None,
                    help="comma-separated balanced thresholds; sweeps only the "
                         "diagonal (delta, delta) points instead of the full grid")
-    common(p)
+    solve_flags(p)
 
     p = sub.add_parser("min-error", help="minimum error at one budget")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--gamma", type=float, default=1.8)
-    common(p)
+    solve_flags(p)
 
     p = sub.add_parser("tradeoff", help="minimum-error table over budgets x dims")
-    p.add_argument("--gammas", type=str, default="1.0,1.8")
-    p.add_argument("--dims", type=str, default="2,3,4")
-    common(p)
+    p.add_argument("--gammas", type=_number_list(float), default=[1.0, 1.8])
+    p.add_argument("--dims", type=_number_list(int), default=[2, 3, 4])
+    solve_flags(p)
 
     p = sub.add_parser("simulate", help="Monte Carlo protocol run")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--shots", type=int, default=10 ** 6)
-    common(p)
+    p.add_argument("--seed", type=int, default=42)
+    p.set_defaults(run=_run_simulate)
 
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    common(p)
+    sub.add_parser("verify", help="run the acceptance suite").set_defaults(run=_run_verify)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    if hasattr(args, "dim"):
-        cfg.dims = [args.dim]
-    if hasattr(args, "dims"):
-        cfg.dims = _parse_ints(args.dims)
-    if hasattr(args, "grid"):
-        cfg.grid = args.grid
-    if hasattr(args, "gamma"):
-        cfg.gammas = [args.gamma]
-    if hasattr(args, "gammas"):
-        cfg.gammas = _parse_floats(args.gammas)
-    if getattr(args, "delta", None):
-        cfg.deltas = _parse_floats(args.delta)
-    if hasattr(args, "shots"):
-        cfg.shots = args.shots
-    cfg.tol_gap = args.tol_gap
-    cfg.tol_feas = args.tol_feas
-    cfg.max_iter = args.max_iter
-    cfg.seed = args.seed
-    cfg.out = args.out
-    cfg.fmt = args.fmt
-    cfg.jobs = args.jobs
-    cfg.allow_large_dim = args.allow_large_dim
-    cfg.validate()
-    return cfg
 
 
 def _resolve_out(out: str | None) -> str | None:
@@ -177,13 +132,13 @@ def _resolve_out(out: str | None) -> str | None:
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), out)
 
 
-def _emit(records: list[SweepRecord], cfg: RunConfig) -> None:
-    path = _resolve_out(cfg.out)
+def _emit(records: list[SweepRecord], args: argparse.Namespace) -> None:
+    path = _resolve_out(args.out)
     if path is None:
-        text = render_csv(records) if cfg.fmt == "csv" else render_json(records)
+        text = render_csv(records) if args.fmt == "csv" else render_json(records)
         sys.stdout.write(text)
     else:
-        write_records(records, cfg.fmt, path)
+        write_records(records, args.fmt, path)
         print(f"wrote {len(records)} records to {path}")
 
 
@@ -230,19 +185,27 @@ def _solve_point(point: SweepRecord, config: SolverConfig,
                    seconds=time.perf_counter() - t0)
 
 
-def _points(cfg: RunConfig) -> list[SweepRecord]:
+def _check_dims(dims: list[int]) -> None:
+    if any(d < 2 for d in dims):
+        raise ValueError("dimensions must be at least 2")
+
+
+def _points(args: argparse.Namespace) -> list[SweepRecord]:
     """The inputs of every solve the subcommand runs, as records."""
-    d = cfg.dims[0]
-    if cfg.subcommand == "exact":
-        return [SweepRecord(d=d)]
-    if cfg.subcommand == "min-error":
-        return [SweepRecord(gamma=cfg.gammas[0], d=d)]
-    if cfg.subcommand == "tradeoff":
-        return [SweepRecord(gamma=g, d=dim) for g in cfg.gammas for dim in cfg.dims]
-    if cfg.deltas is not None:
-        return [SweepRecord(a=v, b=v, d=d) for v in cfg.deltas]
-    axis = [float(v) for v in np.linspace(0.0, 1.0, cfg.grid)]
-    return [SweepRecord(a=a, b=b, d=d) for a in axis for b in axis]
+    if args.subcommand == "tradeoff":
+        _check_dims(args.dims)
+        return [SweepRecord(gamma=g, d=d) for g in args.gammas for d in args.dims]
+    _check_dims([args.dim])
+    if args.subcommand == "exact":
+        return [SweepRecord(d=args.dim)]
+    if args.subcommand == "min-error":
+        return [SweepRecord(gamma=args.gamma, d=args.dim)]
+    if args.grid < 2:
+        raise ValueError("grid resolution must be at least 2")
+    if args.delta is not None:
+        return [SweepRecord(a=v, b=v, d=args.dim) for v in args.delta]
+    axis = [float(v) for v in np.linspace(0.0, 1.0, args.grid)]
+    return [SweepRecord(a=a, b=b, d=args.dim) for a in axis for b in axis]
 
 
 def _summary(rec: SweepRecord) -> str:
@@ -257,34 +220,41 @@ def _summary(rec: SweepRecord) -> str:
             f"nu={rec.nu:.6f} status={rec.status}")
 
 
-def _run_solves(cfg: RunConfig) -> int:
-    solve_point = functools.partial(_solve_point, config=cfg.solver_config(),
-                                    allow_large=cfg.allow_large_dim)
-    points = _points(cfg)
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+def _run_solves(args: argparse.Namespace) -> int:
+    points = _points(args)
+    if min(args.tol_gap, args.tol_feas) <= 0:
+        raise ValueError("tolerances must be positive")
+    if args.max_iter < 1 or args.jobs < 1:
+        raise ValueError("max-iter and jobs must be positive")
+    config = SolverConfig(tol_gap=args.tol_gap, tol_feas=args.tol_feas,
+                          max_iter=args.max_iter)
+    solve_point = functools.partial(_solve_point, config=config,
+                                    allow_large=args.allow_large_dim)
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(solve_point, points))
     else:
         records = [solve_point(p) for p in points]
-    single = cfg.subcommand in ("exact", "min-error")
+    single = args.subcommand in ("exact", "min-error")
     if single:
         print(_summary(records[0]))
-    if cfg.out or not single:
-        _emit(records, cfg)
+    if args.out or not single:
+        _emit(records, args)
     return _exit_code([r.status for r in records])
 
 
-def _run_simulate(cfg: RunConfig) -> int:
-    d = cfg.dims[0]
-    gamma = cfg.gammas[0] if cfg.gammas else 2.0
+def _run_simulate(args: argparse.Namespace) -> int:
+    d, gamma, shots, seed = args.dim, args.gamma, args.shots, args.seed
+    _check_dims([d])
+    if shots < 1:
+        raise ValueError("shots must be positive")
     dec, delta, _ = bc.discard_prepare_point(gamma, d)
     rho = np.zeros((d, d), dtype=complex)
     rho[0, 0] = 1.0
     # evenly spaced spectrum from +1 to -1; the qubit case is the usual Z
     obs = sim.Observable.from_matrix(np.diag(np.linspace(1.0, -1.0, d)))
-    est = sim.run_protocol(dec, rho, obs, marginal=1, shots=cfg.shots,
-                           seed=cfg.seed)
-    base = sim.naive_baseline(rho, obs, cfg.shots, seed=cfg.seed + 1)
+    est = sim.run_protocol(dec, rho, obs, marginal=1, shots=shots, seed=seed)
+    base = sim.naive_baseline(rho, obs, shots, seed=seed + 1)
     analytic = sim.protocol_expectation(dec, rho, obs, marginal=1)
     se = est.sample_std / math.sqrt(est.shots)
     print(f"budget gamma={gamma:.4f} d={d} x={dec.x:.6f} y={dec.y:.6f} "
@@ -300,7 +270,7 @@ def _run_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_verify(cfg: RunConfig) -> int:
+def _run_verify(_args: argparse.Namespace) -> int:
     from .acceptance import run_all
 
     results = run_all()
@@ -314,16 +284,9 @@ def _run_verify(cfg: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    runners = {"simulate": _run_simulate, "verify": _run_verify}
-    try:
-        return runners.get(cfg.subcommand, _run_solves)(cfg)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -72,15 +72,23 @@ class SolverFailure(RuntimeError):
         self.status = status
 
 
+# fraction of the distance to the cone boundary each step takes
+STEP_FRACTION = 0.98
+# a Farkas ray is accepted once its residual ratio is below this, relative to
+# 1 + the norm of the opposite side's data
+INFEAS_TOL = 1e-8
+# relative pivot below which presolve drops an equality row as redundant
+PRESOLVE_TOL = 1e-12
+# first diagonal shift, relative to the largest diagonal entry, tried when the
+# Schur complement is not numerically positive definite
+SCHUR_REGULARIZATION = 1e-12
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tol_gap: float = 1e-8
     tol_feas: float = 1e-8
     max_iter: int = 200
-    step_fraction: float = 0.98
-    infeas_tol: float = 1e-8
-    preprocess_tol: float = 1e-12
-    schur_regularization: float = 1e-12
 
 
 @dataclass
@@ -428,14 +436,14 @@ def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
         cx = float(c @ xv)
         if by > 0:
             ratio = float(np.linalg.norm(a_red_t @ y + sv)) / by
-            if ratio <= cfg.infeas_tol * (1.0 + norm_c):
+            if ratio <= INFEAS_TOL * (1.0 + norm_c):
                 status = STATUS_PRIMAL_INFEASIBLE
                 note = f"dual improving ray with residual ratio {ratio:.2e}"
                 best = (xv, sv, y, tau, kappa)
                 break
         if cx < 0:
             ratio = float(np.linalg.norm(a_red @ xv)) / (-cx)
-            if ratio <= cfg.infeas_tol * (1.0 + norm_b):
+            if ratio <= INFEAS_TOL * (1.0 + norm_b):
                 status = STATUS_DUAL_INFEASIBLE
                 note = f"primal improving ray with residual ratio {ratio:.2e}"
                 best = (xv, sv, y, tau, kappa)
@@ -486,7 +494,7 @@ def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
         cpc = float(c @ pc)
 
         try:
-            chol_m = _schur_factor(schur, cfg.schur_regularization)
+            chol_m = _schur_factor(schur, SCHUR_REGULARIZATION)
         except np.linalg.LinAlgError:
             status = STATUS_NUMERICAL
             note = "singular Schur complement"
@@ -567,7 +575,7 @@ def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
 
         dx, dy, ds, d_tau, d_kappa, dx_parts, ds_parts = direction(
             1.0 - sigma, cone.vec(h_lin, h_st), d_tau_rhs)
-        alpha = min(1.0, cfg.step_fraction
+        alpha = min(1.0, STEP_FRACTION
                     * step_length(dx_parts, ds_parts, d_tau, d_kappa))
         if not np.isfinite(alpha) or alpha <= 0:
             status = STATUS_NUMERICAL
@@ -620,7 +628,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 
     if b_vec.size:
         kept, dropped, inconsistency = _select_independent_rows(
-            a_full, b_vec, cfg.preprocess_tol)
+            a_full, b_vec, PRESOLVE_TOL)
     else:
         kept, dropped, inconsistency = [], [], 0.0
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vbroadcast import acceptance
 from vbroadcast import broadcasting as bc
 from vbroadcast.cli import main
 from vbroadcast.records import (
@@ -141,7 +142,7 @@ class TestCliCommands:
 
     def test_determinism_modulo_seconds(self, tmp_path):
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        args = ["sweep-ab", "--dim", "2", "--grid", "2", "--seed", "1"]
+        args = ["sweep-ab", "--dim", "2", "--grid", "2"]
         assert main(args + ["--out", out1]) == 0
         assert main(args + ["--out", out2]) == 0
 
@@ -200,6 +201,33 @@ class TestExitCodes:
     def test_large_dim_gate(self, capsys):
         # d = 6 gives 216-dimensional blocks, past the guardrail of 130
         assert main(["tradeoff", "--gammas", "1.8", "--dims", "6"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["tradeoff", "--dims", ""],
+        ["tradeoff", "--gammas", ","],
+        ["sweep-ab", "--grid", "2", "--delta", ""],
+    ])
+    def test_empty_list_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--seed", "1"],
+        ["sweep-ab", "--grid", "2", "--seed", "1"],
+        ["simulate", "--out", "x.csv"],
+        ["simulate", "--max-iter", "3"],
+        ["verify", "--tol-gap", "1e-3"],
+    ])
+    def test_unread_flag_rejected(self, argv, monkeypatch, tmp_path, capsys):
+        # each subcommand accepts only the flags it reads
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(acceptance, "run_all", lambda: [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_module_entrypoint():

@@ -18,7 +18,8 @@ with the status and iteration count of its last SDP solution and no value.
 
 ``compare`` prints the largest |value difference| over solves with a value
 in both files, every status difference, and the iteration totals over the
-solves whose status is the same in both.
+solves whose status is the same in both.  It exits 1 when the two files hold
+different solve sets or any status differs, else 0.
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ def run(src: str) -> dict:
     return out
 
 
-def compare(before: dict, after: dict) -> list[str]:
+def compare(before: dict, after: dict) -> tuple[list[str], bool]:
+    """The report lines, and whether both files hold the same solves with
+    the same statuses."""
     lines = []
     if before.keys() != after.keys():
         lines.append(f"different solve sets: {sorted(before.keys() ^ after.keys())}")
@@ -86,7 +89,7 @@ def compare(before: dict, after: dict) -> list[str]:
     lines.append(f"iterations over {len(same)} solves with an unchanged status: "
                  f"{sum(before[k]['iterations'] for k in same)} -> "
                  f"{sum(after[k]['iterations'] for k in same)}")
-    return lines
+    return lines, before.keys() == after.keys() and len(same) == len(keys)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,8 +106,9 @@ def main(argv: list[str] | None = None) -> int:
         Path(args.out).write_text(json.dumps(run(args.src), indent=1) + "\n")
         return 0
     before, after = (json.loads(Path(f).read_text()) for f in (args.before, args.after))
-    print("\n".join(compare(before, after)))
-    return 0
+    lines, same = compare(before, after)
+    print("\n".join(lines))
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
