@@ -18,7 +18,7 @@ from . import broadcasting as bc
 from . import diamond as dn
 from . import simulator as sim
 from .channels import ChoiOperator, depolarizing_choi, gamma_operator, replacement_choi
-from .sdp import check_certificate
+from .sdp import STATUS_OPTIMAL, check_certificate
 from .sdp.solver import record_solves
 
 
@@ -228,7 +228,7 @@ def criterion_11(log: list) -> CriterionResult:
     """Every optimal solve recorded by the earlier criteria passes the
     independent certificate check, and a deliberately corrupted copy fails."""
     conds = []
-    optimal = [(p, s) for p, s in log if s.status == "optimal"]
+    optimal = [(p, s) for p, s in log if s.status == STATUS_OPTIMAL]
     bad = 0
     for p, s in optimal:
         rep = check_certificate(p, s, tol=1e-6)

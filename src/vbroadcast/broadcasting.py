@@ -38,6 +38,9 @@ from .channels import (
 )
 from .linalg import min_eigenvalue, permute_subsystems
 from .sdp import (
+    STATUS_DUAL_INFEASIBLE,
+    STATUS_OPTIMAL,
+    STATUS_PRIMAL_INFEASIBLE,
     STATUS_UNCERTIFIED,
     CertificateReport,
     ProblemBuilder,
@@ -151,6 +154,12 @@ def _marginal_terms(d: int, marginal: int) -> list:
             ptrace_term("J2", dd, drop=drop, scale=-1.0)]
 
 
+def _swap_receivers(j: ChoiOperator) -> ChoiOperator:
+    """The Choi operator on (B, B2, B1): the two receivers exchanged."""
+    d = j.in_dim
+    return ChoiOperator(permute_subsystems(j.op, (d, d, d), (0, 2, 1)), d, j.out_dims)
+
+
 def _extract_decomposition(sol: SdpSolution, in_dim: int,
                            out_dims: tuple[int, ...]) -> BroadcastDecomposition:
     return BroadcastDecomposition(
@@ -169,12 +178,12 @@ def _outcome(problem, sol, in_dim, out_dims, kind: str):
     answer with a NaN objective and no decomposition; any other status raises
     :class:`SolverFailure`.
     """
-    if sol.status == "optimal":
+    if sol.status == STATUS_OPTIMAL:
         cert = check_certificate(problem, sol, tol=1e-6)
         return (float(sol.primal_objective),
-                "optimal" if cert.passed else STATUS_UNCERTIFIED,
+                STATUS_OPTIMAL if cert.passed else STATUS_UNCERTIFIED,
                 _extract_decomposition(sol, in_dim, out_dims), cert)
-    if sol.status in ("primal_infeasible_certificate", "dual_infeasible_certificate"):
+    if sol.status in (STATUS_PRIMAL_INFEASIBLE, STATUS_DUAL_INFEASIBLE):
         return math.nan, sol.status, None, None
     raise SolverFailure(f"{kind} SDP failed: {sol.status} "
                         f"({sol.diagnostics.get('note', '')})", sol.status)
@@ -248,8 +257,20 @@ def approx_overhead(thresholds: ErrorThresholds | tuple[float, float], d: int,
     the marginal difference with Tr_out[Z_i] <= thr_i * I_B.  Zero thresholds
     are posed as exact marginal equalities instead (identical feasible set,
     nonempty interior).
+
+    The SDP is posed with a >= b.  For a < b the exchanged problem (b, a) is
+    solved and its J1, J2 are mapped back by exchanging the two receivers, so
+    nu(a, b) == nu(b, a) and the two share one status; ``solution`` and
+    ``certificate`` then belong to the exchanged problem.
     """
     thr = thresholds if isinstance(thresholds, ErrorThresholds) else ErrorThresholds(*thresholds)
+    if thr.a < thr.b:
+        res = approx_overhead((thr.b, thr.a), d, config, allow_large_blocks)
+        dec = res.decomposition
+        if dec is not None:
+            res.decomposition = BroadcastDecomposition(
+                j1=_swap_receivers(dec.j1), j2=_swap_receivers(dec.j2), x=dec.x, y=dec.y)
+        return res
     builder = _decomposition_builder(d, allow_large_blocks=allow_large_blocks)
     gamma = gamma_operator(d)
     eye_b = np.eye(d)

@@ -22,6 +22,7 @@ import numpy as np
 from .channels import ChoiOperator, apply_choi_with_ancilla, max_entangled_state
 from .linalg import haar_unitary
 from .sdp import (
+    STATUS_OPTIMAL,
     STATUS_UNCERTIFIED,
     CertificateReport,
     ProblemBuilder,
@@ -83,7 +84,7 @@ def half_diamond_distance(j_phi: ChoiOperator,
     problem = diamond_problem(j_phi)
     cfg = config or SolverConfig(tol_gap=1e-9, tol_feas=1e-9)
     sol = solve(problem, cfg)
-    if sol.status != "optimal":
+    if sol.status != STATUS_OPTIMAL:
         raise SolverFailure(f"diamond-norm SDP did not reach optimality: {sol.status} "
                             f"({sol.diagnostics.get('note', '')})", sol.status)
     cert = check_certificate(problem, sol, tol=1e-6)

@@ -8,26 +8,25 @@ A problem is
 
 where every ``X_k`` is a complex Hermitian PSD block (dimension-1 blocks are
 plain nonnegative scalars) and all coefficient operators are Hermitian.
-Every coefficient is stored once, as its coordinates in the orthonormal
-Hermitian basis of its block (``_basis(dim)``): block k's constraint
-coefficients are the rows of a sparse m x dim^2 matrix ``a[k]`` and its
-objective is the vector ``c[k]``, so <A_{i,k}, X_k> = a[k][i] . vec(X_k).
-The builder writes these, and the solver and the certificate checker read
-them.
+Every coefficient is stored once, as its coordinates vec(A) = Re A + Im A
+(flattened row-major) in the orthonormal basis
+E_pq = ((1 + i)|p><q| + (1 - i)|q><p|) / 2 of its block's Hermitian space:
+block k's constraint coefficients are the rows of a sparse m x dim^2 matrix
+``a[k]`` and its objective is the vector ``c[k]``, so
+<A_{i,k}, X_k> = a[k][i] . vec(X_k).  The builder writes these, and the
+solver and the certificate checker read them.
 
-An operator-valued constraint has one row per element of the orthonormal
-Hermitian basis of its target space.  The builder writes each of its terms
-with one sparse construction and turns inequalities into equalities with
-slack blocks:
+An operator-valued constraint has one row <E_pq, .> per basis element of
+its target space.  The builder writes each of its terms with one sparse
+construction and turns inequalities into equalities with slack blocks:
 
 * ``<A, X> <= b``        adds a nonnegative scalar slack,
-* ``sum terms >= R``     adds a PSD slack block,
-* free scalars           are encoded as the difference of two scalar blocks.
+* ``sum terms >= R``     adds a PSD slack block.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -52,8 +51,8 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class Embedding:
-    """The terms ``scale * <E_r, Tr_drop[X_block]>`` of operator-equation rows
-    ``start + r``, r < dim**2, for the basis ``_basis(dim)``; a full term is
+    """The terms ``scale * <E_pq, Tr_drop[X_block]>`` of operator-equation rows
+    ``start + p * dim + q`` for the basis E_pq of the target; a full term is
     the layout ``(block dim,)`` with nothing dropped.  The solver builds its
     Schur complement from these row ranges; their coefficients are in ``a``."""
 
@@ -68,7 +67,7 @@ class Embedding:
 @dataclass
 class SdpProblem:
     """minimize sum_k c[k] . vec(X_k) s.t. sum_k a[k] @ vec(X_k) = b, X_k >= 0,
-    with vec the coordinates in ``_basis(dim)``; ``a`` and ``c`` hold one
+    with vec(X) = Re X + Im X flattened (see ``_vec``); ``a`` and ``c`` hold one
     entry per block."""
 
     blocks: list[BlockSpec]
@@ -123,98 +122,59 @@ class SdpProblem:
         """Evaluate <A_i, X> for every row."""
         vals = np.zeros(self.n_rows)
         for blk in self.blocks:
-            vals += self.a[blk.name] @ _basis(blk.dim).vec(np.asarray(x_blocks[blk.name]))
+            vals += self.a[blk.name] @ _vec(np.asarray(x_blocks[blk.name]))
         return vals
 
     def objective_value(self, x_blocks: dict[str, np.ndarray]) -> float:
-        return float(sum(self.c[blk.name] @ _basis(blk.dim).vec(np.asarray(x_blocks[blk.name]))
+        return float(sum(self.c[blk.name] @ _vec(np.asarray(x_blocks[blk.name]))
                          for blk in self.blocks))
 
     def adjoint(self, y: np.ndarray) -> dict[str, np.ndarray]:
         """Dense Hermitian matrices of A^*(y) = sum_i y_i A_i per block."""
-        return {blk.name: _basis(blk.dim).mat(self.a[blk.name].T @ y)
-                for blk in self.blocks}
+        return {blk.name: _mat(self.a[blk.name].T @ y) for blk in self.blocks}
 
     def objective_matrices(self) -> dict[str, np.ndarray]:
-        return {blk.name: _basis(blk.dim).mat(self.c[blk.name]) for blk in self.blocks}
+        return {blk.name: _mat(self.c[blk.name]) for blk in self.blocks}
 
 
 # ---------------------------------------------------------------------------
-# Orthonormal Hermitian basis of an n x n space
+# Orthonormal Hermitian coordinates of an n x n space
 # ---------------------------------------------------------------------------
 
-_SQRT2 = np.sqrt(2.0)
+def _vec(x: np.ndarray) -> np.ndarray:
+    """Coordinates Re X + Im X of Hermitian matrices, flattened row-major.
 
-
-class _Basis:
-    """Coordinates of n x n Hermitian matrices in the orthonormal basis of
-    the diagonal units |i><i|, then for each upper entry i < j the pair
-    (|i><j| + |j><i|) / sqrt(2), (-i|i><j| + i|j><i|) / sqrt(2).
-    Coordinate r of X is <E_r, X>, so the coefficients of an operator
-    equation's row r are the unit vector r.
-
-    Basis element r has at most two nonzeros: ``c1[r]`` at flat index
-    ``i1[r]`` (on or above the diagonal) and ``c2[r]`` at ``i2[r]``
-    (``c2 = 0`` on the diagonal); ``pos[i, j]`` (i <= j) is the first
-    coordinate of entry (i, j).
+    Re X is symmetric and Im X antisymmetric, so the map is an isometry onto
+    R^(n x n): coordinate (p, q) is <E_pq, X> for the orthonormal basis
+    E_pq = ((1 + i)|p><q| + (1 - i)|q><p|) / 2, and E_pp = |p><p|.
     """
-
-    def __init__(self, n: int):
-        self.n, self.N = n, n * n
-        iu, ju = np.triu_indices(n, 1)
-        self.pos = np.diag(np.arange(n))
-        self.pos[iu, ju] = n + 2 * np.arange(iu.size)
-        diag = np.arange(n) * (n + 1)
-        self.i1 = np.concatenate([diag, np.repeat(iu * n + ju, 2)])
-        self.i2 = np.concatenate([diag, np.repeat(ju * n + iu, 2)])
-        pairs = iu.size
-        h = 1.0 / _SQRT2
-        self.c1 = np.concatenate([np.ones(n), np.tile([h, -1j * h], pairs)])
-        self.c2 = np.concatenate([np.zeros(n), np.tile([h, 1j * h], pairs)])
-
-    def vec(self, m: np.ndarray) -> np.ndarray:
-        flat = m.reshape(m.shape[:-2] + (self.N,))
-        return (flat[..., self.i1] * self.c1.conj() + flat[..., self.i2] * self.c2.conj()).real
-
-    def mat(self, v: np.ndarray) -> np.ndarray:
-        n, out = self.n, np.empty(v.shape[:-1] + (self.N,), dtype=complex)
-        u = (v[..., n::2] - 1j * v[..., n + 1::2]) / _SQRT2
-        out[..., self.i1[:n]] = v[..., :n]
-        out[..., self.i1[n::2]] = u
-        out[..., self.i2[n::2]] = u.conj()
-        return out.reshape(v.shape[:-1] + (n, n))
-
-    def pair(self, other: _Basis, k: np.ndarray) -> np.ndarray:
-        """M_ab = <E_a, L(F_b)> for the map with k[(p, q), (r, s)] = L(|r><s|)_pq,
-        F the basis of ``other``."""
-        t = k[:, other.i1] * other.c1 + k[:, other.i2] * other.c2
-        return (self.c1.conj()[:, None] * t[self.i1]
-                + self.c2.conj()[:, None] * t[self.i2]).real
+    n = x.shape[-1]
+    return (x.real + x.imag).reshape(x.shape[:-2] + (n * n,))
 
 
-@functools.lru_cache(maxsize=None)
-def _basis(n: int) -> _Basis:
-    return _Basis(n)
+def _mat(v: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices ((1 + i)V + (1 - i)V^T) / 2 with coordinates
+    ``v``, V = v reshaped to n x n; the inverse of :func:`_vec`."""
+    n = math.isqrt(v.shape[-1])
+    m = v.reshape(v.shape[:-1] + (n, n))
+    return 0.5 * ((1 + 1j) * m + (1 - 1j) * m.swapaxes(-1, -2))
 
 
 def _embedding_columns(dims: tuple[int, ...], drop: tuple[int, ...]) -> np.ndarray:
-    """Block coordinates of E_r (x) I_drop, the adjoint of Tr_drop applied to
-    the target's basis element E_r, on a block with factor layout ``dims``.
+    """Block coordinates of E_pq (x) I_drop, the adjoint of Tr_drop applied to
+    the target's basis element E_pq, on a block with factor layout ``dims``.
 
-    Each copy E_r (x) |u><u| of the kept part on one dropped index u is
-    itself a block basis element, so row r of the result lists the block
-    coordinates at which E_r (x) I_drop has coefficient 1.
+    Each copy E_pq (x) |u><u| of the kept part on one dropped index u is the
+    block basis element of entry (index[p, u], index[q, u]), so row p * n + q
+    of the result lists the block coordinates at which E_pq (x) I_drop has
+    coefficient 1.
     """
     keep = [f for f in range(len(dims)) if f not in drop]
     kept_dim = int(np.prod([dims[f] for f in keep]))
     index = np.arange(int(np.prod(dims))).reshape(dims).transpose(keep + list(drop))
     index = index.reshape(kept_dim, -1)
-    target, block = _basis(kept_dim), _basis(index.size)
-    # kept entry (p, q), p <= q, on dropped index u is block entry
-    # (index[p, u], index[q, u]), again on or above the diagonal
-    p, q = np.divmod(target.i1, kept_dim)
-    imag = (target.c1.imag != 0)[:, None]
-    return block.pos[index[p], index[q]] + imag
+    p, q = np.divmod(np.arange(kept_dim ** 2), kept_dim)
+    return index[p] * index.size + index[q]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +229,6 @@ class ProblemBuilder:
         self._b: list[float] = []
         self._c: dict[str, np.ndarray] = {}
         self._embeddings: list[Embedding] = []
-        self._free: dict[str, tuple[str, str]] = {}
         self.allow_large_blocks = allow_large_blocks
 
     # -- variables -----------------------------------------------------------
@@ -283,42 +242,30 @@ class ProblemBuilder:
     def add_scalar(self, name: str) -> str:
         return self.add_psd_block(name, 1)
 
-    def add_free_scalar(self, name: str) -> str:
-        """A real scalar of either sign, split into two nonnegative parts."""
-        pos = self.add_scalar(f"{name}+")
-        neg = self.add_scalar(f"{name}-")
-        self._free[name] = (pos, neg)
-        return name
-
-    def _scalar_parts(self, name: str) -> list[tuple[str, float]]:
-        """The dimension-1 blocks, with signs, that a number multiplies."""
-        if name in self._free:
-            pos, neg = self._free[name]
-            return [(pos, 1.0), (neg, -1.0)]
+    def _check_scalar(self, name: str) -> None:
+        """A number multiplies a dimension-1 block only."""
         if self._dims.get(name, 1) != 1:
             raise ValueError(f"a scalar coefficient on {name!r} needs a dimension-1 "
                              f"block, not dimension {self._dims[name]}")
-        return [(name, 1.0)]
 
-    def _coords(self, name: str, coeff) -> list[tuple[str, np.ndarray]]:
-        """(block, Hermitian-basis coordinates) of the coefficient ``coeff``
-        on ``name``; a number applies to a dimension-1 block or free scalar."""
+    def _coords(self, name: str, coeff) -> np.ndarray:
+        """Hermitian-basis coordinates of the coefficient ``coeff`` on block
+        ``name``; a number applies to a dimension-1 block."""
         if np.isscalar(coeff):
-            return [(part, np.array([sign * float(coeff)]))
-                    for part, sign in self._scalar_parts(name)]
+            self._check_scalar(name)
+            return np.array([float(coeff)])
         coeff = as_hermitian(np.atleast_2d(coeff))
         n = coeff.shape[0]
         if self._dims.get(name, n) != n:
             raise ValueError(f"coefficient of dimension {n} on block {name!r} "
                              f"of dimension {self._dims[name]}")
-        return [(name, _basis(n).vec(coeff))]
+        return _vec(coeff)
 
     # -- objective -----------------------------------------------------------
 
     def add_objective(self, block: str, coeff) -> None:
         """Add <coeff, X_block> to the minimization objective."""
-        for part, v in self._coords(block, coeff):
-            self._c[part] = self._c.get(part, 0.0) + v
+        self._c[block] = self._c.get(block, 0.0) + self._coords(block, coeff)
 
     def minimize(self, linear: dict[str, float]) -> None:
         for name, w in linear.items():
@@ -330,9 +277,9 @@ class ProblemBuilder:
                       label: str = "") -> None:
         row = len(self._b)
         for name, coeff in coeffs.items():
-            for part, v in self._coords(name, coeff):
-                nz = np.flatnonzero(v)
-                self._a.setdefault(part, []).append((np.full(nz.size, row), nz, v[nz]))
+            v = self._coords(name, coeff)
+            nz = np.flatnonzero(v)
+            self._a.setdefault(name, []).append((np.full(nz.size, row), nz, v[nz]))
         self._b.append(float(rhs))
 
     def add_scalar_ineq(self, coeffs: dict[str, float | np.ndarray], rhs: float,
@@ -369,16 +316,16 @@ class ProblemBuilder:
             elif t.kind == "scalar":
                 if t.matrix.shape[0] != d:
                     raise ValueError("scalar term matrix does not match the target")
-                w = t.scale * _basis(d).vec(t.matrix)
+                self._check_scalar(t.block)
+                w = t.scale * _vec(t.matrix)
                 nz = np.flatnonzero(w)
-                entries += [(part, rows[nz], np.zeros(nz.size, np.int64), sign * w[nz])
-                            for part, sign in self._scalar_parts(t.block)]
+                entries.append((t.block, rows[nz], np.zeros(nz.size, np.int64), w[nz]))
             else:
                 raise ValueError(f"unknown term kind {t.kind!r}")
         for block, *entry in entries:
             self._a.setdefault(block, []).append(entry)
         self._embeddings += embeddings
-        self._b.extend(_basis(d).vec(rhs))
+        self._b.extend(_vec(rhs))
 
     def add_operator_ineq(self, terms: Sequence[OpTerm], rhs: np.ndarray,
                           label: str = "") -> str:
@@ -426,12 +373,20 @@ def dump_problem(problem: SdpProblem, path: str) -> None:
     Only the nonzero entries with row <= col are listed; the mirrored
     conjugate entry is implied.  Suitable for cross-checking against
     external solvers.
+
+    Row p * n + q of an operator equation is <E_pq, .> with
+    E_pq = ((1 + i)|p><q| + (1 - i)|q><p|) / 2, so its ``con`` and ``rhs``
+    records differ from dumps written in the earlier sqrt(2) Re / Im basis:
+    the rows of each (p, q), (q, p) pair are rotated, and the feasible set is
+    the same.
     """
     def upper_entries(coords: sp.spmatrix, n: int) -> sp.coo_matrix:
-        # coordinates -> flat entries i * n + j, i <= j, of each row's matrix
-        basis = _basis(n)
-        to_upper = sp.csr_matrix((basis.c1, (np.arange(basis.N), basis.i1)),
-                                 shape=(basis.N, basis.N))
+        # coordinate (p, q) is (1 + i)/2 at entry (p, q) and (1 - i)/2 at
+        # (q, p); of these, the entry with row <= col is listed
+        p, q = np.divmod(np.arange(n * n), n)
+        weight = np.where(p == q, 1.0, 0.5 + 0.5j * np.sign(q - p))
+        upper = np.minimum(p, q) * n + np.maximum(p, q)
+        to_upper = sp.csr_matrix((weight, (np.arange(n * n), upper)), shape=(n * n, n * n))
         return (coords @ to_upper).tocoo()
 
     con = []

@@ -5,20 +5,23 @@ embedding with Nesterov-Todd scaling and a Mehrotra predictor-corrector step,
 the standard recipe for this problem class.  Hermitian blocks stay in the
 complex domain, as in SeDuMi and SDPT3: the NT scaling, the step length and
 the corrector work on complex matrices, and a block's vector form is its
-coordinates in the orthonormal Hermitian basis the problem stores its
-coefficients in, so that inner products are Re Tr(A X) and the constraint
-matrix is the problem's blocks side by side.  Dimension-1 blocks form one
-nonnegative orthant.  The Hermitian blocks of one dimension are processed as
-one stacked (k, n, n) array: each Cholesky factorization, NT scaling, inverse
-factor, step-length eigenvalue test and corrector term of an iteration is one
-batched call per block dimension, as SeDuMi and SDPT3 treat a cone.
+coordinates Re X + Im X, the orthonormal Hermitian coordinates the problem
+stores its coefficients in, so that inner products are Re Tr(A X) and the
+constraint matrix is the problem's blocks side by side.  Dimension-1 blocks
+form one nonnegative orthant.  The Hermitian blocks of one dimension are
+processed as one stacked (k, n, n) array: each Cholesky factorization, NT
+scaling, inverse factor, step-length eigenvalue test and corrector term of an
+iteration is one batched call per block dimension, as SeDuMi and SDPT3 treat
+a cone.
 
 The Schur complement M_ij = Re Tr(A_i W A_j W) stays per block: it is
 assembled one block and one pair of row groups at a time (Fujisawa, Kojima
-and Nakata, Math. Prog. 79, 1997).  The rows of an operator equation embed a Hermitian basis as E (x) I,
-so a pair of groups is the single contraction Tr_drop_i[W (E (x) I_drop_j) W]
-of the reshaped scaling matrix W, followed by a change to the Hermitian basis.
-Rows with any other coefficient on a block are paired through W A W.
+and Nakata, Math. Prog. 79, 1997).  The rows of an operator equation embed a
+Hermitian basis as E (x) I, so a pair of groups is the single contraction
+K = Tr_drop_i[W (|r><s| (x) I_drop_j) W] of the reshaped scaling matrix W;
+its Hermitian coordinates are Re K plus Im K with r and s exchanged, two
+strided views of the one product.  Rows with any other coefficient on a
+block are paired through W A W.
 
 M is factored with numpy's Cholesky, which runs on the same OpenBLAS as
 every other dense operation of the iteration.  scipy bundles a second
@@ -53,7 +56,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import blas
 
-from .problem import SdpProblem, _basis
+from .problem import SdpProblem, _mat, _vec
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iterations"
@@ -124,7 +127,7 @@ def record_solves():
 
 
 # ---------------------------------------------------------------------------
-# Hermitian-basis coordinates and the structured Schur blocks
+# The structured Schur blocks
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=256)
@@ -145,11 +148,21 @@ def _contraction(dims: tuple[int, ...], drop_i: tuple[int, ...],
     return left, right, n_p, n_r, (n // n_p) * (n // n_r)
 
 
-def _pair_map(wt: np.ndarray, dims, drop_i, drop_j) -> np.ndarray:
+def _pair_block(wt: np.ndarray, dims, drop_i, drop_j) -> np.ndarray:
+    """M[(p, q), (r, s)] = <E_pq, Tr_drop_i[W (E_rs (x) I_drop_j) W]> for the
+    basis E_rs = ((1 + i)|r><s| + (1 - i)|s><r|) / 2 of ``problem._vec``.
+
+    With K the contraction of :func:`_contraction`, the map sends E_rs to
+    ((1 + i) K[:, (r, s)] + (1 - i) K[:, (s, r)]) / 2, whose coordinates
+    Re + Im are M = Re K + Im K', K' being K with r and s exchanged.
+    """
     left, right, n_p, n_r, inner = _contraction(dims, drop_i, drop_j)
     k = (wt.transpose(left).reshape(n_p * n_r, inner)
-         @ wt.transpose(right).reshape(inner, n_r * n_p))           # (p, r | s, q)
-    return k.reshape(n_p, n_r, n_r, n_p).transpose(0, 3, 1, 2).reshape(n_p ** 2, n_r ** 2)
+         @ wt.transpose(right).reshape(inner, n_r * n_p)).reshape(n_p, n_r, n_r, n_p)
+    # k is indexed (p, r, s, q); m is (p, q, r, s)
+    m = np.empty((n_p, n_p, n_r, n_r))
+    np.add(k.real.transpose(0, 3, 1, 2), k.imag.transpose(0, 3, 2, 1), out=m)
+    return m.reshape(n_p ** 2, n_r ** 2)
 
 
 class _Cone:
@@ -157,35 +170,34 @@ class _Cone:
 
     The Hermitian blocks ``mat`` are ordered by decreasing dimension, stable
     in declaration order, so that the blocks of one dimension n are one
-    ``(k, n, n)`` stack: a point is ``(lin, stacks)``, one stack per
-    dimension, and its vector is ``lin`` followed by the Hermitian-basis
-    coordinates of each matrix, stack by stack.  Problems that declare their
-    largest blocks first keep their declared column order.
+    ``(k, n, n)`` stack, listed as ``(n, k)`` in ``stacks``: a point is
+    ``(lin, stacks)``, one array per dimension, and its vector is ``lin``
+    followed by the Hermitian coordinates of each matrix, stack by stack.
+    Problems that declare their largest blocks first keep their declared
+    column order.
     """
 
     def __init__(self, dims: list[int]):
         self.lin = [k for k, n in enumerate(dims) if n == 1]
         self.mat = sorted((k for k, n in enumerate(dims) if n > 1), key=lambda k: -dims[k])
-        self.bases = [_basis(dims[k]) for k in self.mat]
-        sizes = [b.n for b in self.bases]
-        self.stacks = [(_basis(n), sizes.count(n)) for n in sorted(set(sizes), reverse=True)]
-        self.offsets = np.cumsum([0, len(self.lin)] + [b.N * k for b, k in self.stacks])
+        sizes = [dims[k] for k in self.mat]
+        self.stacks = [(n, sizes.count(n)) for n in sorted(set(sizes), reverse=True)]
+        self.offsets = np.cumsum([0, len(self.lin)] + [n * n * k for n, k in self.stacks])
         self.degree = float(len(self.lin) + sum(sizes))
 
     def split(self, v: np.ndarray):
         o = self.offsets
-        return v[:o[1]], [b.mat(v[o[i + 1]:o[i + 2]].reshape(k, b.N))
-                          for i, (b, k) in enumerate(self.stacks)]
+        return v[:o[1]], [_mat(v[o[i + 1]:o[i + 2]].reshape(k, n * n))
+                          for i, (n, k) in enumerate(self.stacks)]
 
     def vec(self, lin: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate([lin] + [b.vec(m).ravel()
-                                       for (b, _), m in zip(self.stacks, stacks)])
+        return np.concatenate([lin] + [_vec(m).ravel() for m in stacks])
 
 
 @dataclass
 class _BlockRows:
     """The rows on one Hermitian block: ``groups`` of embeddings (row slice,
-    target basis, drop, scale) on the block's ``layout``, and the other rows
+    drop, scale) on the block's ``layout``, and the other rows
     ``mrows`` with coefficient matrices ``hmats`` and constraint columns
     ``a_block``."""
 
@@ -198,22 +210,21 @@ class _BlockRows:
 
 def _block_rows(problem: SdpProblem, cone: _Cone) -> list[_BlockRows]:
     out = []
-    for k, basis in zip(cone.mat, cone.bases):
-        name = problem.blocks[k].name
+    for k in cone.mat:
+        name, n = problem.blocks[k].name, problem.blocks[k].dim
         a_block = problem.a[name]
         emb = [e for e in problem.embeddings if e.block == name]
         layouts = {e.dims for e in emb if e.drop}
         if len(layouts) > 1:
             emb = []    # no common factorization: every row is paired as a matrix
-        layout = layouts.pop() if len(layouts) == 1 else (basis.n,)
-        groups = [(slice(e.start, e.start + e.dim ** 2), _basis(e.dim), e.drop, e.scale)
-                  for e in emb]
+        layout = layouts.pop() if len(layouts) == 1 else (n,)
+        groups = [(slice(e.start, e.start + e.dim ** 2), e.drop, e.scale) for e in emb]
         mrows = np.diff(a_block.indptr) > 0
         for rows, *_ in groups:
             mrows[rows] = False
         mrows = np.flatnonzero(mrows)
         out.append(_BlockRows(layout, groups, mrows,
-                              basis.mat(a_block[mrows].toarray()), a_block))
+                              _mat(a_block[mrows].toarray()), a_block))
     return out
 
 
@@ -225,18 +236,17 @@ def _schur(a_lin: np.ndarray, p_lin: np.ndarray, blocks: list[_BlockRows],
     schur = (a_lin * p_lin) @ a_lin.T
     for blk, w in zip(blocks, w_list):
         wt = w.reshape(blk.layout * 2)
-        for a, (rows_g, basis_g, drop_g, scale_g) in enumerate(blk.groups):
+        for a, (rows_g, drop_g, scale_g) in enumerate(blk.groups):
             for b in range(a, len(blk.groups)):
-                rows_h, basis_h, drop_h, scale_h = blk.groups[b]
-                k = _pair_map(wt, blk.layout, drop_g, drop_h)
-                m_gh = (scale_g * scale_h) * basis_g.pair(basis_h, k)
+                rows_h, drop_h, scale_h = blk.groups[b]
+                m_gh = (scale_g * scale_h) * _pair_block(wt, blk.layout, drop_g, drop_h)
                 schur[rows_g, rows_h] += m_gh
                 if b != a:
                     schur[rows_h, rows_g] += m_gh.T
         if blk.mrows.size:
             # column i: <A_j, W H_i W> for every row j; the (mrows, mrows)
             # part would be added twice
-            r = blk.a_block @ _basis(w.shape[0]).vec(w @ blk.hmats @ w).T
+            r = blk.a_block @ _vec(w @ blk.hmats @ w).T
             schur[:, blk.mrows] += r
             schur[blk.mrows, :] += r.T
             schur[np.ix_(blk.mrows, blk.mrows)] -= r[blk.mrows]
@@ -391,7 +401,7 @@ def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
     c_parts = cone.split(c)
 
     xv = cone.vec(np.ones(len(cone.lin)),
-                  [np.broadcast_to(np.eye(bs.n), (k, bs.n, bs.n)) for bs, k in cone.stacks])
+                  [np.broadcast_to(np.eye(n), (k, n, n)) for n, k in cone.stacks])
     sv = xv.copy()
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0

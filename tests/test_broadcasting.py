@@ -76,6 +76,19 @@ class TestApproxOverhead:
             val = half_diamond_distance(phi, lower_bound_samples=1).value
             assert val <= thr + 1e-5
 
+    def test_unequal_thresholds_solve_the_mirror_exactly(self):
+        # a < b is solved as (b, a) with the receivers exchanged back
+        a, b = 0.05, 0.3
+        res, mirror = bc.approx_overhead((a, b), 2), bc.approx_overhead((b, a), 2)
+        assert res.status == mirror.status == "optimal"
+        assert res.nu == mirror.nu
+        diff = res.decomposition.difference()
+        g = gamma_operator(2)
+        for m, thr in ((1, a), (2, b)):
+            phi = ChoiOperator(marginal_choi(diff, drop=3 - m).op - g, 2, (2,))
+            val = half_diamond_distance(phi, lower_bound_samples=1).value
+            assert val <= thr + 1e-5, m
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             bc.approx_overhead((1.5, 0.0), 2)

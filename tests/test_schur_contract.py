@@ -32,7 +32,7 @@ from vbroadcast.sdp import (
     scalar_term,
     solve,
 )
-from vbroadcast.sdp.problem import _basis
+from vbroadcast.sdp.problem import _mat, _vec
 from scipy.linalg import blas
 
 from vbroadcast.sdp import solver
@@ -61,8 +61,8 @@ def rand_pd(rng, n):
 
 @st.composite
 def problems(draw):
-    """Builder problems on a (d, d, d) block J, a (d, d) block Z, a scalar and
-    a free scalar: partial traces with every drop, full terms, two terms on
+    """Builder problems on a (d, d, d) block J, a (d, d) block Z and two
+    scalars: partial traces with every drop, full terms, two terms on
     one block in one equation, scalar terms, a second layout of J, and scalar
     rows with matrix coefficients."""
     d = draw(st.sampled_from([2, 3]))
@@ -72,7 +72,7 @@ def problems(draw):
     b.add_psd_block("J", d ** 3)
     b.add_psd_block("Z", d * d)
     b.add_scalar("x")
-    b.add_free_scalar("f")
+    b.add_scalar("f")
     # at d = 3 the keep-all layout would give 729 rows per equation
     drops = ALL_DROPS if d == 2 else ALL_DROPS[1:]
     for drop in draw(st.lists(st.sampled_from(drops), min_size=1, max_size=4)):
@@ -111,7 +111,7 @@ def dense_schur(problem, w):
     m = problem.n_rows
     ref = np.zeros((m, m))
     for blk in problem.blocks:
-        aw = _basis(blk.dim).mat(problem.a[blk.name].toarray()) @ w[blk.name]
+        aw = _mat(problem.a[blk.name].toarray()) @ w[blk.name]
         ref += np.einsum("iab,jba->ij", aw, aw).real
     return ref
 
@@ -123,7 +123,7 @@ def test_structured_schur_matches_dense_reference(case):
     cone = _Cone([b.dim for b in problem.blocks])
     a_full, _, _ = _assemble(problem, cone)
     p_lin = rng.uniform(0.2, 3.0, len(cone.lin))
-    w_mats = [rand_pd(rng, basis.n) for basis in cone.bases]
+    w_mats = [rand_pd(rng, problem.blocks[k].dim) for k in cone.mat]
     blocks = _block_rows(problem, cone)
     got = _schur(a_full[:, :len(cone.lin)].toarray(), p_lin, blocks, w_mats)
 
@@ -149,7 +149,7 @@ def test_rows_evaluate_partial_trace(dims, data):
     b.add_operator_eq([term], np.zeros((kept, kept), dtype=complex))
     problem = b.build()
     x = rand_hermitian(rng, n)
-    want = scale * _basis(kept).vec(partial_trace(x, dims, drop))
+    want = scale * _vec(partial_trace(x, dims, drop))
     got = problem.constraint_values({"X": x})
     assert np.allclose(got, want, rtol=0, atol=1e-12 * (1.0 + np.abs(want).max()))
     # the certificate's adjoint is the adjoint of these rows
@@ -162,16 +162,15 @@ def test_rows_evaluate_partial_trace(dims, data):
 @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
 def test_hermitian_coordinates_round_trip(n, seed):
     rng = np.random.default_rng(seed)
-    basis = _basis(n)
     x = rand_hermitian(rng, n)
-    assert np.allclose(basis.mat(basis.vec(x)), x, rtol=0, atol=1e-14)
-    elements = basis.mat(np.eye(basis.N))
+    assert np.allclose(_mat(_vec(x)), x, rtol=0, atol=1e-14)
+    elements = _mat(np.eye(n * n))
     assert np.allclose(elements, elements.conj().transpose(0, 2, 1), rtol=0, atol=0)
     gram = np.einsum("aij,bji->ab", elements, elements)
-    assert np.allclose(gram, np.eye(basis.N), rtol=0, atol=1e-15)
+    assert np.allclose(gram, np.eye(n * n), rtol=0, atol=1e-15)
     # coordinate r is the inner product with basis element r
     want = np.einsum("aij,ji->a", elements, x).real
-    assert np.allclose(basis.vec(x), want, rtol=0, atol=1e-13)
+    assert np.allclose(_vec(x), want, rtol=0, atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,14 +182,13 @@ def test_cone_stacks_round_trip(dims, seed):
     assert cone.lin == [k for k, n in enumerate(dims) if n == 1]
     assert sorted(cone.mat) == [k for k, n in enumerate(dims) if n > 1]
     assert [(-dims[k], k) for k in cone.mat] == sorted((-dims[k], k) for k in cone.mat)
-    assert [b.n for b in cone.bases] == [dims[k] for k in cone.mat]
     lin = rng.standard_normal(len(cone.lin))
     mats = [rand_hermitian(rng, dims[k]) for k in cone.mat]
     # the vector is lin, then each block's own coordinates in cone.mat order
-    v = np.concatenate([lin] + [_basis(dims[k]).vec(m) for k, m in zip(cone.mat, mats)])
+    v = np.concatenate([lin] + [_vec(m) for m in mats])
     got_lin, stacks = cone.split(v)
     assert np.array_equal(got_lin, lin)
-    assert [s.shape[1:] for s in stacks] == [(b.n, b.n) for b, _ in cone.stacks]
+    assert [s.shape for s in stacks] == [(k, n, n) for n, k in cone.stacks]
     assert len({s.shape[1] for s in stacks}) == len(stacks)
     flat = [m for s in stacks for m in s]
     assert len(flat) == len(mats)

@@ -17,8 +17,9 @@ The value is nu (mu for ``min_error``).  A solve that raises is recorded
 with the status and iteration count of its last SDP solution and no value.
 
 ``compare`` prints the largest |value difference| over solves with a value
-in both files, every status difference, and the iteration totals over the
-solves whose status is the same in both.  It exits 1 when the two files hold
+in both files (and the solve it is at, when it is not 0), every status
+difference, and the iteration totals over the solves whose status is the
+same in both.  It exits 1 when the two files hold
 different solve sets or any status differs, else 0.
 """
 
@@ -79,7 +80,8 @@ def compare(before: dict, after: dict) -> tuple[list[str], bool]:
     diffs = [(abs(before[k]["value"] - after[k]["value"]), k) for k in keys
              if before[k]["value"] is not None and after[k]["value"] is not None]
     worst, at = max(diffs, default=(0.0, "-"))
-    lines.append(f"max |value difference| {worst:.3g} at {at} over {len(diffs)} solves")
+    where = f" at {at}" if worst > 0 else ""
+    lines.append(f"max |value difference| {worst:.3g}{where} over {len(diffs)} solves")
     same = [k for k in keys if before[k]["status"] == after[k]["status"]]
     for k in keys:
         if k not in same:
