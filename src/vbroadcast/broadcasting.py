@@ -20,12 +20,45 @@ The problems solved:
 * ``discard_prepare_point`` -- the explicit teleport/discard-and-prepare
                               construction that certifies the closed-form
                               error bound ``min_error_upper_bound``.
+
+Symmetry reduction.  Every problem but ``overhead_of_map`` is invariant under
+conj(U) (x) U (x) U on (B, B1, B2), and twirling a feasible point over that
+group keeps it feasible at the same nu, so these SDPs are solved over the
+commutant (Gatermann and Parrilo, JPAA 192 (2004); Mozrzymas, Studzinski and
+Horodecki, "A simplified formalism for the walled Brauer algebra", 2018).
+Under the group, (B, B1, B2) holds two copies of the fundamental irrep, with
+frames u_1k = |G>_{B B1}|k>_{B2} / sqrt(d) and u_2k = |G>_{B B2}|k>_{B1} / sqrt(d)
+(k = 1..d), plus the traceless parts of B (x) Sym(B1 B2), of dimension
+D_S = d(d+2)(d-1)/2, and, for d >= 3, of B (x) Anti(B1 B2), of dimension
+D_A = d(d-2)(d+1)/2.  A covariant Choi operator is therefore
+
+    J = sum_ab P_ab sum_k |u_ak><u_bk| + s (d / D_S) Pi_S + a (d / D_A) Pi_A
+
+with a 2 x 2 block P >= 0 and scalars s, a >= 0 (Pi_S, Pi_A the projectors
+onto the two traceless parts); J >= 0 exactly when they are.  Each term is
+normalized to trace-preserving weight 1, so every coefficient below is O(1)
+in d.  With G = [[1, 1/d], [1/d, 1]], the Gram matrix of the two frames, and
+g_k its k-th row:
+
+* Tr_{B1 B2} J = w I_B with w = <G, P> + s + a;
+* the marginal Tr_{other}[J] on (B, B_k) is
+  gamma Gamma + pi d (I - Gamma/d) / (d^2 - 1) with gamma = <g_k g_k^T, P>
+  and pi = w - gamma;
+* a covariant witness on (B, B_k) is Z = z_gamma Gamma
+  + z_pi d (I - Gamma/d) / (d^2 - 1), z >= 0, with Tr_{B_k} Z = (z_gamma + z_pi) I_B.
+
+So each J_i is the blocks P_i, S_i (and A_i), and every weight, marginal,
+witness and cap constraint is one or two scalar rows, whatever d is.  The
+decomposition on (B, B1, B2) is built from the reduced optimum only when it
+is read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +68,7 @@ from .channels import (
     depolarizing_choi,
     gamma_operator,
     marginal_choi,
+    swap_operator,
 )
 from .linalg import min_eigenvalue, permute_subsystems
 from .sdp import (
@@ -84,14 +118,21 @@ class OverheadResult:
     receivers.  ``t`` is set when the marginals are (constrained to be) in the
     depolarizing family.  ``status`` is ``uncertified`` when the solver reported
     an optimum that the independent certificate check rejects.
+    ``decomposition`` is built by ``lift`` on first access (None without an
+    optimum); for the covariant problems it holds two dense d^3 x d^3
+    operators.
     """
 
     nu: float
-    decomposition: BroadcastDecomposition | None
     status: str
     t: float | None = None
     solution: SdpSolution | None = field(default=None, repr=False)
     certificate: CertificateReport | None = field(default=None, repr=False)
+    lift: Callable[[], BroadcastDecomposition] | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def decomposition(self) -> BroadcastDecomposition | None:
+        return None if self.lift is None else self.lift()
 
     @property
     def s(self) -> float:
@@ -104,61 +145,139 @@ class OverheadResult:
 
 @dataclass
 class TradeoffPoint:
-    """Minimal balanced marginal error mu(gamma, d) at sample budget gamma."""
+    """Minimal balanced marginal error mu(gamma, d) at sample budget gamma;
+    ``nu`` = x + y of the optimum, and ``decomposition`` as in
+    :class:`OverheadResult`."""
 
     gamma: float
     d: int
     mu: float
     t: float
-    decomposition: BroadcastDecomposition | None
     status: str
+    nu: float | None = None
     solution: SdpSolution | None = field(default=None, repr=False)
     certificate: CertificateReport | None = field(default=None, repr=False)
+    lift: Callable[[], BroadcastDecomposition] | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def decomposition(self) -> BroadcastDecomposition | None:
+        return None if self.lift is None else self.lift()
 
 
 # ---------------------------------------------------------------------------
-# shared assembly pieces
+# the irreducible form of a covariant J (module docstring)
 # ---------------------------------------------------------------------------
 
-def _decomposition_builder(d: int, minimize_nu: bool = True,
-                           allow_large_blocks: bool = False) -> ProblemBuilder:
-    """Blocks J1, J2 on (B, B1, B2) plus weights with x - y = 1."""
-    builder = ProblemBuilder(allow_large_blocks=allow_large_blocks)
-    builder.add_psd_block("J1", d ** 3)
-    builder.add_psd_block("J2", d ** 3)
+def _blocks(d: int) -> tuple[str, ...]:
+    """The blocks of one J: P on the fundamental copies, S and (d >= 3) A."""
+    return ("P", "S", "A") if d >= 3 else ("P", "S")
+
+
+def _gram(d: int) -> np.ndarray:
+    """G_ab = sum_k <u_ak|u_bk> / d, the Gram matrix of the two frames."""
+    return np.array([[1.0, 1.0 / d], [1.0 / d, 1.0]])
+
+
+def _weight(d: int) -> dict:
+    """Coefficients of w, Tr_{B1 B2} J = w I_B."""
+    return {"P": _gram(d), "S": 1.0, "A": 1.0}
+
+
+def _gamma_part(d: int, receiver: int) -> dict:
+    """Coefficients of gamma = <Gamma_{B B_receiver} (x) I, J> / d^2."""
+    g = _gram(d)[receiver - 1]
+    return {"P": np.outer(g, g)}
+
+
+def _perp_part(d: int, receiver: int) -> dict:
+    """Coefficients of pi = w - gamma, the marginal's trace off Gamma."""
+    g = _gram(d)[receiver - 1]
+    return {**_weight(d), "P": _gram(d) - np.outer(g, g)}
+
+
+def _on(coeffs: dict, j: int, d: int, scale: float = 1.0) -> dict:
+    """``scale`` times ``coeffs`` on the blocks of J_j."""
+    return {f"{name}{j}": scale * v for name, v in coeffs.items() if name in _blocks(d)}
+
+
+def _of_difference(coeffs: dict, d: int) -> dict:
+    """``coeffs`` applied to J1 - J2."""
+    return {**_on(coeffs, 1, d), **_on(coeffs, 2, d, -1.0)}
+
+
+def _frames(d: int) -> np.ndarray:
+    """The frame vectors u_ak as the rows (a, k) of a (2d, d^3) array."""
+    u = np.zeros((2, d, d, d, d))
+    i, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    u[0, k, i, i, k] = 1.0          # |i>_B |i>_B1 |k>_B2
+    u[1, k, i, k, i] = 1.0          # |i>_B |k>_B1 |i>_B2
+    return u.reshape(2 * d, d ** 3) / math.sqrt(d)
+
+
+def _covariant_choi(p: np.ndarray, s: float, a: float, d: int) -> np.ndarray:
+    """The d^3 x d^3 operator J of the irreducible form (P, s, a).
+
+    Pi_S is I_B (x) (I + SWAP)/2 less its fundamental copy, spanned by the
+    u_1k + u_2k, and Pi_A likewise with I - SWAP and u_1k - u_2k; both
+    fundamental parts are subtracted inside the 2 x 2 block.
+    """
+    core = np.array(p, dtype=complex)
+    op = np.zeros((d ** 3, d ** 3), dtype=complex)
+    swap = np.kron(np.eye(d), swap_operator(d))
+    for weight, dim, sign in ((s, d * (d + 2) * (d - 1) // 2, 1.0),
+                              (a, d * (d - 2) * (d + 1) // 2, -1.0)):
+        if dim:
+            c = weight * d / dim
+            core -= c * np.array([[1.0, sign], [sign, 1.0]]) / (2.0 + 2.0 * sign / d)
+            op += c * (np.eye(d ** 3) + sign * swap) / 2.0
+    u = _frames(d)
+    return op + u.T @ np.kron(core, np.eye(d)) @ u
+
+
+def _covariant_decomposition(sol: SdpSolution, d: int,
+                             exchange: bool = False) -> BroadcastDecomposition:
+    """J1, J2 on (B, B1, B2) of a reduced optimum; ``exchange`` swaps the two
+    receivers, which exchanges the frames: P -> X P X."""
+    def choi(j: int) -> ChoiOperator:
+        p = sol.x_blocks[f"P{j}"]
+        if exchange:
+            p = p[::-1, ::-1]
+        a = sol.scalar(f"A{j}") if d >= 3 else 0.0
+        return ChoiOperator(_covariant_choi(p, sol.scalar(f"S{j}"), a, d), d, (d, d))
+
+    return BroadcastDecomposition(j1=choi(1), j2=choi(2), x=sol.scalar("x"),
+                                  y=sol.scalar("y"))
+
+
+def _covariant_builder(d: int, minimize_nu: bool = True) -> ProblemBuilder:
+    """The blocks of J1 and J2 in irreducible form and the weights x, y, with
+    the rows w(J1) = x, w(J2) = y and x - y = 1."""
+    builder = ProblemBuilder()
+    for j in (1, 2):
+        for name in _blocks(d):
+            builder.add_psd_block(f"{name}{j}", 2 if name == "P" else 1)
     builder.add_scalar("x")
     builder.add_scalar("y")
     if minimize_nu:
         builder.minimize({"x": 1.0, "y": 1.0})
-    _add_weight_rows(builder, d)
+    builder.add_scalar_eq({**_on(_weight(d), 1, d), "x": -1.0}, 0.0, label="weight1")
+    builder.add_scalar_eq({**_on(_weight(d), 2, d), "y": -1.0}, 0.0, label="weight2")
+    builder.add_scalar_eq({"x": 1.0, "y": -1.0}, 1.0, label="unit_difference")
     return builder
 
 
-def _add_weight_rows(builder: ProblemBuilder, d: int) -> None:
-    dd = (d, d, d)
-    zero = np.zeros((d, d), dtype=complex)
-    builder.add_operator_eq(
-        [ptrace_term("J1", dd, drop=(1, 2)), scalar_term("x", np.eye(d), scale=-1.0)],
-        zero, label="weight1")
-    builder.add_operator_eq(
-        [ptrace_term("J2", dd, drop=(1, 2)), scalar_term("y", np.eye(d), scale=-1.0)],
-        zero, label="weight2")
-    builder.add_scalar_eq({"x": 1.0, "y": -1.0}, 1.0, label="unit_difference")
+def _pin_marginals(builder: ProblemBuilder, d: int, gamma: float,
+                   extra: dict | None = None) -> None:
+    """Fix gamma of both marginals of J1 - J2 (plus ``extra``) to ``gamma``;
+    with the weight rows, this fixes the whole covariant marginal."""
+    for k in (1, 2):
+        builder.add_scalar_eq({**_of_difference(_gamma_part(d, k), d), **(extra or {})},
+                              gamma, label=f"marginal{k}")
 
 
-def _marginal_terms(d: int, marginal: int) -> list:
-    """Terms evaluating Tr_{other output}[J1 - J2]; marginal 1 keeps B1."""
-    dd = (d, d, d)
-    drop = (2,) if marginal == 1 else (1,)
-    return [ptrace_term("J1", dd, drop=drop),
-            ptrace_term("J2", dd, drop=drop, scale=-1.0)]
-
-
-def _swap_receivers(j: ChoiOperator) -> ChoiOperator:
-    """The Choi operator on (B, B2, B1): the two receivers exchanged."""
-    d = j.in_dim
-    return ChoiOperator(permute_subsystems(j.op, (d, d, d), (0, 2, 1)), d, j.out_dims)
-
+# ---------------------------------------------------------------------------
+# shared result assembly
+# ---------------------------------------------------------------------------
 
 def _extract_decomposition(sol: SdpSolution, in_dim: int,
                            out_dims: tuple[int, ...]) -> BroadcastDecomposition:
@@ -170,8 +289,8 @@ def _extract_decomposition(sol: SdpSolution, in_dim: int,
     )
 
 
-def _outcome(problem, sol, in_dim, out_dims, kind: str):
-    """(objective, status, decomposition, certificate) of a finished solve.
+def _outcome(problem, sol, lift, kind: str):
+    """(objective, status, lift, certificate) of a finished solve.
 
     An optimum is checked by the independent certificate and reported as
     ``uncertified`` when the check fails; an infeasibility certificate is an
@@ -181,18 +300,18 @@ def _outcome(problem, sol, in_dim, out_dims, kind: str):
     if sol.status == STATUS_OPTIMAL:
         cert = check_certificate(problem, sol, tol=1e-6)
         return (float(sol.primal_objective),
-                STATUS_OPTIMAL if cert.passed else STATUS_UNCERTIFIED,
-                _extract_decomposition(sol, in_dim, out_dims), cert)
+                STATUS_OPTIMAL if cert.passed else STATUS_UNCERTIFIED, lift, cert)
     if sol.status in (STATUS_PRIMAL_INFEASIBLE, STATUS_DUAL_INFEASIBLE):
         return math.nan, sol.status, None, None
     raise SolverFailure(f"{kind} SDP failed: {sol.status} "
                         f"({sol.diagnostics.get('note', '')})", sol.status)
 
 
-def _finish(problem, sol, in_dim, out_dims, t=None) -> OverheadResult:
-    nu, status, dec, cert = _outcome(problem, sol, in_dim, out_dims, "overhead")
-    return OverheadResult(nu=nu, decomposition=dec, status=status, t=t,
-                          solution=sol, certificate=cert)
+def _finish(problem, sol, d, t=None, exchange=False) -> OverheadResult:
+    lift = functools.partial(_covariant_decomposition, sol, d, exchange)
+    nu, status, lift, cert = _outcome(problem, sol, lift, "overhead")
+    return OverheadResult(nu=nu, status=status, t=t, solution=sol,
+                          certificate=cert, lift=lift)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +323,8 @@ def overhead_of_map(j: ChoiOperator, config: SolverConfig | None = None) -> Over
 
     Always feasible for trace-preserving Hermitian input (the positive part
     of a scaled decomposition works), so an infeasibility status indicates a
-    non-TP input.
+    non-TP input.  A fixed map has no symmetry to reduce by: this SDP is
+    posed on dense blocks.
     """
     dtot = j.in_dim * j.out_dim
     builder = ProblemBuilder()
@@ -226,30 +346,28 @@ def overhead_of_map(j: ChoiOperator, config: SolverConfig | None = None) -> Over
     builder.add_scalar_eq({"x": 1.0, "y": -1.0}, 1.0, label="unit_difference")
     problem = builder.build()
     sol = solve(problem, config or DEFAULT_CONFIG)
-    return _finish(problem, sol, j.in_dim, j.out_dims)
+    lift = functools.partial(_extract_decomposition, sol, j.in_dim, j.out_dims)
+    nu, status, lift, cert = _outcome(problem, sol, lift, "overhead")
+    return OverheadResult(nu=nu, status=status, solution=sol, certificate=cert,
+                          lift=lift)
 
 
-def exact_overhead(d: int, config: SolverConfig | None = None,
-                   allow_large_blocks: bool = False) -> OverheadResult:
+def exact_overhead(d: int, config: SolverConfig | None = None) -> OverheadResult:
     """Minimal nu over all maps with identity-channel marginals.
 
     The optimum has the closed form (3d - 1)/(d + 1), so the overhead
     nu^2 >= 25/9 exceeds 2 for every d >= 2: exact virtual broadcasting is
-    never sample efficient.  ``allow_large_blocks`` lifts the block-size
-    guardrail of :class:`~vbroadcast.sdp.ProblemBuilder` (d >= 6).
+    never sample efficient.
     """
-    builder = _decomposition_builder(d, allow_large_blocks=allow_large_blocks)
-    gamma = gamma_operator(d)
-    builder.add_operator_eq(_marginal_terms(d, 1), gamma, label="marginal1")
-    builder.add_operator_eq(_marginal_terms(d, 2), gamma, label="marginal2")
+    builder = _covariant_builder(d)
+    _pin_marginals(builder, d, 1.0)
     problem = builder.build()
     sol = solve(problem, config or DEFAULT_CONFIG)
-    return _finish(problem, sol, d, (d, d))
+    return _finish(problem, sol, d)
 
 
 def approx_overhead(thresholds: ErrorThresholds | tuple[float, float], d: int,
-                    config: SolverConfig | None = None,
-                    allow_large_blocks: bool = False) -> OverheadResult:
+                    config: SolverConfig | None = None) -> OverheadResult:
     """Minimal nu over maps whose marginals are (a, b)-close to the identity.
 
     Each norm constraint is the feasibility form of the diamond-norm SDP with
@@ -259,39 +377,28 @@ def approx_overhead(thresholds: ErrorThresholds | tuple[float, float], d: int,
     nonempty interior).
 
     The SDP is posed with a >= b.  For a < b the exchanged problem (b, a) is
-    solved and its J1, J2 are mapped back by exchanging the two receivers, so
+    solved and the decomposition is read with the two receivers exchanged, so
     nu(a, b) == nu(b, a) and the two share one status; ``solution`` and
     ``certificate`` then belong to the exchanged problem.
     """
     thr = thresholds if isinstance(thresholds, ErrorThresholds) else ErrorThresholds(*thresholds)
-    if thr.a < thr.b:
-        res = approx_overhead((thr.b, thr.a), d, config, allow_large_blocks)
-        dec = res.decomposition
-        if dec is not None:
-            res.decomposition = BroadcastDecomposition(
-                j1=_swap_receivers(dec.j1), j2=_swap_receivers(dec.j2), x=dec.x, y=dec.y)
-        return res
-    builder = _decomposition_builder(d, allow_large_blocks=allow_large_blocks)
-    gamma = gamma_operator(d)
-    eye_b = np.eye(d)
-    for marginal, bound in ((1, thr.a), (2, thr.b)):
+    builder = _covariant_builder(d)
+    for k, bound in enumerate((max(thr.a, thr.b), min(thr.a, thr.b)), start=1):
         if bound <= ZERO_THRESHOLD:
-            builder.add_operator_eq(_marginal_terms(d, marginal), gamma,
-                                    label=f"marginal{marginal}_exact")
+            builder.add_scalar_eq(_of_difference(_gamma_part(d, k), d), 1.0,
+                                  label=f"marginal{k}_exact")
             continue
-        z = builder.add_psd_block(f"Z{marginal}", d * d)
-        neg_marginal = [
-            ptrace_term(t.block, t.dims, t.drop, scale=-t.scale)
-            for t in _marginal_terms(d, marginal)]
-        builder.add_operator_ineq(
-            [full_term(z)] + neg_marginal, -gamma,
-            label=f"witness{marginal}_dominates")
-        builder.add_operator_ineq(
-            [ptrace_term(z, (d, d), drop=(1,), scale=-1.0)], -bound * eye_b,
-            label=f"witness{marginal}_cap")
+        zg = builder.add_scalar(f"Z{k}_gamma")
+        zp = builder.add_scalar(f"Z{k}_perp")
+        # Z_k >= M_k - Gamma on each eigenspace, then Tr_out[Z_k] <= bound I_B
+        builder.add_scalar_ineq({**_of_difference(_gamma_part(d, k), d), zg: -1.0}, 1.0,
+                                label=f"witness{k}_dominates_gamma")
+        builder.add_scalar_ineq({**_of_difference(_perp_part(d, k), d), zp: -1.0}, 0.0,
+                                label=f"witness{k}_dominates_perp")
+        builder.add_scalar_ineq({zg: 1.0, zp: 1.0}, bound, label=f"witness{k}_cap")
     problem = builder.build()
     sol = solve(problem, config or DEFAULT_CONFIG)
-    return _finish(problem, sol, d, (d, d))
+    return _finish(problem, sol, d, exchange=thr.a < thr.b)
 
 
 def approx_overhead_depolarizing(delta: float, d: int,
@@ -316,45 +423,40 @@ def depolarizing_overhead(t: float, d: int,
     operator with parameter ``t`` (any real value; the map is HPTP throughout
     and CP only inside [0, d^2/(d^2-1)]).
 
+    The marginal (1 - t) Gamma + t I/d has gamma = 1 - t + t/d^2.
     Infeasibility, if the solver ever certifies it, is reported through the
     result status rather than an exception.
     """
-    builder = _decomposition_builder(d)
-    lam = depolarizing_choi(t, d).op
-    builder.add_operator_eq(_marginal_terms(d, 1), lam, label="marginal1")
-    builder.add_operator_eq(_marginal_terms(d, 2), lam, label="marginal2")
+    builder = _covariant_builder(d)
+    _pin_marginals(builder, d, 1.0 - t + t / (d * d))
     problem = builder.build()
     sol = solve(problem, config or DEFAULT_CONFIG)
-    return _finish(problem, sol, d, (d, d), t=t)
+    return _finish(problem, sol, d, t=t)
 
 
-def min_error(gamma: float, d: int, config: SolverConfig | None = None,
-              allow_large_blocks: bool = False) -> TradeoffPoint:
+def min_error(gamma: float, d: int, config: SolverConfig | None = None) -> TradeoffPoint:
     """Smallest balanced marginal error under the budget (x + y)^2 <= gamma.
 
     Solved in the depolarizing-reduced form with the error delta as a cone
     variable tied linearly to the noise parameter, t = delta d^2/(d^2-1), and
     the quadratic budget linearized to x + y <= sqrt(gamma) (equivalent for
-    nonnegative weights).  gamma below 1 is reported as infeasible -- no
+    nonnegative weights).  The marginal (1 - t) Gamma + t I/d has
+    gamma = 1 - delta.  gamma below 1 is reported as infeasible -- no
     decomposition has x + y < 1.
     """
-    builder = _decomposition_builder(d, minimize_nu=False,
-                                     allow_large_blocks=allow_large_blocks)
-    k = d * d / (d * d - 1.0)
-    gam = gamma_operator(d)
-    tie = k * (gam - np.eye(d * d) / d)
+    builder = _covariant_builder(d, minimize_nu=False)
     builder.add_scalar("delta")
     builder.minimize({"delta": 1.0})
-    builder.add_operator_eq(_marginal_terms(d, 1) + [scalar_term("delta", tie)],
-                            gam, label="marginal1")
-    builder.add_operator_eq(_marginal_terms(d, 2) + [scalar_term("delta", tie)],
-                            gam, label="marginal2")
+    _pin_marginals(builder, d, 1.0, extra={"delta": 1.0})
     builder.add_scalar_ineq({"x": 1.0, "y": 1.0}, math.sqrt(gamma), label="budget")
     problem = builder.build()
     sol = solve(problem, config or DEFAULT_CONFIG)
-    mu, status, dec, cert = _outcome(problem, sol, d, (d, d), "trade-off")
-    return TradeoffPoint(gamma=gamma, d=d, mu=mu, t=mu * k, decomposition=dec,
-                         status=status, solution=sol, certificate=cert)
+    lift = functools.partial(_covariant_decomposition, sol, d)
+    mu, status, lift, cert = _outcome(problem, sol, lift, "trade-off")
+    nu = None if lift is None else sol.scalar("x") + sol.scalar("y")
+    return TradeoffPoint(gamma=gamma, d=d, mu=mu, t=mu * d * d / (d * d - 1.0),
+                         status=status, nu=nu, solution=sol, certificate=cert,
+                         lift=lift)
 
 
 def min_error_upper_bound(gamma: float, d: int) -> float:

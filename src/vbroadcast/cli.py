@@ -14,15 +14,14 @@ Subcommands, with the flags each reads:
 * ``verify`` -- run the acceptance suite, one PASS/FAIL line per criterion
 
 The four solve commands also read ``--tol-gap``, ``--tol-feas``,
-``--max-iter``, ``--out``, ``--format``, ``--jobs`` and ``--allow-large-dim``.
-A subcommand rejects any other flag, and an empty list argument, with exit
-code 2.
+``--max-iter``, ``--out`` and ``--format``.  A subcommand rejects any other
+flag, and an empty list argument, with exit code 2.  Every covariant problem
+is solved in symmetry-reduced form, whose size does not grow with ``--dim``.
 
 Output files go through :mod:`vbroadcast.records` (fixed CSV header, 9
 significant digits, rows sorted by inputs); relative ``--out`` paths resolve
 against ``$VBROADCAST_OUT_DIR`` when set.  Exit codes: 0 success, 1 verify
-failure, 2 bad arguments (including blocks past the size guardrail without
-``--allow-large-dim``), 3 solver failure or an uncertified optimum, 4 output
+failure, 2 bad arguments, 3 solver failure or an uncertified optimum, 4 output
 I/O failure.  A point whose solve fails is still written, with its status and
 empty outputs.
 """
@@ -30,12 +29,10 @@ empty outputs.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -50,7 +47,6 @@ from .sdp import (
     SolverConfig,
     SolverFailure,
 )
-from .sdp.problem import MAX_BLOCK_DIM
 
 OUT_DIR_ENV = "VBROADCAST_OUT_DIR"
 
@@ -85,10 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"${OUT_DIR_ENV})")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default="csv")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--allow-large-dim", action="store_true",
-                       help=f"accept SDP blocks above dimension {MAX_BLOCK_DIM} "
-                            "(d >= 6)")
         p.set_defaults(run=_run_solves)
 
     p = sub.add_parser("exact", help="exact-broadcasting overhead")
@@ -159,24 +151,22 @@ def _exit_code(statuses: list[str]) -> int:
     return 0
 
 
-# -- solves (module level so process pools can pickle the worker) ------------
+# -- solves -------------------------------------------------------------------
 
-def _solve_point(point: SweepRecord, config: SolverConfig,
-                 allow_large: bool) -> SweepRecord:
+def _solve_point(point: SweepRecord, config: SolverConfig) -> SweepRecord:
     """``point`` with its outputs filled in: ``min_error`` when it has a
     ``gamma``, ``approx_overhead`` when it has thresholds ``a`` and ``b``,
     else ``exact_overhead``, each at dimension ``d``.  A solve that fails
     gives the point its status and no outputs."""
     t0 = time.perf_counter()
-    kwargs = dict(config=config, allow_large_blocks=allow_large)
     try:
         if point.gamma is not None:
-            res = bc.min_error(point.gamma, point.d, **kwargs)
-            nu = res.decomposition.nu if res.decomposition else None
-            outputs = dict(mu=res.mu, t=res.t, nu=nu, s=None if nu is None else nu ** 2)
+            res = bc.min_error(point.gamma, point.d, config=config)
+            outputs = dict(mu=res.mu, t=res.t, nu=res.nu,
+                           s=None if res.nu is None else res.nu ** 2)
         else:
-            res = (bc.exact_overhead(point.d, **kwargs) if point.a is None
-                   else bc.approx_overhead((point.a, point.b), point.d, **kwargs))
+            res = (bc.exact_overhead(point.d, config=config) if point.a is None
+                   else bc.approx_overhead((point.a, point.b), point.d, config=config))
             outputs = dict(nu=res.nu, s=res.s)
     except SolverFailure as exc:
         return replace(point, status=exc.status, seconds=time.perf_counter() - t0)
@@ -224,17 +214,11 @@ def _run_solves(args: argparse.Namespace) -> int:
     points = _points(args)
     if min(args.tol_gap, args.tol_feas) <= 0:
         raise ValueError("tolerances must be positive")
-    if args.max_iter < 1 or args.jobs < 1:
-        raise ValueError("max-iter and jobs must be positive")
+    if args.max_iter < 1:
+        raise ValueError("max-iter must be positive")
     config = SolverConfig(tol_gap=args.tol_gap, tol_feas=args.tol_feas,
                           max_iter=args.max_iter)
-    solve_point = functools.partial(_solve_point, config=config,
-                                    allow_large=args.allow_large_dim)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(solve_point, points))
-    else:
-        records = [solve_point(p) for p in points]
+    records = [_solve_point(p, config) for p in points]
     single = args.subcommand in ("exact", "min-error")
     if single:
         print(_summary(records[0]))

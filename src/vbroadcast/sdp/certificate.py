@@ -23,7 +23,9 @@ STATUS_UNCERTIFIED = "uncertified"
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Residual report; ``passed`` is None when the solve was not optimal."""
+    """Residual report; ``passed`` is None when the solve was not optimal.
+    ``worst_row`` names the constraint of the row with the largest primal
+    residual."""
 
     passed: bool | None
     status: str
@@ -33,6 +35,7 @@ class CertificateReport:
     duality_gap: float
     min_eig_x: float
     min_eig_s: float
+    worst_row: str = ""
     details: str = ""
 
 
@@ -47,8 +50,9 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution,
     s = solution.s_blocks
     b = problem.b
 
-    vals = problem.constraint_values(x)
-    pres = float(np.max(np.abs(vals - b), initial=0.0)) / (1.0 + float(np.max(np.abs(b), initial=0.0)))
+    resid = np.abs(problem.constraint_values(x) - b)
+    pres = float(np.max(resid, initial=0.0)) / (1.0 + float(np.max(np.abs(b), initial=0.0)))
+    worst_row = problem.row_label(int(np.argmax(resid))) if resid.size else ""
 
     cmats = problem.objective_matrices()
     adj = problem.adjoint(solution.y)
@@ -77,15 +81,17 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution,
         return CertificateReport(
             passed=None, status=solution.status, primal_residual=pres,
             dual_residual=dres, complementarity=compl, duality_gap=gap,
-            min_eig_x=float(min_x), min_eig_s=float(min_s),
+            min_eig_x=float(min_x), min_eig_s=float(min_s), worst_row=worst_row,
             details="no pass/fail verdict for a non-optimal solve")
 
     passed = (pres <= tol and dres <= tol and compl <= tol and gap <= tol
               and min_x >= -tol and min_s >= -tol)
     details = "" if passed else (
-        f"primal {pres:.2e}, dual {dres:.2e}, compl {compl:.2e}, gap {gap:.2e}, "
-        f"min eig X {min_x:.2e}, min eig S {min_s:.2e} vs tol {tol:.1e}")
+        f"primal {pres:.2e} (worst row: {worst_row}), dual {dres:.2e}, "
+        f"compl {compl:.2e}, gap {gap:.2e}, min eig X {min_x:.2e}, "
+        f"min eig S {min_s:.2e} vs tol {tol:.1e}")
     return CertificateReport(
         passed=passed, status=solution.status, primal_residual=pres,
         dual_residual=dres, complementarity=compl, duality_gap=gap,
-        min_eig_x=float(min_x), min_eig_s=float(min_s), details=details)
+        min_eig_x=float(min_x), min_eig_s=float(min_s), worst_row=worst_row,
+        details=details)

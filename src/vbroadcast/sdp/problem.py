@@ -76,10 +76,19 @@ class SdpProblem:
     c: dict[str, np.ndarray]
     allow_large_blocks: bool = False
     embeddings: list[Embedding] = field(default_factory=list)
+    labels: list[tuple[int, int, str]] = field(default_factory=list)
 
     @property
     def n_rows(self) -> int:
         return self.b.size
+
+    def row_label(self, row: int) -> str:
+        """The name of the constraint that row ``row`` belongs to, from the
+        ``(start, stop, label)`` row ranges in ``labels``."""
+        for start, stop, label in self.labels:
+            if start <= row < stop:
+                return label
+        return f"row {row}"
 
     def block(self, name: str) -> BlockSpec:
         for b in self.blocks:
@@ -115,6 +124,9 @@ class SdpProblem:
             if (int(np.prod(e.dims)) != dims.get(e.block)
                     or not 0 <= e.start <= e.start + e.dim ** 2 <= m):
                 raise ValueError(f"embedding of block {e.block!r} does not fit the problem")
+        for start, stop, label in self.labels:
+            if not 0 <= start < stop <= m:
+                raise ValueError(f"rows {start}:{stop} of {label!r} do not fit the problem")
 
     # -- evaluation helpers used by the certificate checker ------------------
 
@@ -219,8 +231,8 @@ class ProblemBuilder:
     """Incremental construction of an :class:`SdpProblem`.
 
     Coefficients are written as sparse (row, coordinate, value) entries per
-    block.  The ``label`` arguments name constraints at the call site; the
-    problem does not store them.
+    block.  A nonempty ``label`` names the rows of its constraint; the problem
+    keeps the names as row ranges.
     """
 
     def __init__(self, allow_large_blocks: bool = False):
@@ -229,6 +241,7 @@ class ProblemBuilder:
         self._b: list[float] = []
         self._c: dict[str, np.ndarray] = {}
         self._embeddings: list[Embedding] = []
+        self._labels: list[tuple[int, int, str]] = []
         self.allow_large_blocks = allow_large_blocks
 
     # -- variables -----------------------------------------------------------
@@ -273,6 +286,10 @@ class ProblemBuilder:
 
     # -- constraints ----------------------------------------------------------
 
+    def _label(self, start: int, label: str) -> None:
+        if label:
+            self._labels.append((start, len(self._b), label))
+
     def add_scalar_eq(self, coeffs: dict[str, float | np.ndarray], rhs: float,
                       label: str = "") -> None:
         row = len(self._b)
@@ -281,6 +298,7 @@ class ProblemBuilder:
             nz = np.flatnonzero(v)
             self._a.setdefault(name, []).append((np.full(nz.size, row), nz, v[nz]))
         self._b.append(float(rhs))
+        self._label(row, label)
 
     def add_scalar_ineq(self, coeffs: dict[str, float | np.ndarray], rhs: float,
                         label: str = "") -> str:
@@ -326,6 +344,7 @@ class ProblemBuilder:
             self._a.setdefault(block, []).append(entry)
         self._embeddings += embeddings
         self._b.extend(_vec(rhs))
+        self._label(start, label)
 
     def add_operator_ineq(self, terms: Sequence[OpTerm], rhs: np.ndarray,
                           label: str = "") -> str:
@@ -351,7 +370,7 @@ class ProblemBuilder:
         p = SdpProblem(blocks=[BlockSpec(n, d) for n, d in self._dims.items()],
                        a=a, b=np.array(self._b), c=c,
                        allow_large_blocks=self.allow_large_blocks,
-                       embeddings=list(self._embeddings))
+                       embeddings=list(self._embeddings), labels=list(self._labels))
         p.validate()
         return p
 
@@ -365,13 +384,15 @@ def dump_problem(problem: SdpProblem, path: str) -> None:
 
     Format (one record per line, '#' starts a comment):
 
+        # rows <first>-<last> <label>
         block <index> <name> <complex_dim>
         obj   <block_index> <row> <col> <re> <im>
         con   <constraint_index> <block_index> <row> <col> <re> <im>
         rhs   <constraint_index> <value>
 
     Only the nonzero entries with row <= col are listed; the mirrored
-    conjugate entry is implied.  Suitable for cross-checking against
+    conjugate entry is implied.  A comment names the constraint rows of each
+    labelled range.  Suitable for cross-checking against
     external solvers.
 
     Row p * n + q of an operator equation is <E_pq, .> with
@@ -393,6 +414,8 @@ def dump_problem(problem: SdpProblem, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("# vbroadcast SDP dump: minimize sum_k <C_k, X_k> "
                  "s.t. <A_i, X> = b_i, X >= 0\n")
+        for start, stop, label in problem.labels:
+            fh.write(f"# rows {start}-{stop - 1} {label}\n")
         for k, blk in enumerate(problem.blocks):
             fh.write(f"block {k} {blk.name} {blk.dim}\n")
         for k, blk in enumerate(problem.blocks):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from vbroadcast.channels import (
     marginal_choi,
 )
 from vbroadcast.diamond import half_diamond_distance
-from vbroadcast.sdp import SolverConfig, SolverFailure
+from vbroadcast.sdp import SolverConfig, SolverFailure, check_certificate, dump_problem
+from vbroadcast.sdp.solver import record_solves
 
 
 class TestOverheadOfMap:
@@ -240,6 +242,51 @@ class TestUncertified:
     def test_passed_certificate_stays_optimal(self):
         res = bc.exact_overhead(2)
         assert res.status == "optimal" and res.certificate.passed is True
+
+
+REDUCED_SOLVES = {
+    "exact": lambda: bc.exact_overhead(3),
+    "approx": lambda: bc.approx_overhead((0.1, 0.05), 3),
+    "approx-exact-marginal": lambda: bc.approx_overhead((0.0, 0.2), 3),
+    "depolarizing": lambda: bc.depolarizing_overhead(0.3, 3),
+    "min-error": lambda: bc.min_error(1.8, 3),
+}
+
+
+def _solved(kind):
+    """The (problem, solution) of one reduced solve."""
+    with record_solves() as log:
+        REDUCED_SOLVES[kind]()
+    (pair,) = log
+    return pair
+
+
+class TestRowLabels:
+    @pytest.mark.parametrize("kind", REDUCED_SOLVES)
+    def test_every_row_is_named(self, kind):
+        problem, _ = _solved(kind)
+        named = np.zeros(problem.n_rows, dtype=int)
+        for start, stop, _ in problem.labels:
+            named[start:stop] += 1
+        assert np.all(named == 1)
+
+    def test_corrupted_solve_names_its_worst_row(self):
+        problem, sol = _solved("approx")
+        scaled = replace(sol, x_blocks={k: 1.01 * v for k, v in sol.x_blocks.items()})
+        report = check_certificate(problem, scaled)
+        assert report.passed is False
+        assert report.worst_row in {label for _, _, label in problem.labels}
+        assert f"worst row: {report.worst_row}" in report.details
+
+    def test_dump_lists_every_label(self, tmp_path):
+        problem, _ = _solved("approx")
+        path = tmp_path / "problem.txt"
+        dump_problem(problem, str(path))
+        comments = path.read_text().splitlines()
+        labels = {label for _, _, label in problem.labels}
+        assert len(labels) == len(problem.labels) == 9
+        for start, stop, label in problem.labels:
+            assert f"# rows {start}-{stop - 1} {label}" in comments
 
 
 KNEE_CONFIG = SolverConfig(tol_gap=1e-9, tol_feas=1e-9)
