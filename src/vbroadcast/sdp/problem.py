@@ -106,7 +106,7 @@ class SdpProblem:
             if b.dim > MAX_BLOCK_DIM and not self.allow_large_blocks:
                 raise ValueError(
                     f"block {b.name!r} has dimension {b.dim} > {MAX_BLOCK_DIM}; "
-                    "pass allow_large_blocks=True (--allow-large-dim) to override")
+                    "pass allow_large_blocks=True to override")
             if b.dim > MAX_BLOCK_DIM:
                 warnings.warn(f"block {b.name!r} exceeds the desk-scale guardrail "
                               f"(dimension {b.dim}); expect long solve times",

@@ -184,6 +184,13 @@ class TestExitCodes:
         missing = str(tmp_path / "no" / "such" / "dir" / "x.csv")
         assert main(["exact", "--dim", "2", "--out", missing]) == 4
 
+    def test_large_dim_gate(self, capsys):
+        # d = 6 once built 216-dimensional blocks, past the guardrail of 130;
+        # reduced, every block is at most 2 x 2 and the point solves
+        assert main(["tradeoff", "--gammas", "1.8", "--dims", "6"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[2:4] == ["1.8", "6"] and row[8] == "optimal"
+
     @pytest.mark.parametrize("argv", [
         ["tradeoff", "--dims", ""],
         ["tradeoff", "--gammas", ","],
@@ -225,12 +232,12 @@ def test_cli_module_entrypoint():
 class TestLargeDim:
     """Every covariant problem is two 2 x 2 blocks plus scalars, so d = 6 needs
     no flag; the flag that once lifted the block-size guard is gone."""
+    # tradeoff is TestExitCodes.test_large_dim_gate
 
     @pytest.mark.parametrize("argv", [
         ["exact", "--dim", "6"],
         ["min-error", "--dim", "6"],
         ["sweep-ab", "--dim", "6", "--delta", "0.1"],
-        ["tradeoff", "--gammas", "1.8", "--dims", "6"],
     ])
     def test_solves_without_a_flag(self, argv, capsys):
         assert main(argv) == 0
