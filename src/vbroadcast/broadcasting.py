@@ -8,7 +8,8 @@ the number of measurement shots by nu^2 relative to running a channel.
 
 The problems solved:
 
-* ``overhead_of_map``      -- nu for a fixed HPTP Choi operator,
+* ``overhead_of_map``      -- nu for a fixed HPTP Choi operator, from the
+                              norm SDP of :mod:`vbroadcast.diamond`,
 * ``exact_overhead``       -- nu over all maps with identity marginals,
 * ``approx_overhead``      -- nu over maps whose marginals are within half
                               diamond distance (a, b) of the identity,
@@ -70,6 +71,7 @@ from .channels import (
     marginal_choi,
     swap_operator,
 )
+from .diamond import diamond_problem
 from .linalg import min_eigenvalue, permute_subsystems
 from .sdp import (
     STATUS_DUAL_INFEASIBLE,
@@ -82,9 +84,6 @@ from .sdp import (
     SolverConfig,
     SolverFailure,
     check_certificate,
-    full_term,
-    ptrace_term,
-    scalar_term,
     solve,
 )
 
@@ -279,14 +278,12 @@ def _pin_marginals(builder: ProblemBuilder, d: int, gamma: float,
 # shared result assembly
 # ---------------------------------------------------------------------------
 
-def _extract_decomposition(sol: SdpSolution, in_dim: int,
-                           out_dims: tuple[int, ...]) -> BroadcastDecomposition:
-    return BroadcastDecomposition(
-        j1=ChoiOperator(sol.x_blocks["J1"], in_dim, out_dims),
-        j2=ChoiOperator(sol.x_blocks["J2"], in_dim, out_dims),
-        x=sol.scalar("x"),
-        y=sol.scalar("y"),
-    )
+def _norm_decomposition(sol: SdpSolution, j: ChoiOperator) -> BroadcastDecomposition:
+    """J1 = Z, J2 = Z - J with x = mu, y = mu - 1 of a norm-SDP optimum."""
+    z, mu = sol.x_blocks["Z"], sol.scalar("mu")
+    return BroadcastDecomposition(j1=ChoiOperator(z, j.in_dim, j.out_dims),
+                                  j2=ChoiOperator(z - j.op, j.in_dim, j.out_dims),
+                                  x=mu, y=mu - 1.0)
 
 
 def _outcome(problem, sol, lift, kind: str):
@@ -321,35 +318,21 @@ def _finish(problem, sol, d, t=None, exchange=False) -> OverheadResult:
 def overhead_of_map(j: ChoiOperator, config: SolverConfig | None = None) -> OverheadResult:
     """Minimal nu for the fixed HPTP map with Choi operator ``j``.
 
-    Always feasible for trace-preserving Hermitian input (the positive part
-    of a scaled decomposition works), so an infeasibility status indicates a
-    non-TP input.  A fixed map has no symmetry to reduce by: this SDP is
-    posed on dense blocks.
+    This is the norm SDP of :func:`~vbroadcast.diamond.diamond_problem`: its
+    optimum Z and mu give J1 = Z, J2 = Z - J with x = mu, y = mu - 1, so
+    nu = 2 mu - 1.  A fixed map has no symmetry to reduce by: the SDP is
+    posed on a dense block.  Raises ``ValueError`` for a map that is not
+    trace preserving.
     """
-    dtot = j.in_dim * j.out_dim
-    builder = ProblemBuilder()
-    builder.add_psd_block("J1", dtot)
-    builder.add_psd_block("J2", dtot)
-    builder.add_scalar("x")
-    builder.add_scalar("y")
-    builder.minimize({"x": 1.0, "y": 1.0})
-    builder.add_operator_eq([full_term("J1"), full_term("J2", -1.0)], j.op,
-                            label="difference")
-    drop = tuple(range(1, 1 + j.n_outputs))
-    zero = np.zeros((j.in_dim, j.in_dim), dtype=complex)
-    builder.add_operator_eq(
-        [ptrace_term("J1", j.dims, drop=drop),
-         scalar_term("x", np.eye(j.in_dim), scale=-1.0)], zero, label="weight1")
-    builder.add_operator_eq(
-        [ptrace_term("J2", j.dims, drop=drop),
-         scalar_term("y", np.eye(j.in_dim), scale=-1.0)], zero, label="weight2")
-    builder.add_scalar_eq({"x": 1.0, "y": -1.0}, 1.0, label="unit_difference")
-    problem = builder.build()
+    if j.tp_residual() > 1e-6:
+        raise ValueError(f"map is not trace preserving (output trace off I_B "
+                         f"by {j.tp_residual():.2e})")
+    problem = diamond_problem(j)
     sol = solve(problem, config or DEFAULT_CONFIG)
-    lift = functools.partial(_extract_decomposition, sol, j.in_dim, j.out_dims)
-    nu, status, lift, cert = _outcome(problem, sol, lift, "overhead")
-    return OverheadResult(nu=nu, status=status, solution=sol, certificate=cert,
-                          lift=lift)
+    lift = functools.partial(_norm_decomposition, sol, j)
+    mu, status, lift, cert = _outcome(problem, sol, lift, "overhead")
+    return OverheadResult(nu=2.0 * mu - 1.0, status=status, solution=sol,
+                          certificate=cert, lift=lift)
 
 
 def exact_overhead(d: int, config: SolverConfig | None = None) -> OverheadResult:

@@ -144,7 +144,7 @@ def _exit_code(statuses: list[str]) -> int:
     else 0."""
     bad = [s for s in statuses if s not in _ANSWERS]
     if bad:
-        print(f"solver failure: {len(bad)} of {len(statuses)} solves reached neither "
+        print(f"solver failure: {len(bad)} of {len(statuses)} points reached neither "
               "a certified optimum nor an infeasibility certificate "
               f"({', '.join(sorted(set(bad)))})", file=sys.stderr)
         return 3
@@ -181,7 +181,8 @@ def _check_dims(dims: list[int]) -> None:
 
 
 def _points(args: argparse.Namespace) -> list[SweepRecord]:
-    """The inputs of every solve the subcommand runs, as records."""
+    """The inputs of every solve the subcommand runs, as records; a grid
+    lists only its points with a >= b, whose mirrors ``_run_solves`` adds."""
     if args.subcommand == "tradeoff":
         _check_dims(args.dims)
         return [SweepRecord(gamma=g, d=d) for g in args.gammas for d in args.dims]
@@ -195,7 +196,7 @@ def _points(args: argparse.Namespace) -> list[SweepRecord]:
     if args.delta is not None:
         return [SweepRecord(a=v, b=v, d=args.dim) for v in args.delta]
     axis = [float(v) for v in np.linspace(0.0, 1.0, args.grid)]
-    return [SweepRecord(a=a, b=b, d=args.dim) for a in axis for b in axis]
+    return [SweepRecord(a=a, b=b, d=args.dim) for a in axis for b in axis if a >= b]
 
 
 def _summary(rec: SweepRecord) -> str:
@@ -219,6 +220,9 @@ def _run_solves(args: argparse.Namespace) -> int:
     config = SolverConfig(tol_gap=args.tol_gap, tol_feas=args.tol_feas,
                           max_iter=args.max_iter)
     records = [_solve_point(p, config) for p in points]
+    # approx_overhead((b, a)) solves (a, b) and exchanges the receivers, so
+    # a mirror point is its partner's record with a and b exchanged
+    records += [replace(r, a=r.b, b=r.a) for r in records if r.a is not None and r.a > r.b]
     single = args.subcommand in ("exact", "min-error")
     if single:
         print(_summary(records[0]))

@@ -1,13 +1,21 @@
 """Half diamond-norm distances of Hermitian-preserving maps.
 
-For a map Phi given by a Hermitian Choi operator J on B (x) B1, half its
-diamond norm is the optimal value of
+For a map Phi given by a Hermitian Choi operator J on B (x) (outputs), the
+norm SDP
 
     minimize    mu
-    subject to  Z >= 0,  Z >= J,  mu I_B >= Tr_B1[Z],
+    subject to  Z >= 0,  Z >= J,  Tr_out[Z] = mu I_B
 
-and a norm constraint (1/2)||Phi||_diamond <= a is exactly feasibility of the
-same block system with mu fixed to a.  A seeded state-sampling lower bound
+has the value (1/2)||Phi||_diamond when Phi is trace annihilating, as the
+difference of two trace-preserving maps is.  The equality loses nothing
+against the cap Tr_out[Z] <= mu I_B: adding (mu I_B - Tr_out[Z]) (x) I_out /
+d_out to Z keeps every constraint.  Read as a decomposition, J = Z - (Z - J)
+splits the map into two completely positive parts with output traces mu I_B
+and mu I_B - Tr_out J, so for a trace-preserving J the same SDP gives the
+least x + y = 2 mu - 1 over J = J1 - J2 with Tr_out J1 = x I_B and
+Tr_out J2 = y I_B (``broadcasting.overhead_of_map``).  A norm constraint
+(1/2)||Phi||_diamond <= a is exactly feasibility of the same block system
+with mu fixed to a.  A seeded state-sampling lower bound
 (the stabilized trace norm over sampled pure inputs, with the maximally
 entangled state always included) cross-checks the SDP value: the two coincide
 for the isotropic instances used throughout and bracket it everywhere else.
@@ -54,20 +62,18 @@ class DiamondResult:
 
 
 def diamond_problem(j_phi: ChoiOperator):
-    """Assemble the norm SDP for a single-output Hermitian Choi operator."""
-    if j_phi.n_outputs != 1:
-        raise ValueError("expected a single-output Choi operator")
+    """Assemble the norm SDP for a Hermitian Choi operator with any number of
+    outputs."""
     d = j_phi.in_dim
-    dout = j_phi.out_dims[0]
     builder = ProblemBuilder()
-    builder.add_psd_block("Z", d * dout)
+    builder.add_psd_block("Z", d * j_phi.out_dim)
     builder.add_scalar("mu")
     builder.minimize({"mu": 1.0})
     builder.add_operator_ineq([full_term("Z")], j_phi.op, label="dominates")
-    builder.add_operator_ineq(
-        [scalar_term("mu", np.eye(d)),
-         ptrace_term("Z", (d, dout), drop=(1,), scale=-1.0)],
-        np.zeros((d, d), dtype=complex), label="trace_cap")
+    builder.add_operator_eq(
+        [ptrace_term("Z", j_phi.dims, drop=tuple(range(1, 1 + j_phi.n_outputs))),
+         scalar_term("mu", np.eye(d), scale=-1.0)],
+        np.zeros((d, d), dtype=complex), label="trace")
     return builder.build()
 
 
@@ -81,6 +87,8 @@ def half_diamond_distance(j_phi: ChoiOperator,
     sufficient for the supremum.  Solver failures propagate as
     :class:`~vbroadcast.sdp.SolverFailure`, a ``RuntimeError``.
     """
+    if j_phi.n_outputs != 1:
+        raise ValueError("expected a single-output Choi operator")
     problem = diamond_problem(j_phi)
     cfg = config or SolverConfig(tol_gap=1e-9, tol_feas=1e-9)
     sol = solve(problem, cfg)

@@ -396,10 +396,7 @@ def dump_problem(problem: SdpProblem, path: str) -> None:
     external solvers.
 
     Row p * n + q of an operator equation is <E_pq, .> with
-    E_pq = ((1 + i)|p><q| + (1 - i)|q><p|) / 2, so its ``con`` and ``rhs``
-    records differ from dumps written in the earlier sqrt(2) Re / Im basis:
-    the rows of each (p, q), (q, p) pair are rotated, and the feasible set is
-    the same.
+    E_pq = ((1 + i)|p><q| + (1 - i)|q><p|) / 2.
     """
     def upper_entries(coords: sp.spmatrix, n: int) -> sp.coo_matrix:
         # coordinate (p, q) is (1 + i)/2 at entry (p, q) and (1 - i)/2 at

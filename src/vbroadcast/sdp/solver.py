@@ -650,19 +650,14 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     }
 
     if inconsistency > 1e-8:
-        zero = {n: np.zeros((d, d), dtype=complex) for n, d in zip(names, dims)}
-        diagnostics["note"] = ("equality rows are linearly dependent with "
-                               f"inconsistent right-hand sides (residual {inconsistency:.2e})")
-        solution = SdpSolution(status=STATUS_PRIMAL_INFEASIBLE, x_blocks=zero,
-                               y=np.zeros(b_vec.size), s_blocks=zero,
-                               primal_objective=np.nan, dual_objective=np.nan,
-                               gap=np.nan, iterations=0, diagnostics=diagnostics)
-        for log in _ACTIVE_RECORDERS:
-            log.append((problem, solution))
-        return solution
-
-    status, xv, sv, y, info = _hsd_solve(cone, _block_rows(problem, cone),
-                                         a_full, b_vec, kept, c, cfg)
+        status, y = STATUS_PRIMAL_INFEASIBLE, np.zeros(len(kept))
+        xv = sv = np.zeros(cone.offsets[-1])
+        info = dict(iterations=0, tau=0.0, note=(
+            "equality rows are linearly dependent with inconsistent right-hand "
+            f"sides (residual {inconsistency:.2e})"))
+    else:
+        status, xv, sv, y, info = _hsd_solve(cone, _block_rows(problem, cone),
+                                             a_full, b_vec, kept, c, cfg)
     diagnostics.update(info, seconds=time.perf_counter() - t0)
 
     # certificates are rays, reported unscaled

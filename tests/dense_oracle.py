@@ -1,10 +1,11 @@
-"""Dense oracle: the broadcasting SDPs posed on full d^3 x d^3 Choi blocks.
+"""Dense oracle: the broadcasting SDPs posed on full Choi blocks J1 and J2.
 
 These are the formulations the library used before it solved the covariant
-problems in irreducible form.  Each function returns the optimal value
-(nu, or mu for ``min_error``) of the same problem as its namesake in
-:mod:`vbroadcast.broadcasting`, so the two can be compared.  The blocks grow
-as d^3: d = 6 takes seconds and a few hundred MB.
+problems in irreducible form and the overhead of a fixed map as the norm SDP.
+Each function returns the optimal value (nu, or mu for ``min_error``) of the
+same problem as its namesake in :mod:`vbroadcast.broadcasting`, so the two
+can be compared.  The covariant blocks grow as d^3: d = 6 takes seconds and a
+few hundred MB.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from vbroadcast.channels import depolarizing_choi, gamma_operator
+from vbroadcast.channels import ChoiOperator, depolarizing_choi, gamma_operator
 from vbroadcast.sdp import (
     STATUS_OPTIMAL,
     ProblemBuilder,
@@ -28,29 +29,26 @@ from vbroadcast.sdp import (
 ZERO_THRESHOLD = 1e-12
 
 
-def _decomposition_builder(d: int, minimize_nu: bool = True) -> ProblemBuilder:
-    """Blocks J1, J2 on (B, B1, B2) plus weights with x - y = 1."""
+def _decomposition_builder(dims: tuple[int, ...], minimize_nu: bool = True) -> ProblemBuilder:
+    """Blocks J1, J2 on (B, outputs...) with Tr_out J1 = x I_B,
+    Tr_out J2 = y I_B and x - y = 1."""
+    d, drop = dims[0], tuple(range(1, len(dims)))
     builder = ProblemBuilder(allow_large_blocks=True)
-    builder.add_psd_block("J1", d ** 3)
-    builder.add_psd_block("J2", d ** 3)
+    builder.add_psd_block("J1", math.prod(dims))
+    builder.add_psd_block("J2", math.prod(dims))
     builder.add_scalar("x")
     builder.add_scalar("y")
     if minimize_nu:
         builder.minimize({"x": 1.0, "y": 1.0})
-    _add_weight_rows(builder, d)
-    return builder
-
-
-def _add_weight_rows(builder: ProblemBuilder, d: int) -> None:
-    dd = (d, d, d)
     zero = np.zeros((d, d), dtype=complex)
     builder.add_operator_eq(
-        [ptrace_term("J1", dd, drop=(1, 2)), scalar_term("x", np.eye(d), scale=-1.0)],
+        [ptrace_term("J1", dims, drop=drop), scalar_term("x", np.eye(d), scale=-1.0)],
         zero, label="weight1")
     builder.add_operator_eq(
-        [ptrace_term("J2", dd, drop=(1, 2)), scalar_term("y", np.eye(d), scale=-1.0)],
+        [ptrace_term("J2", dims, drop=drop), scalar_term("y", np.eye(d), scale=-1.0)],
         zero, label="weight2")
     builder.add_scalar_eq({"x": 1.0, "y": -1.0}, 1.0, label="unit_difference")
+    return builder
 
 
 def _marginal_terms(d: int, marginal: int) -> list:
@@ -69,8 +67,15 @@ def _value(builder: ProblemBuilder, config: SolverConfig | None) -> float:
     return float(sol.primal_objective)
 
 
+def overhead_of_map(j: ChoiOperator, config: SolverConfig | None = None) -> float:
+    builder = _decomposition_builder(j.dims)
+    builder.add_operator_eq([full_term("J1"), full_term("J2", -1.0)], j.op,
+                            label="difference")
+    return _value(builder, config)
+
+
 def exact_overhead(d: int, config: SolverConfig | None = None) -> float:
-    builder = _decomposition_builder(d)
+    builder = _decomposition_builder((d, d, d))
     gamma = gamma_operator(d)
     builder.add_operator_eq(_marginal_terms(d, 1), gamma, label="marginal1")
     builder.add_operator_eq(_marginal_terms(d, 2), gamma, label="marginal2")
@@ -79,7 +84,7 @@ def exact_overhead(d: int, config: SolverConfig | None = None) -> float:
 
 def approx_overhead(thresholds: tuple[float, float], d: int,
                     config: SolverConfig | None = None) -> float:
-    builder = _decomposition_builder(d)
+    builder = _decomposition_builder((d, d, d))
     gamma = gamma_operator(d)
     for marginal, bound in zip((1, 2), thresholds):
         if bound <= ZERO_THRESHOLD:
@@ -97,7 +102,7 @@ def approx_overhead(thresholds: tuple[float, float], d: int,
 
 
 def depolarizing_overhead(t: float, d: int, config: SolverConfig | None = None) -> float:
-    builder = _decomposition_builder(d)
+    builder = _decomposition_builder((d, d, d))
     lam = depolarizing_choi(t, d).op
     builder.add_operator_eq(_marginal_terms(d, 1), lam, label="marginal1")
     builder.add_operator_eq(_marginal_terms(d, 2), lam, label="marginal2")
@@ -105,7 +110,7 @@ def depolarizing_overhead(t: float, d: int, config: SolverConfig | None = None) 
 
 
 def min_error(gamma: float, d: int, config: SolverConfig | None = None) -> float:
-    builder = _decomposition_builder(d, minimize_nu=False)
+    builder = _decomposition_builder((d, d, d), minimize_nu=False)
     k = d * d / (d * d - 1.0)
     gam = gamma_operator(d)
     tie = k * (gam - np.eye(d * d) / d)

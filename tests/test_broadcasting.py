@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dense_oracle
 from vbroadcast import broadcasting as bc
 from vbroadcast.channels import (
     ChoiOperator,
@@ -13,11 +14,49 @@ from vbroadcast.channels import (
     marginal_choi,
 )
 from vbroadcast.diamond import half_diamond_distance
+from vbroadcast.linalg import partial_trace, random_hermitian
 from vbroadcast.sdp import SolverConfig, SolverFailure, check_certificate, dump_problem
 from vbroadcast.sdp.solver import record_solves
 
 
+def random_hptp(dims, seed):
+    """A seeded random Hermitian map on (B, outputs...) shifted to be trace
+    preserving; it is not completely positive."""
+    d, dout = dims[0], math.prod(dims[1:])
+    h = random_hermitian(d * dout, np.random.default_rng(seed))
+    h -= np.kron(partial_trace(h, (d, dout), drop=1) - np.eye(d), np.eye(dout)) / dout
+    return ChoiOperator(h, d, dims[1:])
+
+
+FIXED_MAPS = {
+    "depolarizing": lambda: depolarizing_choi(0.5, 2),
+    "mixture": lambda: ChoiOperator(0.5 * depolarizing_choi(0.0, 2).op
+                                    + 0.5 * depolarizing_choi(1.0, 2).op, 2, (2,)),
+    "canonical-2": lambda: canonical_broadcast_choi(2, 0.0),
+    "canonical-2-0.3": lambda: canonical_broadcast_choi(2, 0.3),
+    "canonical-3": lambda: canonical_broadcast_choi(3, 0.0),
+    "random-one-output": lambda: random_hptp((2, 2), 11),
+    "random-two-outputs": lambda: random_hptp((2, 2, 2), 12),
+}
+
+
 class TestOverheadOfMap:
+    @pytest.mark.parametrize("name", FIXED_MAPS)
+    def test_matches_dense_decomposition_sdp(self, name):
+        j = FIXED_MAPS[name]()
+        res = bc.overhead_of_map(j)
+        assert res.status == "optimal"
+        assert abs(res.nu - dense_oracle.overhead_of_map(j)) <= 1e-7
+        res.decomposition.validate(tol=1e-6)
+        assert np.linalg.norm(res.decomposition.difference().op - j.op) <= 1e-6
+        diagnostics = res.solution.diagnostics
+        assert diagnostics["n_rows_original"] == diagnostics["n_rows_solved"]
+
+    def test_rejects_a_map_that_is_not_trace_preserving(self):
+        j = ChoiOperator(1.01 * depolarizing_choi(0.5, 2).op, 2, (2,))
+        with pytest.raises(ValueError, match="not trace preserving"):
+            bc.overhead_of_map(j)
+
     def test_physical_channel_costs_one(self):
         res = bc.overhead_of_map(depolarizing_choi(0.5, 2))
         assert res.status == "optimal"

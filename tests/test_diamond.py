@@ -6,6 +6,7 @@ from vbroadcast.channels import (
     ChoiOperator,
     apply_choi,
     apply_choi_with_ancilla,
+    canonical_broadcast_choi,
     choi_of_map,
     depolarizing_choi,
     gamma_operator,
@@ -13,7 +14,7 @@ from vbroadcast.channels import (
     max_entangled_state,
     replacement_choi,
 )
-from vbroadcast.diamond import half_diamond_distance, lower_bound_by_states
+from vbroadcast.diamond import diamond_problem, half_diamond_distance, lower_bound_by_states
 from vbroadcast.linalg import haar_unitary, min_eigenvalue, random_hermitian
 from vbroadcast.sdp import STATUS_UNCERTIFIED
 
@@ -154,8 +155,8 @@ class TestWitness:
         assert min_eigenvalue(z - phi.op) >= -1e-7
         from vbroadcast.linalg import partial_trace
 
-        cap = np.linalg.eigvalsh(partial_trace(z, (d, d), drop=1))[-1]
-        assert cap <= res.value + 1e-6
+        trace = partial_trace(z, (d, d), drop=1)
+        assert np.linalg.norm(trace - res.value * np.eye(d), 2) <= 1e-7
 
     def test_value_dominates_lower_bound(self):
         d = 2
@@ -168,6 +169,13 @@ def test_rejects_two_output_choi():
     j = choi_of_map(lambda m: np.kron(m, np.eye(2) / 2), 2, (2, 2))
     with pytest.raises(ValueError):
         half_diamond_distance(j)
+
+
+@pytest.mark.parametrize("j", [depolarizing_choi(0.5, 2), canonical_broadcast_choi(2)])
+def test_trace_rows_are_equalities(j):
+    # blocks Z, mu and the slack of Z >= J; Tr_out Z = mu I_B needs no slack
+    n = j.op.shape[0]
+    assert sorted(b.dim for b in diamond_problem(j).blocks) == [1, n, n]
 
 
 def test_identity_choi_sanity():

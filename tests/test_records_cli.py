@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from vbroadcast.records import (
     render_json,
     write_records,
 )
+from vbroadcast.sdp.solver import record_solves
 
 
 class TestRecords:
@@ -118,6 +120,18 @@ class TestCliCommands:
         by_ab = {(r.a, r.b): r.nu for r in recs}
         for (a, b), nu in by_ab.items():
             assert abs(nu - by_ab[(b, a)]) <= 1e-5
+
+    def test_sweep_solves_each_mirror_pair_once(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        # the grid holds the knee pair (0.75, 0), (0, 0.75), so the exit code
+        # is not checked here; a failed point is mirrored like any other
+        with record_solves() as log:
+            main(["sweep-ab", "--dim", "2", "--grid", "5", "--out", str(out)])
+        recs = parse_csv(out.read_text())
+        assert len(recs) == 25 and len(log) == 15
+        by_ab = {(r.a, r.b): r for r in recs}
+        for (a, b), rec in by_ab.items():
+            assert replace(by_ab[(b, a)], a=a, b=b, seconds=rec.seconds) == rec
 
     def test_sweep_delta_diagonal(self, tmp_path):
         out = str(tmp_path / "diag.csv")
@@ -278,7 +292,8 @@ class TestFailedPoints:
     def test_sweep_writes_every_row(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(self.ARGV + ["--out", str(out)]) == 3
-        assert "max_iterations" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "max_iterations" in err and " of 9 points reached neither" in err
         text = out.read_text()
         assert text.splitlines()[0] == CSV_HEADER
         recs = parse_csv(text)

@@ -1,4 +1,4 @@
-"""Parity set of 111 solves: record status, value and iterations per solve,
+"""Parity set of 131 solves: record status, value and iterations per solve,
 and compare two such records.
 
     python tools/parity.py run OUT.json [--src SRC]
@@ -11,9 +11,16 @@ solves, at the CLI's default tolerance 1e-9:
 * ``exact_overhead``, ``min_error(1.8)`` and ``approx_overhead((0.1, 0.1))``
   at d = 2, 3, 4;
 * the 9 x 9 ``approx_overhead`` grid of acceptance criterion 8 at d = 2;
-* ``depolarizing_overhead(t, 2)`` for t = -1.0, -0.9, ..., 1.0.
+* ``depolarizing_overhead(t, 2)`` for t = -1.0, -0.9, ..., 1.0;
+* ``approx_overhead((a, 0), 2)`` at a = 0.6 and 1 ulp either side, and at the
+  knees (1 - 1/d^2, 0) for d = 2, ..., 5;
+* ``half_diamond_distance`` on the maps of acceptance criteria 2 and 3;
+* ``overhead_of_map`` on a depolarizing channel, a channel mixture,
+  ``canonical_broadcast_choi`` at (2, 0), (2, 0.3) and (3, 0), and seeded
+  random trace-preserving maps with one and with two outputs.
 
-The value is nu (mu for ``min_error``).  A solve that raises is recorded
+The value is nu (mu for ``min_error``, the half diamond distance for
+``half_diamond_distance``).  A solve that raises is recorded
 with the status and iteration count of its last SDP solution and no value.
 
 ``compare`` prints the largest |value difference| over solves with a value
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,7 +42,7 @@ TOL = 1e-9
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _cases():
+def _cases(diamond_maps: dict, fixed_maps: dict):
     axis = [k / 8 for k in range(9)]
     cases = []
     for d in (2, 3, 4):
@@ -44,24 +52,70 @@ def _cases():
     cases += [(f"grid-{a}-{b}", "approx", ((a, b), 2)) for a in axis for b in axis]
     cases += [(f"depolarizing-{round(0.1 * k, 10)}", "depolarizing",
                (round(0.1 * k, 10), 2)) for k in range(-10, 11)]
+    cases += [(f"point-{a!r}-0.0", "approx", ((a, 0.0), 2))
+              for a in (0.6 - math.ulp(0.6), 0.6, 0.6 + math.ulp(0.6))]
+    cases += [(f"knee-{d}", "approx", ((1 - 1 / d ** 2, 0.0), d)) for d in (2, 3, 4, 5)]
+    cases += [(f"diamond-{name}", "diamond", (j,)) for name, j in diamond_maps.items()]
+    cases += [(f"map-{name}", "map", (j,)) for name, j in fixed_maps.items()]
     return cases
+
+
+def _maps() -> tuple[dict, dict]:
+    """The named Choi operators of the ``half_diamond_distance`` and the
+    ``overhead_of_map`` solves."""
+    # imported here, once ``run`` has put SRC on the path
+    import numpy as np
+    from vbroadcast.channels import (
+        ChoiOperator,
+        canonical_broadcast_choi,
+        depolarizing_choi,
+        gamma_operator,
+        replacement_choi,
+    )
+    from vbroadcast.linalg import partial_trace, random_hermitian
+
+    def random_hptp(dims, seed):
+        d, dout = dims[0], math.prod(dims[1:])
+        h = random_hermitian(d * dout, np.random.default_rng(seed))
+        h -= np.kron(partial_trace(h, (d, dout), drop=1) - np.eye(d), np.eye(dout)) / dout
+        return ChoiOperator(h, d, dims[1:])
+
+    differences = {f"replacement-{d}": ChoiOperator(
+        gamma_operator(d) - replacement_choi(d).op, d, (d,)) for d in (2, 3, 4)}
+    differences |= {f"depolarizing-{t}": ChoiOperator(
+        depolarizing_choi(t, 2).op - gamma_operator(2), 2, (2,)) for t in (-0.5, 0.3, 1.0)}
+    return differences, {
+        "depolarizing": depolarizing_choi(0.5, 2),
+        "mixture": ChoiOperator(0.5 * depolarizing_choi(0.0, 2).op
+                                + 0.5 * depolarizing_choi(1.0, 2).op, 2, (2,)),
+        "canonical-2": canonical_broadcast_choi(2, 0.0),
+        "canonical-2-0.3": canonical_broadcast_choi(2, 0.3),
+        "canonical-3": canonical_broadcast_choi(3, 0.0),
+        "random-one-output": random_hptp((2, 2), 11),
+        "random-two-outputs": random_hptp((2, 2, 2), 12),
+    }
 
 
 def run(src: str) -> dict:
     sys.path.insert(0, src)
     from vbroadcast import broadcasting as bc
+    from vbroadcast import diamond
     from vbroadcast.sdp import SolverConfig
     from vbroadcast.sdp.solver import record_solves
 
     config = SolverConfig(tol_gap=TOL, tol_feas=TOL)
     calls = {"exact": bc.exact_overhead, "min_error": bc.min_error,
-             "approx": bc.approx_overhead, "depolarizing": bc.depolarizing_overhead}
+             "approx": bc.approx_overhead, "depolarizing": bc.depolarizing_overhead,
+             "diamond": lambda j, config: diamond.half_diamond_distance(
+                 j, config=config, lower_bound_samples=1),
+             "map": bc.overhead_of_map}
+    value_of = {"min_error": "mu", "diamond": "value"}
     out = {}
-    for key, kind, args in _cases():
+    for key, kind, args in _cases(*_maps()):
         with record_solves() as log:
             try:
                 res = calls[kind](*args, config=config)
-                value = res.mu if kind == "min_error" else res.nu
+                value = getattr(res, value_of.get(kind, "nu"))
                 status = res.status
             except RuntimeError:
                 value, status = None, log[-1][1].status
