@@ -1,10 +1,11 @@
 """Independent verification of solver output against the original problem data.
 
 The checks below recompute everything from the :class:`SdpProblem` data
-(its Hermitian-basis coefficients ``a``, ``b`` and ``c``) and the
-complex-domain solution blocks; nothing is taken from solver internals.
-All residuals are normalized by the natural scale of the quantity they
-measure.
+(its constraint matrix ``a``, ``b`` and ``c``) and the complex-domain
+solution blocks; nothing is taken from solver internals.  A(X) and A^*(y)
+are one product each on the one matrix, and the blocks of one dimension are
+checked as one stack: Hermiticity, eigenvalues and complementarity.  All
+residuals are normalized by the natural scale of the quantity they measure.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..linalg import min_eigenvalue
-from .problem import SdpProblem
+from ..linalg import HERMITICITY_TOL
+from .problem import SdpProblem, _vec
 from .solver import STATUS_OPTIMAL, SdpSolution
 
 # an optimal solve whose independent certificate check failed
@@ -39,49 +40,66 @@ class CertificateReport:
     details: str = ""
 
 
+def _hermitian_stacks(problem: SdpProblem, blocks: dict[str, np.ndarray],
+                      which: str) -> list[np.ndarray]:
+    """The blocks stacked by dimension (``SdpProblem.stacked``), symmetrized.
+    A block whose asymmetry exceeds ``HERMITICITY_TOL * (1 + max|entry|)``,
+    the test of ``linalg.as_hermitian``, or that is not finite raises
+    ``ValueError``."""
+    out = []
+    for names, st in zip(problem.stacks, problem.stacked(blocks)):
+        herm = st.conj().swapaxes(-1, -2)
+        asym = np.abs(st - herm).max(axis=(1, 2))
+        scale = 1.0 + np.abs(st).max(axis=(1, 2))
+        bad = np.flatnonzero(~(asym <= HERMITICITY_TOL * scale))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"{which} block {names[k]!r} is not Hermitian: asymmetry "
+                             f"{asym[k]:.3e} exceeds {HERMITICITY_TOL:.1e} * {scale[k]:.3e}")
+        out.append(0.5 * (st + herm))
+    return out
+
+
 def check_certificate(problem: SdpProblem, solution: SdpSolution,
                       tol: float = 1e-6) -> CertificateReport:
     """Recompute primal/dual residuals, complementarity and cone membership.
 
     Pass criteria: every normalized residual at most ``tol`` and every block
-    eigenvalue at least ``-tol``.
+    eigenvalue at least ``-tol``.  A block that is not Hermitian raises
+    ``ValueError``.
     """
-    x = solution.x_blocks
-    s = solution.s_blocks
-    b = problem.b
+    x_st = _hermitian_stacks(problem, solution.x_blocks, "X")
+    s_st = _hermitian_stacks(problem, solution.s_blocks, "S")
+    xv = np.concatenate([_vec(st).ravel() for st in x_st])
+    sv = np.concatenate([_vec(st).ravel() for st in s_st])
+    bounds = np.cumsum([st.shape[0] * st.shape[1] ** 2 for st in x_st])[:-1]
 
-    resid = np.abs(problem.constraint_values(x) - b)
+    def per_block(v):
+        """``v`` as one (k, n^2) array of block coordinates per stack."""
+        return [seg.reshape(st.shape[0], -1) for seg, st in zip(np.split(v, bounds), x_st)]
+
+    b, c = problem.b, problem.c
+    resid = np.abs(problem.a @ xv - b)
     pres = float(np.max(resid, initial=0.0)) / (1.0 + float(np.max(np.abs(b), initial=0.0)))
     worst_row = problem.row_label(int(np.argmax(resid))) if resid.size else ""
 
-    cmats = problem.objective_matrices()
-    adj = problem.adjoint(solution.y)
-    dres = 0.0
-    for blk in problem.blocks:
-        resid = cmats[blk.name] - adj[blk.name] - s[blk.name]
-        dres = max(dres, float(np.linalg.norm(resid))
-                   / (1.0 + float(np.linalg.norm(cmats[blk.name]))))
+    dres = max(float(np.max(np.linalg.norm(rk, axis=1) / (1.0 + np.linalg.norm(ck, axis=1))))
+               for rk, ck in zip(per_block(c - problem.a.T @ solution.y - sv), per_block(c)))
 
-    pobj = problem.objective_value(x)
+    pobj = float(c @ xv)
     dobj = float(b @ solution.y)
     scale = 1.0 + abs(pobj) + abs(dobj)
     gap = abs(pobj - dobj) / scale
 
-    compl = 0.0
-    min_x = np.inf
-    min_s = np.inf
-    for blk in problem.blocks:
-        xk, sk = x[blk.name], s[blk.name]
-        compl += abs(float(np.real(np.trace(xk @ sk))))
-        min_x = min(min_x, min_eigenvalue(xk))
-        min_s = min(min_s, min_eigenvalue(sk))
-    compl /= scale
+    compl = sum(float(np.abs(p.sum(axis=1)).sum()) for p in per_block(xv * sv)) / scale
+    min_x = min(float(np.linalg.eigvalsh(st)[:, 0].min()) for st in x_st)
+    min_s = min(float(np.linalg.eigvalsh(st)[:, 0].min()) for st in s_st)
 
     if solution.status != STATUS_OPTIMAL:
         return CertificateReport(
             passed=None, status=solution.status, primal_residual=pres,
             dual_residual=dres, complementarity=compl, duality_gap=gap,
-            min_eig_x=float(min_x), min_eig_s=float(min_s), worst_row=worst_row,
+            min_eig_x=min_x, min_eig_s=min_s, worst_row=worst_row,
             details="no pass/fail verdict for a non-optimal solve")
 
     passed = (pres <= tol and dres <= tol and compl <= tol and gap <= tol
@@ -93,5 +111,5 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution,
     return CertificateReport(
         passed=passed, status=solution.status, primal_residual=pres,
         dual_residual=dres, complementarity=compl, duality_gap=gap,
-        min_eig_x=float(min_x), min_eig_s=float(min_s), worst_row=worst_row,
+        min_eig_x=min_x, min_eig_s=min_s, worst_row=worst_row,
         details=details)

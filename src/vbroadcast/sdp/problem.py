@@ -10,11 +10,15 @@ where every ``X_k`` is a complex Hermitian PSD block (dimension-1 blocks are
 plain nonnegative scalars) and all coefficient operators are Hermitian.
 Every coefficient is stored once, as its coordinates vec(A) = Re A + Im A
 (flattened row-major) in the orthonormal basis
-E_pq = ((1 + i)|p><q| + (1 - i)|q><p|) / 2 of its block's Hermitian space:
-block k's constraint coefficients are the rows of a sparse m x dim^2 matrix
-``a[k]`` and its objective is the vector ``c[k]``, so
-<A_{i,k}, X_k> = a[k][i] . vec(X_k).  The builder writes these, and the
-solver and the certificate checker read them.
+E_pq = ((1 + i)|p><q| + (1 - i)|q><p|) / 2 of its block's Hermitian space.
+The constraints are one sparse m x N matrix ``a`` and the objective one
+length-N vector ``c`` over the concatenated cone, N = sum_k dim_k^2, as in
+SeDuMi: block k owns the columns ``columns[name]``, so
+<A_{i,k}, X_k> = a[i, columns[name]] . vec(X_k).  The columns are laid out
+in cone order (:func:`cone_order`): the dimension-1 blocks first, then the
+Hermitian blocks by decreasing dimension, so that the blocks of one
+dimension are one contiguous range.  The builder writes this matrix, and
+the solver and the certificate checker read it.
 
 An operator-valued constraint has one row <E_pq, .> per basis element of
 its target space.  The builder writes each of its terms with one sparse
@@ -26,6 +30,8 @@ construction and turns inequalities into equalities with slack blocks:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -64,16 +70,34 @@ class Embedding:
     scale: float
 
 
+def cone_order(dims: Sequence[int]) -> list[int]:
+    """Indices of blocks of dimensions ``dims`` in column order: the
+    dimension-1 blocks in declaration order, then the Hermitian blocks by
+    decreasing dimension, stable in declaration order."""
+    return sorted(range(len(dims)), key=lambda k: (dims[k] > 1, -dims[k]))
+
+
+def _columns(blocks: Sequence[BlockSpec]) -> dict[str, slice]:
+    """The column range of each block: consecutive ranges in cone order."""
+    out, col = {}, 0
+    for k in cone_order([b.dim for b in blocks]):
+        out[blocks[k].name] = slice(col, col + blocks[k].dim ** 2)
+        col = out[blocks[k].name].stop
+    return out
+
+
 @dataclass
 class SdpProblem:
-    """minimize sum_k c[k] . vec(X_k) s.t. sum_k a[k] @ vec(X_k) = b, X_k >= 0,
-    with vec(X) = Re X + Im X flattened (see ``_vec``); ``a`` and ``c`` hold one
-    entry per block."""
+    """minimize c . x s.t. a @ x = b, X_k >= 0, where x stacks the
+    coordinates vec(X_k) = Re X_k + Im X_k (see ``_vec``) of the blocks in
+    cone order: ``a`` is one sparse (m, N) matrix and ``c`` one length-N
+    vector, N = sum_k dim_k^2, and block k owns the columns
+    ``columns[name]``."""
 
     blocks: list[BlockSpec]
-    a: dict[str, sp.csr_matrix]
+    a: sp.csr_matrix
     b: np.ndarray
-    c: dict[str, np.ndarray]
+    c: np.ndarray
     allow_large_blocks: bool = False
     embeddings: list[Embedding] = field(default_factory=list)
     labels: list[tuple[int, int, str]] = field(default_factory=list)
@@ -81,6 +105,19 @@ class SdpProblem:
     @property
     def n_rows(self) -> int:
         return self.b.size
+
+    @functools.cached_property
+    def columns(self) -> dict[str, slice]:
+        """The column range of each block in ``a`` and ``c``."""
+        return _columns(self.blocks)
+
+    @functools.cached_property
+    def stacks(self) -> list[list[str]]:
+        """The block names of each dimension in column order; the blocks of
+        one list own one contiguous column range."""
+        order = [self.blocks[k] for k in cone_order([b.dim for b in self.blocks])]
+        return [[b.name for b in run]
+                for _, run in itertools.groupby(order, key=lambda b: b.dim)]
 
     def row_label(self, row: int) -> str:
         """The name of the constraint that row ``row`` belongs to, from the
@@ -111,15 +148,13 @@ class SdpProblem:
                 warnings.warn(f"block {b.name!r} exceeds the desk-scale guardrail "
                               f"(dimension {b.dim}); expect long solve times",
                               RuntimeWarning)
-        for which, coeffs in (("constraint", self.a), ("objective", self.c)):
-            if coeffs.keys() != dims.keys():
-                raise ValueError(f"{which} coefficients are for blocks {sorted(coeffs)}, "
-                                 f"not the declared {sorted(dims)}")
-        m = self.n_rows
-        for name, d in dims.items():
-            if self.a[name].shape != (m, d * d) or self.c[name].shape != (d * d,):
-                raise ValueError(f"coefficients of block {name!r} do not match "
-                                 f"its dimension {d} and {m} rows")
+        m, n = self.n_rows, sum(d * d for d in dims.values())
+        if self.a.shape != (m, n):
+            raise ValueError(f"constraint coefficients have shape {self.a.shape}, "
+                             f"not the ({m}, {n}) of {m} rows and the declared blocks")
+        if self.c.shape != (n,):
+            raise ValueError(f"objective coefficients have shape {self.c.shape}, "
+                             f"not the ({n},) of the declared blocks")
         for e in self.embeddings:
             if (int(np.prod(e.dims)) != dims.get(e.block)
                     or not 0 <= e.start <= e.start + e.dim ** 2 <= m):
@@ -128,25 +163,29 @@ class SdpProblem:
             if not 0 <= start < stop <= m:
                 raise ValueError(f"rows {start}:{stop} of {label!r} do not fit the problem")
 
-    # -- evaluation helpers used by the certificate checker ------------------
+    # -- evaluation on per-block matrices --------------------------------------
+
+    def stacked(self, x_blocks: dict[str, np.ndarray]) -> list[np.ndarray]:
+        """The matrices of ``x_blocks`` as one (k, n, n) array per list of
+        ``stacks``."""
+        return [np.stack([np.asarray(x_blocks[name]) for name in names])
+                for names in self.stacks]
+
+    def vector(self, x_blocks: dict[str, np.ndarray]) -> np.ndarray:
+        """The coordinates x of per-block matrices, in column order."""
+        return np.concatenate([_vec(st).ravel() for st in self.stacked(x_blocks)])
 
     def constraint_values(self, x_blocks: dict[str, np.ndarray]) -> np.ndarray:
         """Evaluate <A_i, X> for every row."""
-        vals = np.zeros(self.n_rows)
-        for blk in self.blocks:
-            vals += self.a[blk.name] @ _vec(np.asarray(x_blocks[blk.name]))
-        return vals
+        return self.a @ self.vector(x_blocks)
 
     def objective_value(self, x_blocks: dict[str, np.ndarray]) -> float:
-        return float(sum(self.c[blk.name] @ _vec(np.asarray(x_blocks[blk.name]))
-                         for blk in self.blocks))
+        return float(self.c @ self.vector(x_blocks))
 
     def adjoint(self, y: np.ndarray) -> dict[str, np.ndarray]:
         """Dense Hermitian matrices of A^*(y) = sum_i y_i A_i per block."""
-        return {blk.name: _mat(self.a[blk.name].T @ y) for blk in self.blocks}
-
-    def objective_matrices(self) -> dict[str, np.ndarray]:
-        return {blk.name: _mat(self.c[blk.name]) for blk in self.blocks}
+        v = self.a.T @ y
+        return {name: _mat(v[cols]) for name, cols in self.columns.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +270,14 @@ class ProblemBuilder:
     """Incremental construction of an :class:`SdpProblem`.
 
     Coefficients are written as sparse (row, coordinate, value) entries per
-    block.  A nonempty ``label`` names the rows of its constraint; the problem
-    keeps the names as row ranges.
+    block; ``build`` moves each to its block's columns and constructs the
+    one constraint matrix.  A nonempty ``label`` names the rows of its
+    constraint; the problem keeps the names as row ranges.
     """
 
     def __init__(self, allow_large_blocks: bool = False):
         self._dims: dict[str, int] = {}
-        self._a: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+        self._a: list[tuple[str, np.ndarray, np.ndarray, np.ndarray]] = []
         self._b: list[float] = []
         self._c: dict[str, np.ndarray] = {}
         self._embeddings: list[Embedding] = []
@@ -296,7 +336,7 @@ class ProblemBuilder:
         for name, coeff in coeffs.items():
             v = self._coords(name, coeff)
             nz = np.flatnonzero(v)
-            self._a.setdefault(name, []).append((np.full(nz.size, row), nz, v[nz]))
+            self._a.append((name, np.full(nz.size, row), nz, v[nz]))
         self._b.append(float(rhs))
         self._label(row, label)
 
@@ -340,8 +380,7 @@ class ProblemBuilder:
                 entries.append((t.block, rows[nz], np.zeros(nz.size, np.int64), w[nz]))
             else:
                 raise ValueError(f"unknown term kind {t.kind!r}")
-        for block, *entry in entries:
-            self._a.setdefault(block, []).append(entry)
+        self._a += entries
         self._embeddings += embeddings
         self._b.extend(_vec(rhs))
         self._label(start, label)
@@ -355,20 +394,22 @@ class ProblemBuilder:
         return slack
 
     def build(self) -> SdpProblem:
-        for name in (self._a.keys() | self._c.keys()) - self._dims.keys():
+        for name in ({e[0] for e in self._a} | self._c.keys()) - self._dims.keys():
             raise ValueError(f"coefficient references unknown block {name!r}")
-        m = len(self._b)
-        a, c = {}, {}
-        for name, d in self._dims.items():
-            entries = self._a.get(name)
-            if entries:
-                rows, cols, vals = (np.concatenate(x) for x in zip(*entries))
-                a[name] = sp.csr_matrix((vals, (rows, cols)), shape=(m, d * d))
-            else:
-                a[name] = sp.csr_matrix((m, d * d))
-            c[name] = self._c.get(name, np.zeros(d * d))
-        p = SdpProblem(blocks=[BlockSpec(n, d) for n, d in self._dims.items()],
-                       a=a, b=np.array(self._b), c=c,
+        blocks = [BlockSpec(n, d) for n, d in self._dims.items()]
+        columns = _columns(blocks)
+        shape = (len(self._b), sum(b.dim ** 2 for b in blocks))
+        if self._a:
+            names, rows, cols, vals = zip(*self._a)
+            cols = [col + columns[name].start for name, col in zip(names, cols)]
+            a = sp.csr_matrix((np.concatenate(vals),
+                               (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+        else:
+            a = sp.csr_matrix(shape)
+        c = np.zeros(shape[1])
+        for name, coords in self._c.items():
+            c[columns[name]] = coords
+        p = SdpProblem(blocks=blocks, a=a, b=np.array(self._b), c=c,
                        allow_large_blocks=self.allow_large_blocks,
                        embeddings=list(self._embeddings), labels=list(self._labels))
         p.validate()
@@ -416,11 +457,12 @@ def dump_problem(problem: SdpProblem, path: str) -> None:
         for k, blk in enumerate(problem.blocks):
             fh.write(f"block {k} {blk.name} {blk.dim}\n")
         for k, blk in enumerate(problem.blocks):
-            obj = upper_entries(sp.csr_matrix(problem.c[blk.name]), blk.dim)
+            cols = problem.columns[blk.name]
+            obj = upper_entries(sp.csr_matrix(problem.c[cols]), blk.dim)
             for f, v in zip(obj.col, obj.data):
                 fh.write(f"obj {k} {f // blk.dim} {f % blk.dim} "
                          f"{v.real:.17g} {v.imag:.17g}\n")
-            e = upper_entries(problem.a[blk.name], blk.dim)
+            e = upper_entries(problem.a[:, cols], blk.dim)
             con.append((e.row, np.full(e.nnz, k), e.col // blk.dim, e.col % blk.dim, e.data))
         rows, ks, ii, jj, vals = (np.concatenate(x) for x in zip(*con))
         for n in np.lexsort((jj, ii, ks, rows)):

@@ -7,12 +7,12 @@ complex domain, as in SeDuMi and SDPT3: the NT scaling, the step length and
 the corrector work on complex matrices, and a block's vector form is its
 coordinates Re X + Im X, the orthonormal Hermitian coordinates the problem
 stores its coefficients in, so that inner products are Re Tr(A X) and the
-constraint matrix is the problem's blocks side by side.  Dimension-1 blocks
-form one nonnegative orthant.  The Hermitian blocks of one dimension are
-processed as one stacked (k, n, n) array: each Cholesky factorization, NT
-scaling, inverse factor, step-length eigenvalue test and corrector term of an
-iteration is one batched call per block dimension, as SeDuMi and SDPT3 treat
-a cone.
+constraint matrix is the problem's own, whose columns are already in cone
+order.  Dimension-1 blocks form one nonnegative orthant.  The Hermitian
+blocks of one dimension are processed as one stacked (k, n, n) array: each
+Cholesky factorization, NT scaling, inverse factor, step-length eigenvalue
+test and corrector term of an iteration is one batched call per block
+dimension, as SeDuMi and SDPT3 treat a cone.
 
 The Schur complement M_ij = Re Tr(A_i W A_j W) stays per block: it is
 assembled one block and one pair of row groups at a time (Fujisawa, Kojima
@@ -47,6 +47,7 @@ certificate of primal or dual infeasibility.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -56,7 +57,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import blas
 
-from .problem import SdpProblem, _mat, _vec
+from .problem import SdpProblem, _mat, _vec, cone_order
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iterations"
@@ -168,20 +169,20 @@ def _pair_block(wt: np.ndarray, dims, drop_i, drop_j) -> np.ndarray:
 class _Cone:
     """The orthant of the dimension-1 blocks times the Hermitian blocks.
 
-    The Hermitian blocks ``mat`` are ordered by decreasing dimension, stable
-    in declaration order, so that the blocks of one dimension n are one
-    ``(k, n, n)`` stack, listed as ``(n, k)`` in ``stacks``: a point is
-    ``(lin, stacks)``, one array per dimension, and its vector is ``lin``
-    followed by the Hermitian coordinates of each matrix, stack by stack.
-    Problems that declare their largest blocks first keep their declared
-    column order.
+    The blocks are in the problem's column order (``problem.cone_order``):
+    the Hermitian blocks ``mat`` by decreasing dimension, so that the blocks
+    of one dimension n are one ``(k, n, n)`` stack, listed as ``(n, k)`` in
+    ``stacks``.  A point is ``(lin, stacks)``, one array per dimension, and
+    its vector is ``lin`` followed by the Hermitian coordinates of each
+    matrix, stack by stack: the columns of ``SdpProblem.a``.
     """
 
     def __init__(self, dims: list[int]):
-        self.lin = [k for k, n in enumerate(dims) if n == 1]
-        self.mat = sorted((k for k, n in enumerate(dims) if n > 1), key=lambda k: -dims[k])
+        order = cone_order(dims)
+        self.lin = [k for k in order if dims[k] == 1]
+        self.mat = [k for k in order if dims[k] > 1]
         sizes = [dims[k] for k in self.mat]
-        self.stacks = [(n, sizes.count(n)) for n in sorted(set(sizes), reverse=True)]
+        self.stacks = [(n, len(list(run))) for n, run in itertools.groupby(sizes)]
         self.offsets = np.cumsum([0, len(self.lin)] + [n * n * k for n, k in self.stacks])
         self.degree = float(len(self.lin) + sum(sizes))
 
@@ -212,7 +213,7 @@ def _block_rows(problem: SdpProblem, cone: _Cone) -> list[_BlockRows]:
     out = []
     for k in cone.mat:
         name, n = problem.blocks[k].name, problem.blocks[k].dim
-        a_block = problem.a[name]
+        a_block = problem.a[:, problem.columns[name]]
         emb = [e for e in problem.embeddings if e.block == name]
         layouts = {e.dims for e in emb if e.drop}
         if len(layouts) > 1:
@@ -254,15 +255,8 @@ def _schur(a_lin: np.ndarray, p_lin: np.ndarray, blocks: list[_BlockRows],
 
 
 # ---------------------------------------------------------------------------
-# Assembly and preprocessing
+# Preprocessing
 # ---------------------------------------------------------------------------
-
-def _assemble(problem: SdpProblem, cone: _Cone):
-    """Constraint matrix in cone coordinates, objective vector, rhs."""
-    names = [problem.blocks[k].name for k in cone.lin + cone.mat]
-    return (sp.hstack([problem.a[n] for n in names], format="csr"),
-            np.concatenate([problem.c[n] for n in names]), problem.b)
-
 
 def _select_independent_rows(a_full: sp.csr_matrix, b: np.ndarray, tol_rel: float):
     """Pivoted Cholesky on the row Gram matrix; exact-redundant rows dropped.
@@ -634,7 +628,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     names = [b.name for b in problem.blocks]
     dims = [b.dim for b in problem.blocks]
     cone = _Cone(dims)
-    a_full, c, b_vec = _assemble(problem, cone)
+    a_full, b_vec, c = problem.a, problem.b, problem.c
 
     if b_vec.size:
         kept, dropped, inconsistency = _select_independent_rows(
@@ -663,16 +657,16 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     # certificates are rays, reported unscaled
     rays = status in (STATUS_PRIMAL_INFEASIBLE, STATUS_DUAL_INFEASIBLE)
     scale = 1.0 if rays or info["tau"] <= 0 else 1.0 / info["tau"]
+    xv, sv = xv * scale, sv * scale
     x_blocks, s_blocks = {}, {}
-    for out, (lin, stacks) in ((x_blocks, cone.split(xv * scale)),
-                               (s_blocks, cone.split(sv * scale))):
+    for out, (lin, stacks) in ((x_blocks, cone.split(xv)), (s_blocks, cone.split(sv))):
         mats = [np.array([[v]]) for v in lin] + [mat for st in stacks for mat in st]
         by_index = dict(zip(cone.lin + cone.mat, mats))
         out.update((name, by_index[k]) for k, name in enumerate(names))
     y_full = np.zeros(b_vec.size)
     y_full[kept] = y * scale
 
-    pobj = problem.objective_value(x_blocks)
+    pobj = float(c @ xv)
     dobj = float(b_vec @ y_full)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     if rays:

@@ -4,8 +4,10 @@ structured Schur complement.
 A problem stores each block's coefficients once, as Hermitian-basis
 coordinates ``a``, ``b`` and ``c``.  These properties pin that data to its
 meaning: a built problem's rows evaluate partial traces and full terms, its
-adjoint is the adjoint, the problem dump reproduces it, the certificate does
-not depend on block names or order, and the solver's structured Schur
+adjoint is the adjoint, the problem dump reproduces it, each block's columns
+follow the solver's cone layout, the certificate does not depend on block
+names or order and agrees with a block-by-block reference, and the solver's
+structured Schur
 complement M_ij = Re Tr(A_i W A_j W), assembled from the embeddings the
 builder records, equals the dense one built here from the coefficients.
 The Schur solve factors M once, shifting a copy only when M is not
@@ -21,10 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from vbroadcast.channels import gamma_operator
 from vbroadcast.linalg import partial_trace
 from vbroadcast.sdp import (
     ProblemBuilder,
+    SolverConfig,
     check_certificate,
     dump_problem,
     full_term,
@@ -37,7 +41,6 @@ from scipy.linalg import blas
 
 from vbroadcast.sdp import solver
 from vbroadcast.sdp.solver import (
-    _assemble,
     _block_rows,
     _Cone,
     _schur,
@@ -111,7 +114,7 @@ def dense_schur(problem, w):
     m = problem.n_rows
     ref = np.zeros((m, m))
     for blk in problem.blocks:
-        aw = _mat(problem.a[blk.name].toarray()) @ w[blk.name]
+        aw = _mat(problem.a[:, problem.columns[blk.name]].toarray()) @ w[blk.name]
         ref += np.einsum("iab,jba->ij", aw, aw).real
     return ref
 
@@ -121,11 +124,10 @@ def dense_schur(problem, w):
 def test_structured_schur_matches_dense_reference(case):
     problem, rng = case
     cone = _Cone([b.dim for b in problem.blocks])
-    a_full, _, _ = _assemble(problem, cone)
     p_lin = rng.uniform(0.2, 3.0, len(cone.lin))
     w_mats = [rand_pd(rng, problem.blocks[k].dim) for k in cone.mat]
     blocks = _block_rows(problem, cone)
-    got = _schur(a_full[:, :len(cone.lin)].toarray(), p_lin, blocks, w_mats)
+    got = _schur(problem.a[:, :len(cone.lin)].toarray(), p_lin, blocks, w_mats)
 
     # P = W . W, so a scalar block's W is the square root of its P
     w = {problem.blocks[k].name: np.sqrt([[p]]) for k, p in zip(cone.lin, p_lin)}
@@ -198,11 +200,90 @@ def test_cone_stacks_round_trip(dims, seed):
     assert cone.degree == sum(dims)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))
+def test_columns_follow_the_cone_layout(dims, seed):
+    # blocks in any order, with repeated dimensions and dimension-1 blocks
+    # declared in between
+    rng = np.random.default_rng(seed)
+    names = [f"B{k}" for k in range(len(dims))]
+
+    def coeff(n):
+        return float(rng.standard_normal()) if n == 1 else rand_hermitian(rng, n)
+
+    b = ProblemBuilder()
+    for name, n in zip(names, dims):
+        b.add_psd_block(name, n)
+    rows = [{name: coeff(n) for name, n in zip(names, dims)} for _ in range(2)]
+    objective = {name: coeff(n) for name, n in zip(names, dims)}
+    for coeffs in rows:
+        b.add_scalar_eq(coeffs, 1.0)
+    for name, w in objective.items():
+        b.add_objective(name, w)
+    problem = b.build()
+
+    cone = _Cone(dims)
+    order = cone.lin + cone.mat
+    sizes = [dims[k] ** 2 for k in order]
+    stops = np.cumsum(sizes)
+    assert [(problem.columns[names[k]].start, problem.columns[names[k]].stop)
+            for k in order] == list(zip(stops - sizes, stops))
+    # each stack of the cone is one run of blocks of its dimension
+    assert set(cone.offsets) <= {0, *stops}
+    assert problem.stacks == [[names[k] for k in order if dims[k] == n]
+                              for n in sorted(set(dims), key=lambda n: (n > 1, -n))]
+    assert problem.a.shape == (2, cone.offsets[-1]) and problem.c.shape == (cone.offsets[-1],)
+    # each block's column slice holds the coefficients it was given
+    for name, n in zip(names, dims):
+        cols = problem.columns[name]
+        for row, coeffs in enumerate(rows):
+            got = _mat(problem.a[row, cols].toarray()[0])
+            assert np.allclose(got, np.atleast_2d(coeffs[name]), rtol=0, atol=1e-15)
+        assert np.allclose(_mat(problem.c[cols]), np.atleast_2d(objective[name]),
+                           rtol=0, atol=1e-15)
+
+
+CERTIFICATE_FIELDS = ("primal_residual", "dual_residual", "complementarity",
+                      "duality_gap", "min_eig_x", "min_eig_s")
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(), st.data())
+def test_certificate_matches_blockwise_reference(case, data):
+    problem, rng = case
+    # the drawn right-hand sides are rarely feasible: a second copy gets
+    # b = A(X0) and c = A^*(y0) + S0 for positive definite X0, S0, so that
+    # it has an optimum
+    x0 = {blk.name: rand_pd(rng, blk.dim) for blk in problem.blocks}
+    s0 = {blk.name: rand_pd(rng, blk.dim) for blk in problem.blocks}
+    feasible = dataclasses.replace(
+        problem, b=problem.constraint_values(x0),
+        c=problem.a.T @ rng.standard_normal(problem.n_rows) + problem.vector(s0))
+    dent = data.draw(st.sampled_from(problem.blocks))
+    for p in (problem, feasible):
+        sol = solve(p)
+        # one block made indefinite: its (0, 0) entry pushed below zero
+        corner = np.zeros((dent.dim, dent.dim))
+        corner[0, 0] = 1.0 + np.abs(sol.x_blocks[dent.name]).max()
+        indefinite = {**sol.x_blocks, dent.name: sol.x_blocks[dent.name] - corner}
+        for trial in (sol, solve(p, SolverConfig(max_iter=2)),
+                      dataclasses.replace(sol, x_blocks={k: 1.01 * v
+                                                         for k, v in sol.x_blocks.items()}),
+                      dataclasses.replace(sol, x_blocks=indefinite)):
+            got = check_certificate(p, trial)
+            want = dense_oracle.blockwise_certificate(p, trial)
+            assert ((got.passed, got.status, got.worst_row)
+                    == (want.passed, want.status, want.worst_row))
+            for field in CERTIFICATE_FIELDS:
+                ref = getattr(want, field)
+                assert abs(getattr(got, field) - ref) <= 1e-12 * (1.0 + abs(ref)), field
+
+
 @settings(max_examples=25, deadline=None)
 @given(problems())
 def test_dump_round_trip(tmp_path_factory, case):
     problem, rng = case
-    problem.c = {blk.name: rng.standard_normal(blk.dim ** 2) for blk in problem.blocks}
+    problem.c = rng.standard_normal(problem.c.size)
     path = tmp_path_factory.mktemp("dump") / "problem.txt"
     dump_problem(problem, str(path))
     dims = [blk.dim for blk in problem.blocks]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,16 @@ class TestBuilder:
         with pytest.raises(ValueError):
             b.add_operator_eq([full_term("X")], np.zeros((2, 2), dtype=complex))
 
+    def test_mismatched_coefficients_rejected(self):
+        p = make_trace_one_problem(np.eye(3))
+        p.validate()
+        with pytest.raises(ValueError, match=r"constraint coefficients have shape \(1, 8\), "
+                                             r"not the \(1, 9\)"):
+            dataclasses.replace(p, a=p.a[:, :8]).validate()
+        with pytest.raises(ValueError, match=r"objective coefficients have shape \(10,\), "
+                                             r"not the \(9,\)"):
+            dataclasses.replace(p, c=np.zeros(10)).validate()
+
     def test_size_guardrail(self):
         b = ProblemBuilder()
         b.add_psd_block("huge", 131)   # one past the guardrail of 130
@@ -231,6 +243,16 @@ class TestCertificates:
         rep = check_certificate(p, sol, tol=1e-6)
         assert rep.passed is False
         assert rep.primal_residual > 1e-6
+
+    @pytest.mark.parametrize("which", ["x_blocks", "s_blocks"])
+    def test_non_hermitian_block_raises(self, which):
+        rng = np.random.default_rng(35)
+        p = make_trace_one_problem(random_hermitian(4, rng))
+        sol = solve(p)
+        skewed = getattr(sol, which)["X"] + 1e-3 * np.triu(np.ones((4, 4)), 1)
+        setattr(sol, which, {"X": skewed})
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_certificate(p, sol)
 
     def test_max_iterations_reports_no_verdict(self):
         rng = np.random.default_rng(34)
