@@ -22,6 +22,9 @@ The problems solved:
                               construction that certifies the closed-form
                               error bound ``min_error_upper_bound``.
 
+The covariant problems (all but ``overhead_of_map``) raise ``ValueError``
+when d is not an integer >= 2.
+
 Symmetry reduction.  Every problem but ``overhead_of_map`` is invariant under
 conj(U) (x) U (x) U on (B, B1, B2), and twirling a feasible point over that
 group keeps it feasible at the same nu, so these SDPs are solved over the
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -248,9 +252,21 @@ def _covariant_decomposition(sol: SdpSolution, d: int,
                                   y=sol.scalar("y"))
 
 
+def _check_dim(d: int) -> None:
+    """The covariant problems are posed for an integer dimension d >= 2."""
+    try:
+        valid = operator.index(d) >= 2
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"dimension d={d!r} is not an integer >= 2")
+
+
 def _covariant_builder(d: int, minimize_nu: bool = True) -> ProblemBuilder:
     """The blocks of J1 and J2 in irreducible form and the weights x, y, with
-    the rows w(J1) = x, w(J2) = y and x - y = 1."""
+    the rows w(J1) = x, w(J2) = y and x - y = 1; raises ``ValueError`` unless
+    d is an integer >= 2."""
+    _check_dim(d)
     builder = ProblemBuilder()
     for j in (1, 2):
         for name in _blocks(d):
@@ -396,6 +412,7 @@ def approx_overhead_depolarizing(delta: float, d: int,
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta={delta} outside [0, 1]")
+    _check_dim(d)
     t = min(delta * d * d / (d * d - 1.0), 1.0)
     return depolarizing_overhead(t, d, config=config)
 
@@ -424,9 +441,12 @@ def min_error(gamma: float, d: int, config: SolverConfig | None = None) -> Trade
     variable tied linearly to the noise parameter, t = delta d^2/(d^2-1), and
     the quadratic budget linearized to x + y <= sqrt(gamma) (equivalent for
     nonnegative weights).  The marginal (1 - t) Gamma + t I/d has
-    gamma = 1 - delta.  gamma below 1 is reported as infeasible -- no
-    decomposition has x + y < 1.
+    gamma = 1 - delta.  gamma in [0, 1) is reported as infeasible -- no
+    decomposition has x + y < 1.  A gamma that is negative or not finite
+    raises ``ValueError``.
     """
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"budget gamma={gamma!r} is not a finite number >= 0")
     builder = _covariant_builder(d, minimize_nu=False)
     builder.add_scalar("delta")
     builder.minimize({"delta": 1.0})

@@ -3,9 +3,10 @@
 The checks below recompute everything from the :class:`SdpProblem` data
 (its constraint matrix ``a``, ``b`` and ``c``) and the complex-domain
 solution blocks; nothing is taken from solver internals.  A(X) and A^*(y)
-are one product each on the one matrix, and the blocks of one dimension are
-checked as one stack: Hermiticity, eigenvalues and complementarity.  All
-residuals are normalized by the natural scale of the quantity they measure.
+are one product each on the one matrix, and the blocks of one dimension,
+a stack of the problem's cone, are checked together: Hermiticity,
+eigenvalues and complementarity.  All residuals are normalized by the
+natural scale of the quantity they measure.
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ class CertificateReport:
 
 def _hermitian_stacks(problem: SdpProblem, blocks: dict[str, np.ndarray],
                       which: str) -> list[np.ndarray]:
-    """The blocks stacked by dimension (``SdpProblem.stacked``), symmetrized.
+    """The blocks stacked by dimension (``Cone.stacked``), symmetrized.
     A block whose asymmetry exceeds ``HERMITICITY_TOL * (1 + max|entry|)``,
     the test of ``linalg.as_hermitian``, or that is not finite raises
     ``ValueError``."""
     out = []
-    for names, st in zip(problem.stacks, problem.stacked(blocks)):
+    for (_, names), st in zip(problem.cone.stacks, problem.cone.stacked(blocks)):
         herm = st.conj().swapaxes(-1, -2)
         asym = np.abs(st - herm).max(axis=(1, 2))
         scale = 1.0 + np.abs(st).max(axis=(1, 2))
@@ -72,11 +73,12 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution,
     s_st = _hermitian_stacks(problem, solution.s_blocks, "S")
     xv = np.concatenate([_vec(st).ravel() for st in x_st])
     sv = np.concatenate([_vec(st).ravel() for st in s_st])
-    bounds = np.cumsum([st.shape[0] * st.shape[1] ** 2 for st in x_st])[:-1]
+    cone = problem.cone
 
     def per_block(v):
         """``v`` as one (k, n^2) array of block coordinates per stack."""
-        return [seg.reshape(st.shape[0], -1) for seg, st in zip(np.split(v, bounds), x_st)]
+        return [v[lo:hi].reshape(len(names), -1) for (_, names), lo, hi
+                in zip(cone.stacks, cone.offsets, cone.offsets[1:])]
 
     b, c = problem.b, problem.c
     resid = np.abs(problem.a @ xv - b)

@@ -13,12 +13,11 @@ Every coefficient is stored once, as its coordinates vec(A) = Re A + Im A
 E_pq = ((1 + i)|p><q| + (1 - i)|q><p|) / 2 of its block's Hermitian space.
 The constraints are one sparse m x N matrix ``a`` and the objective one
 length-N vector ``c`` over the concatenated cone, N = sum_k dim_k^2, as in
-SeDuMi: block k owns the columns ``columns[name]``, so
-<A_{i,k}, X_k> = a[i, columns[name]] . vec(X_k).  The columns are laid out
-in cone order (:func:`cone_order`): the dimension-1 blocks first, then the
-Hermitian blocks by decreasing dimension, so that the blocks of one
-dimension are one contiguous range.  The builder writes this matrix, and
-the solver and the certificate checker read it.
+SeDuMi.  The problem's :class:`Cone`, like SeDuMi's cone description K, is
+the one place the column layout is decided: block k owns the columns
+``cone.columns[name]``, so <A_{i,k}, X_k> = a[i, cone.columns[name]] . vec(X_k).
+The builder places its entries with it, and the solver and the certificate
+checker split their vectors with it.
 
 An operator-valued constraint has one row <E_pq, .> per basis element of
 its target space.  The builder writes each of its terms with one sparse
@@ -70,29 +69,63 @@ class Embedding:
     scale: float
 
 
-def cone_order(dims: Sequence[int]) -> list[int]:
-    """Indices of blocks of dimensions ``dims`` in column order: the
-    dimension-1 blocks in declaration order, then the Hermitian blocks by
-    decreasing dimension, stable in declaration order."""
-    return sorted(range(len(dims)), key=lambda k: (dims[k] > 1, -dims[k]))
+class Cone:
+    """The column layout of the blocks ``blocks``: the dimension-1 blocks
+    in declaration order, then the Hermitian blocks by decreasing dimension,
+    stable in declaration order.
 
+    The blocks of one dimension n form one stack, listed as ``(n, names)``
+    in ``stacks`` and owning the contiguous columns
+    ``offsets[i]:offsets[i + 1]``; the ``n_lin`` dimension-1 blocks, if any,
+    are the first stack, one nonnegative orthant.  Block ``name`` owns the
+    columns ``columns[name]``, and ``degree`` is the sum of the block
+    dimensions, the barrier parameter of the cone.
+    """
 
-def _columns(blocks: Sequence[BlockSpec]) -> dict[str, slice]:
-    """The column range of each block: consecutive ranges in cone order."""
-    out, col = {}, 0
-    for k in cone_order([b.dim for b in blocks]):
-        out[blocks[k].name] = slice(col, col + blocks[k].dim ** 2)
-        col = out[blocks[k].name].stop
-    return out
+    def __init__(self, blocks: Sequence[BlockSpec]):
+        order = sorted(blocks, key=lambda b: (b.dim > 1, -b.dim))
+        self.stacks = [(n, [b.name for b in run])
+                       for n, run in itertools.groupby(order, key=lambda b: b.dim)]
+        self.offsets = np.cumsum([0] + [n * n * len(names) for n, names in self.stacks])
+        self.columns, col = {}, 0
+        for b in order:
+            self.columns[b.name] = slice(col, col + b.dim ** 2)
+            col += b.dim ** 2
+        self.n_lin = sum(b.dim == 1 for b in blocks)
+        self.degree = float(sum(b.dim for b in blocks))
+        # (n, k, first column, end column) of each Hermitian stack
+        self._mats = [(n, len(names), lo, hi) for (n, names), lo, hi
+                      in zip(self.stacks, self.offsets, self.offsets[1:]) if n > 1]
+
+    def split(self, v: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """A vector as ``(lin, stacks)``: the orthant's entries and one
+        ``(k, n, n)`` array of Hermitian matrices per Hermitian stack."""
+        return v[:self.n_lin], [_mat(v[lo:hi].reshape(k, n * n))
+                                for n, k, lo, hi in self._mats]
+
+    def vec(self, lin: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
+        """The inverse of :meth:`split`."""
+        return np.concatenate([lin] + [_vec(m).ravel() for m in stacks])
+
+    def blocks(self, v: np.ndarray) -> dict[str, np.ndarray]:
+        """The matrix of each block of a vector, by name in cone order; a
+        dimension-1 block is a 1 x 1 array."""
+        lin, stacks = self.split(v)
+        mats = [np.array([[x]]) for x in lin] + [m for st in stacks for m in st]
+        return dict(zip((name for _, names in self.stacks for name in names), mats))
+
+    def stacked(self, x_blocks: dict[str, np.ndarray]) -> list[np.ndarray]:
+        """The matrices of ``x_blocks`` as one (k, n, n) array per stack."""
+        return [np.stack([np.asarray(x_blocks[name]) for name in names])
+                for _, names in self.stacks]
 
 
 @dataclass
 class SdpProblem:
     """minimize c . x s.t. a @ x = b, X_k >= 0, where x stacks the
     coordinates vec(X_k) = Re X_k + Im X_k (see ``_vec``) of the blocks in
-    cone order: ``a`` is one sparse (m, N) matrix and ``c`` one length-N
-    vector, N = sum_k dim_k^2, and block k owns the columns
-    ``columns[name]``."""
+    the column layout ``cone``: ``a`` is one sparse (m, N) matrix and ``c``
+    one length-N vector, N = sum_k dim_k^2."""
 
     blocks: list[BlockSpec]
     a: sp.csr_matrix
@@ -107,17 +140,9 @@ class SdpProblem:
         return self.b.size
 
     @functools.cached_property
-    def columns(self) -> dict[str, slice]:
-        """The column range of each block in ``a`` and ``c``."""
-        return _columns(self.blocks)
-
-    @functools.cached_property
-    def stacks(self) -> list[list[str]]:
-        """The block names of each dimension in column order; the blocks of
-        one list own one contiguous column range."""
-        order = [self.blocks[k] for k in cone_order([b.dim for b in self.blocks])]
-        return [[b.name for b in run]
-                for _, run in itertools.groupby(order, key=lambda b: b.dim)]
+    def cone(self) -> Cone:
+        """The column layout of ``blocks``."""
+        return Cone(self.blocks)
 
     def row_label(self, row: int) -> str:
         """The name of the constraint that row ``row`` belongs to, from the
@@ -148,7 +173,7 @@ class SdpProblem:
                 warnings.warn(f"block {b.name!r} exceeds the desk-scale guardrail "
                               f"(dimension {b.dim}); expect long solve times",
                               RuntimeWarning)
-        m, n = self.n_rows, sum(d * d for d in dims.values())
+        m, n = self.n_rows, int(self.cone.offsets[-1])
         if self.a.shape != (m, n):
             raise ValueError(f"constraint coefficients have shape {self.a.shape}, "
                              f"not the ({m}, {n}) of {m} rows and the declared blocks")
@@ -165,15 +190,9 @@ class SdpProblem:
 
     # -- evaluation on per-block matrices --------------------------------------
 
-    def stacked(self, x_blocks: dict[str, np.ndarray]) -> list[np.ndarray]:
-        """The matrices of ``x_blocks`` as one (k, n, n) array per list of
-        ``stacks``."""
-        return [np.stack([np.asarray(x_blocks[name]) for name in names])
-                for names in self.stacks]
-
     def vector(self, x_blocks: dict[str, np.ndarray]) -> np.ndarray:
         """The coordinates x of per-block matrices, in column order."""
-        return np.concatenate([_vec(st).ravel() for st in self.stacked(x_blocks)])
+        return np.concatenate([_vec(st).ravel() for st in self.cone.stacked(x_blocks)])
 
     def constraint_values(self, x_blocks: dict[str, np.ndarray]) -> np.ndarray:
         """Evaluate <A_i, X> for every row."""
@@ -185,7 +204,7 @@ class SdpProblem:
     def adjoint(self, y: np.ndarray) -> dict[str, np.ndarray]:
         """Dense Hermitian matrices of A^*(y) = sum_i y_i A_i per block."""
         v = self.a.T @ y
-        return {name: _mat(v[cols]) for name, cols in self.columns.items()}
+        return {name: _mat(v[cols]) for name, cols in self.cone.columns.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +230,7 @@ def _mat(v: np.ndarray) -> np.ndarray:
     return 0.5 * ((1 + 1j) * m + (1 - 1j) * m.swapaxes(-1, -2))
 
 
-def _embedding_columns(dims: tuple[int, ...], drop: tuple[int, ...]) -> np.ndarray:
+def _embedding_coordinates(dims: tuple[int, ...], drop: tuple[int, ...]) -> np.ndarray:
     """Block coordinates of E_pq (x) I_drop, the adjoint of Tr_drop applied to
     the target's basis element E_pq, on a block with factor layout ``dims``.
 
@@ -270,8 +289,8 @@ class ProblemBuilder:
     """Incremental construction of an :class:`SdpProblem`.
 
     Coefficients are written as sparse (row, coordinate, value) entries per
-    block; ``build`` moves each to its block's columns and constructs the
-    one constraint matrix.  A nonempty ``label`` names the rows of its
+    block; ``build`` moves each to its block's columns in the :class:`Cone`
+    of the declared blocks and constructs the one constraint matrix.  A nonempty ``label`` names the rows of its
     constraint; the problem keeps the names as row ranges.
     """
 
@@ -364,7 +383,7 @@ class ProblemBuilder:
                 if int(np.prod(dims)) != bdim:
                     raise ValueError(f"layout {dims} does not match block "
                                      f"{t.block!r} of dimension {bdim}")
-                cols = _embedding_columns(dims, drop)
+                cols = _embedding_coordinates(dims, drop)
                 if cols.shape[0] != d * d:
                     raise ValueError(f"term on {t.block!r} has dimension "
                                      f"{bdim // cols.shape[1]}, target has {d}")
@@ -397,18 +416,18 @@ class ProblemBuilder:
         for name in ({e[0] for e in self._a} | self._c.keys()) - self._dims.keys():
             raise ValueError(f"coefficient references unknown block {name!r}")
         blocks = [BlockSpec(n, d) for n, d in self._dims.items()]
-        columns = _columns(blocks)
-        shape = (len(self._b), sum(b.dim ** 2 for b in blocks))
+        cone = Cone(blocks)
+        shape = (len(self._b), int(cone.offsets[-1]))
         if self._a:
             names, rows, cols, vals = zip(*self._a)
-            cols = [col + columns[name].start for name, col in zip(names, cols)]
+            cols = [col + cone.columns[name].start for name, col in zip(names, cols)]
             a = sp.csr_matrix((np.concatenate(vals),
                                (np.concatenate(rows), np.concatenate(cols))), shape=shape)
         else:
             a = sp.csr_matrix(shape)
         c = np.zeros(shape[1])
         for name, coords in self._c.items():
-            c[columns[name]] = coords
+            c[cone.columns[name]] = coords
         p = SdpProblem(blocks=blocks, a=a, b=np.array(self._b), c=c,
                        allow_large_blocks=self.allow_large_blocks,
                        embeddings=list(self._embeddings), labels=list(self._labels))
@@ -457,7 +476,7 @@ def dump_problem(problem: SdpProblem, path: str) -> None:
         for k, blk in enumerate(problem.blocks):
             fh.write(f"block {k} {blk.name} {blk.dim}\n")
         for k, blk in enumerate(problem.blocks):
-            cols = problem.columns[blk.name]
+            cols = problem.cone.columns[blk.name]
             obj = upper_entries(sp.csr_matrix(problem.c[cols]), blk.dim)
             for f, v in zip(obj.col, obj.data):
                 fh.write(f"obj {k} {f // blk.dim} {f % blk.dim} "

@@ -7,12 +7,12 @@ complex domain, as in SeDuMi and SDPT3: the NT scaling, the step length and
 the corrector work on complex matrices, and a block's vector form is its
 coordinates Re X + Im X, the orthonormal Hermitian coordinates the problem
 stores its coefficients in, so that inner products are Re Tr(A X) and the
-constraint matrix is the problem's own, whose columns are already in cone
-order.  Dimension-1 blocks form one nonnegative orthant.  The Hermitian
-blocks of one dimension are processed as one stacked (k, n, n) array: each
-Cholesky factorization, NT scaling, inverse factor, step-length eigenvalue
-test and corrector term of an iteration is one batched call per block
-dimension, as SeDuMi and SDPT3 treat a cone.
+constraint matrix is the problem's own.  Vectors are split and joined by
+the problem's cone (``SdpProblem.cone``): the dimension-1 blocks form one
+nonnegative orthant, and the Hermitian blocks of one dimension one stacked
+(k, n, n) array, so each Cholesky factorization, NT scaling, inverse
+factor, step-length eigenvalue test and corrector term of an iteration is
+one batched call per block dimension, as SeDuMi and SDPT3 treat a cone.
 
 The Schur complement M_ij = Re Tr(A_i W A_j W) stays per block: it is
 assembled one block and one pair of row groups at a time (Fujisawa, Kojima
@@ -47,7 +47,6 @@ certificate of primal or dual infeasibility.
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -57,7 +56,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import blas
 
-from .problem import SdpProblem, _mat, _vec, cone_order
+from .problem import SdpProblem, _mat, _vec
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iterations"
@@ -166,35 +165,6 @@ def _pair_block(wt: np.ndarray, dims, drop_i, drop_j) -> np.ndarray:
     return m.reshape(n_p ** 2, n_r ** 2)
 
 
-class _Cone:
-    """The orthant of the dimension-1 blocks times the Hermitian blocks.
-
-    The blocks are in the problem's column order (``problem.cone_order``):
-    the Hermitian blocks ``mat`` by decreasing dimension, so that the blocks
-    of one dimension n are one ``(k, n, n)`` stack, listed as ``(n, k)`` in
-    ``stacks``.  A point is ``(lin, stacks)``, one array per dimension, and
-    its vector is ``lin`` followed by the Hermitian coordinates of each
-    matrix, stack by stack: the columns of ``SdpProblem.a``.
-    """
-
-    def __init__(self, dims: list[int]):
-        order = cone_order(dims)
-        self.lin = [k for k in order if dims[k] == 1]
-        self.mat = [k for k in order if dims[k] > 1]
-        sizes = [dims[k] for k in self.mat]
-        self.stacks = [(n, len(list(run))) for n, run in itertools.groupby(sizes)]
-        self.offsets = np.cumsum([0, len(self.lin)] + [n * n * k for n, k in self.stacks])
-        self.degree = float(len(self.lin) + sum(sizes))
-
-    def split(self, v: np.ndarray):
-        o = self.offsets
-        return v[:o[1]], [_mat(v[o[i + 1]:o[i + 2]].reshape(k, n * n))
-                          for i, (n, k) in enumerate(self.stacks)]
-
-    def vec(self, lin: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate([lin] + [_vec(m).ravel() for m in stacks])
-
-
 @dataclass
 class _BlockRows:
     """The rows on one Hermitian block: ``groups`` of embeddings (row slice,
@@ -209,11 +179,13 @@ class _BlockRows:
     a_block: sp.csr_matrix
 
 
-def _block_rows(problem: SdpProblem, cone: _Cone) -> list[_BlockRows]:
+def _block_rows(problem: SdpProblem) -> list[_BlockRows]:
+    """The rows of each Hermitian block, in the column order of the cone."""
     out = []
-    for k in cone.mat:
-        name, n = problem.blocks[k].name, problem.blocks[k].dim
-        a_block = problem.a[:, problem.columns[name]]
+    cone = problem.cone
+    hermitian = [(n, name) for n, names in cone.stacks if n > 1 for name in names]
+    for n, name in hermitian:
+        a_block = problem.a[:, cone.columns[name]]
         emb = [e for e in problem.embeddings if e.block == name]
         layouts = {e.dims for e in emb if e.drop}
         if len(layouts) > 1:
@@ -380,22 +352,23 @@ def _max_step(lin: np.ndarray, linv: list[np.ndarray], d_lin: np.ndarray,
     return alpha
 
 
-def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
-               b_full: np.ndarray, kept: list[int], c: np.ndarray, cfg: SolverConfig):
-    """Run the HSD iteration on rows ``kept`` of ``a_full`` and ``b_full``;
-    returns the status, the best iterate (x, s, y) and its diagnostics."""
-    a_red = a_full[kept]
+def _hsd_solve(problem: SdpProblem, kept: list[int], cfg: SolverConfig):
+    """Run the HSD iteration on rows ``kept`` of the problem; returns the
+    status, the best iterate (x, s, y) and its diagnostics."""
+    cone, c = problem.cone, problem.c
+    blocks = _block_rows(problem)
+    a_red = problem.a[kept]
     a_red_t = a_red.T.tocsr()
-    a_lin = a_full[:, :len(cone.lin)].toarray()
+    a_lin = problem.a[:, :cone.n_lin].toarray()
     keep_ix = np.ix_(kept, kept)
-    b = b_full[kept]
+    b = problem.b[kept]
     m = b.size
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.linalg.norm(c))
     c_parts = cone.split(c)
 
-    xv = cone.vec(np.ones(len(cone.lin)),
-                  [np.broadcast_to(np.eye(n), (k, n, n)) for n, k in cone.stacks])
+    xv = cone.vec(np.ones(cone.n_lin), [np.broadcast_to(np.eye(n), (len(names), n, n))
+                                        for n, names in cone.stacks if n > 1])
     sv = xv.copy()
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
@@ -417,19 +390,13 @@ def _hsd_solve(cone: _Cone, blocks: list[_BlockRows], a_full: sp.csr_matrix,
     for it in range(1, cfg.max_iter + 1):
         pres, dres, relgap, pobj, dobj = current_metrics(xv, sv, y, tau)
         score = max(pres, dres, relgap)
-        if score < 0.9 * best_score:
-            best_score = score
-            stall = 0
-            best = (xv, sv, y, tau, kappa)
-        else:
-            if score < best_score:
-                best_score = score
-                best = (xv, sv, y, tau, kappa)
-            stall += 1
-            if stall >= 25:
-                status = STATUS_NUMERICAL
-                note = f"no progress over {stall} iterations"
-                break
+        stall = 0 if score < 0.9 * best_score else stall + 1
+        if score < best_score:
+            best_score, best = score, (xv, sv, y, tau, kappa)
+        if stall >= 25:
+            status = STATUS_NUMERICAL
+            note = f"no progress over {stall} iterations"
+            break
         if pres <= cfg.tol_feas and dres <= cfg.tol_feas and relgap <= cfg.tol_gap:
             status = STATUS_OPTIMAL
             best = (xv, sv, y, tau, kappa)
@@ -625,14 +592,11 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
     problem.validate()
-    names = [b.name for b in problem.blocks]
-    dims = [b.dim for b in problem.blocks]
-    cone = _Cone(dims)
-    a_full, b_vec, c = problem.a, problem.b, problem.c
+    b_vec, c = problem.b, problem.c
 
     if b_vec.size:
         kept, dropped, inconsistency = _select_independent_rows(
-            a_full, b_vec, PRESOLVE_TOL)
+            problem.a, b_vec, PRESOLVE_TOL)
     else:
         kept, dropped, inconsistency = [], [], 0.0
 
@@ -645,24 +609,21 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 
     if inconsistency > 1e-8:
         status, y = STATUS_PRIMAL_INFEASIBLE, np.zeros(len(kept))
-        xv = sv = np.zeros(cone.offsets[-1])
+        xv = sv = np.zeros(problem.cone.offsets[-1])
         info = dict(iterations=0, tau=0.0, note=(
             "equality rows are linearly dependent with inconsistent right-hand "
             f"sides (residual {inconsistency:.2e})"))
     else:
-        status, xv, sv, y, info = _hsd_solve(cone, _block_rows(problem, cone),
-                                             a_full, b_vec, kept, c, cfg)
+        status, xv, sv, y, info = _hsd_solve(problem, kept, cfg)
     diagnostics.update(info, seconds=time.perf_counter() - t0)
 
     # certificates are rays, reported unscaled
     rays = status in (STATUS_PRIMAL_INFEASIBLE, STATUS_DUAL_INFEASIBLE)
     scale = 1.0 if rays or info["tau"] <= 0 else 1.0 / info["tau"]
     xv, sv = xv * scale, sv * scale
-    x_blocks, s_blocks = {}, {}
-    for out, (lin, stacks) in ((x_blocks, cone.split(xv)), (s_blocks, cone.split(sv))):
-        mats = [np.array([[v]]) for v in lin] + [mat for st in stacks for mat in st]
-        by_index = dict(zip(cone.lin + cone.mat, mats))
-        out.update((name, by_index[k]) for k, name in enumerate(names))
+    x_mats, s_mats = problem.cone.blocks(xv), problem.cone.blocks(sv)
+    x_blocks = {b.name: x_mats[b.name] for b in problem.blocks}
+    s_blocks = {b.name: s_mats[b.name] for b in problem.blocks}
     y_full = np.zeros(b_vec.size)
     y_full[kept] = y * scale
 

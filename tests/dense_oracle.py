@@ -136,8 +136,8 @@ def blockwise_certificate(problem, solution, tol: float = 1e-6) -> CertificateRe
     A^*(y), C and the dual residual as dense matrices per block, and the
     complementarity and eigenvalues of each block on its own."""
     x, s, b, y = solution.x_blocks, solution.s_blocks, problem.b, solution.y
-    a = {name: problem.a[:, cols] for name, cols in problem.columns.items()}
-    c = {name: _mat(problem.c[cols]) for name, cols in problem.columns.items()}
+    a = {name: problem.a[:, cols] for name, cols in problem.cone.columns.items()}
+    c = {name: _mat(problem.c[cols]) for name, cols in problem.cone.columns.items()}
 
     values = np.zeros(problem.n_rows)
     for blk in problem.blocks:

@@ -164,6 +164,36 @@ class TestFixedMarginalOverhead:
         assert z3 <= z1 + 1e-6 <= z0 + 2e-6
 
 
+COVARIANT_ENTRY_POINTS = {
+    "exact_overhead": lambda d: bc.exact_overhead(d),
+    "approx_overhead": lambda d: bc.approx_overhead((0.1, 0.1), d),
+    "approx_overhead_depolarizing": lambda d: bc.approx_overhead_depolarizing(0.1, d),
+    "depolarizing_overhead": lambda d: bc.depolarizing_overhead(0.1, d),
+    "min_error": lambda d: bc.min_error(1.0, d),
+}
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("d", [0, 1, 2.5, -3, "3"])
+    @pytest.mark.parametrize("entry", sorted(COVARIANT_ENTRY_POINTS))
+    def test_dimension_is_an_integer_of_at_least_two(self, entry, d):
+        # d = 1 and 2.5 used to return "optimal", 0 a ZeroDivisionError
+        with pytest.raises(ValueError, match="is not an integer >= 2"):
+            COVARIANT_ENTRY_POINTS[entry](d)
+
+    @pytest.mark.parametrize("entry", sorted(COVARIANT_ENTRY_POINTS))
+    def test_numpy_integer_dimension_is_accepted(self, entry):
+        assert COVARIANT_ENTRY_POINTS[entry](np.int64(2)).status == "optimal"
+
+    @pytest.mark.parametrize("gamma", [-1.0, -1e-300, math.inf, -math.inf, math.nan])
+    def test_budget_is_finite_and_nonnegative(self, gamma):
+        with pytest.raises(ValueError, match="is not a finite number >= 0"):
+            bc.min_error(gamma, 2)
+
+    def test_zero_budget_is_infeasible(self):
+        assert bc.min_error(0.0, 2).status == "primal_infeasible_certificate"
+
+
 class TestMinError:
     def test_channel_budget_anchor(self):
         p = bc.min_error(1.0, 2)

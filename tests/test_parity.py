@@ -46,3 +46,22 @@ def test_different_solve_sets_fail():
     lines, same = parity.compare(before, after)
     assert not same
     assert lines[0] == "different solve sets: ['b', 'c']"
+
+
+def test_offsetting_iteration_changes_are_listed():
+    before = {"a": record(iterations=10), "b": record(iterations=20),
+              "c": record(), "d": record(status="numerical_failure", iterations=40)}
+    after = {"a": record(iterations=12), "b": record(iterations=18),
+             "c": record(), "d": record(iterations=30)}
+    lines, same = parity.compare(before, after)
+    assert not same
+    # the totals hide the two changes, which cancel; the status change of d
+    # is reported on its own line, not among the iteration changes
+    assert lines[-1] == "iterations over 3 solves with an unchanged status: 40 -> 40"
+    assert lines[-2] == "iteration counts changed on 2 solves: a 10 -> 12, b 20 -> 18"
+
+
+def test_no_iteration_change_is_reported_as_none():
+    before = {"a": record(), "b": record(iterations=7)}
+    lines, _ = parity.compare(before, dict(before))
+    assert lines[-2] == "iteration counts changed on 0 solves"

@@ -190,6 +190,11 @@ class TestExitCodes:
     def test_gamma_out_of_construction_range(self, capsys):
         assert main(["simulate", "--gamma", "12"]) == 2
 
+    def test_negative_budget(self, capsys):
+        assert main(["min-error", "--gamma", "-1", "--dim", "2"]) == 2
+        assert ("error: budget gamma=-1.0 is not a finite number >= 0"
+                in capsys.readouterr().err)
+
     def test_solver_failure(self, capsys):
         # one iteration cannot converge: surfaces as a solver failure
         assert main(["exact", "--dim", "2", "--max-iter", "1"]) == 3

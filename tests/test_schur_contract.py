@@ -4,12 +4,12 @@ structured Schur complement.
 A problem stores each block's coefficients once, as Hermitian-basis
 coordinates ``a``, ``b`` and ``c``.  These properties pin that data to its
 meaning: a built problem's rows evaluate partial traces and full terms, its
-adjoint is the adjoint, the problem dump reproduces it, each block's columns
-follow the solver's cone layout, the certificate does not depend on block
-names or order and agrees with a block-by-block reference, and the solver's
-structured Schur
-complement M_ij = Re Tr(A_i W A_j W), assembled from the embeddings the
-builder records, equals the dense one built here from the coefficients.
+adjoint is the adjoint, the problem dump reproduces it, the problem's cone
+lays out the columns and splits vectors consistently, the certificate does
+not depend on block names or order and agrees with a block-by-block
+reference, and the solver's structured Schur complement
+M_ij = Re Tr(A_i W A_j W), assembled from the embeddings the builder
+records, equals the dense one built here from the coefficients.
 The Schur solve factors M once, shifting a copy only when M is not
 numerically positive definite, and refines against the unshifted M while the
 residual falls.
@@ -36,13 +36,12 @@ from vbroadcast.sdp import (
     scalar_term,
     solve,
 )
-from vbroadcast.sdp.problem import _mat, _vec
+from vbroadcast.sdp.problem import BlockSpec, Cone, _mat, _vec
 from scipy.linalg import blas
 
 from vbroadcast.sdp import solver
 from vbroadcast.sdp.solver import (
     _block_rows,
-    _Cone,
     _schur,
     _schur_factor,
     _schur_solve,
@@ -114,7 +113,7 @@ def dense_schur(problem, w):
     m = problem.n_rows
     ref = np.zeros((m, m))
     for blk in problem.blocks:
-        aw = _mat(problem.a[:, problem.columns[blk.name]].toarray()) @ w[blk.name]
+        aw = _mat(problem.a[:, problem.cone.columns[blk.name]].toarray()) @ w[blk.name]
         ref += np.einsum("iab,jba->ij", aw, aw).real
     return ref
 
@@ -123,15 +122,16 @@ def dense_schur(problem, w):
 @given(problems())
 def test_structured_schur_matches_dense_reference(case):
     problem, rng = case
-    cone = _Cone([b.dim for b in problem.blocks])
-    p_lin = rng.uniform(0.2, 3.0, len(cone.lin))
-    w_mats = [rand_pd(rng, problem.blocks[k].dim) for k in cone.mat]
-    blocks = _block_rows(problem, cone)
-    got = _schur(problem.a[:, :len(cone.lin)].toarray(), p_lin, blocks, w_mats)
+    cone = problem.cone
+    scalars = [name for n, names in cone.stacks if n == 1 for name in names]
+    hermitian = [(n, name) for n, names in cone.stacks if n > 1 for name in names]
+    p_lin = rng.uniform(0.2, 3.0, cone.n_lin)
+    w_mats = [rand_pd(rng, n) for n, _ in hermitian]
+    got = _schur(problem.a[:, :cone.n_lin].toarray(), p_lin, _block_rows(problem), w_mats)
 
     # P = W . W, so a scalar block's W is the square root of its P
-    w = {problem.blocks[k].name: np.sqrt([[p]]) for k, p in zip(cone.lin, p_lin)}
-    w.update({problem.blocks[k].name: wk for k, wk in zip(cone.mat, w_mats)})
+    w = {name: np.sqrt([[p]]) for name, p in zip(scalars, p_lin)}
+    w.update({name: wk for (_, name), wk in zip(hermitian, w_mats)})
     ref = dense_schur(problem, w)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -177,36 +177,12 @@ def test_hermitian_coordinates_round_trip(n, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))
-def test_cone_stacks_round_trip(dims, seed):
-    # blocks in any order, with repeated and dimension-1 blocks
-    rng = np.random.default_rng(seed)
-    cone = _Cone(dims)
-    assert cone.lin == [k for k, n in enumerate(dims) if n == 1]
-    assert sorted(cone.mat) == [k for k, n in enumerate(dims) if n > 1]
-    assert [(-dims[k], k) for k in cone.mat] == sorted((-dims[k], k) for k in cone.mat)
-    lin = rng.standard_normal(len(cone.lin))
-    mats = [rand_hermitian(rng, dims[k]) for k in cone.mat]
-    # the vector is lin, then each block's own coordinates in cone.mat order
-    v = np.concatenate([lin] + [_vec(m) for m in mats])
-    got_lin, stacks = cone.split(v)
-    assert np.array_equal(got_lin, lin)
-    assert [s.shape for s in stacks] == [(k, n, n) for n, k in cone.stacks]
-    assert len({s.shape[1] for s in stacks}) == len(stacks)
-    flat = [m for s in stacks for m in s]
-    assert len(flat) == len(mats)
-    for got, want in zip(flat, mats):
-        assert np.allclose(got, want, rtol=0, atol=1e-14)
-    assert np.allclose(cone.vec(got_lin, stacks), v, rtol=0, atol=1e-14)
-    assert cone.degree == sum(dims)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 4), min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))
-def test_columns_follow_the_cone_layout(dims, seed):
+def test_cone_layout(dims, seed):
     # blocks in any order, with repeated dimensions and dimension-1 blocks
     # declared in between
     rng = np.random.default_rng(seed)
     names = [f"B{k}" for k in range(len(dims))]
+    dim_of = dict(zip(names, dims))
 
     def coeff(n):
         return float(rng.standard_normal()) if n == 1 else rand_hermitian(rng, n)
@@ -221,21 +197,56 @@ def test_columns_follow_the_cone_layout(dims, seed):
     for name, w in objective.items():
         b.add_objective(name, w)
     problem = b.build()
+    cone = problem.cone
 
-    cone = _Cone(dims)
-    order = cone.lin + cone.mat
-    sizes = [dims[k] ** 2 for k in order]
+    # the order: dimension-1 blocks first, then decreasing dimension, each
+    # dimension one stack in declaration order
+    order = [name for _, names_n in cone.stacks for name in names_n]
+    assert sorted(order) == sorted(names)
+    assert [n for n, _ in cone.stacks] == sorted(set(dims), key=lambda n: (n > 1, -n))
+    for n, names_n in cone.stacks:
+        assert names_n == [name for name in names if dim_of[name] == n]
+    assert cone.n_lin == dims.count(1)
+    assert cone.degree == sum(dims)
+    # contiguous ranges: the blocks tile the columns in order, and stack i
+    # owns offsets[i]:offsets[i + 1]
+    sizes = [dim_of[name] ** 2 for name in order]
     stops = np.cumsum(sizes)
-    assert [(problem.columns[names[k]].start, problem.columns[names[k]].stop)
-            for k in order] == list(zip(stops - sizes, stops))
-    # each stack of the cone is one run of blocks of its dimension
-    assert set(cone.offsets) <= {0, *stops}
-    assert problem.stacks == [[names[k] for k in order if dims[k] == n]
-                              for n in sorted(set(dims), key=lambda n: (n > 1, -n))]
+    assert [(cone.columns[name].start, cone.columns[name].stop)
+            for name in order] == list(zip(stops - sizes, stops))
+    assert cone.offsets[0] == 0
+    for (n, names_n), lo, hi in zip(cone.stacks, cone.offsets, cone.offsets[1:]):
+        assert (cone.columns[names_n[0]].start, cone.columns[names_n[-1]].stop) == (lo, hi)
+        assert hi - lo == n * n * len(names_n)
     assert problem.a.shape == (2, cone.offsets[-1]) and problem.c.shape == (cone.offsets[-1],)
+    assert Cone([BlockSpec(name, n) for name, n in zip(names, dims)]).columns == cone.columns
+
+    # split / vec: the orthant's entries, then each Hermitian block's own
+    # coordinates, stack by stack
+    mats = {name: rand_hermitian(rng, dim_of[name]) for name in order if dim_of[name] > 1}
+    lin = rng.standard_normal(cone.n_lin)
+    v = np.concatenate([lin] + [_vec(m) for m in mats.values()])
+    got_lin, stacks = cone.split(v)
+    assert np.array_equal(got_lin, lin)
+    assert [s.shape for s in stacks] == [(len(names_n), n, n)
+                                         for n, names_n in cone.stacks if n > 1]
+    for got, want in zip((m for s in stacks for m in s), mats.values()):
+        assert np.allclose(got, want, rtol=0, atol=1e-14)
+    assert np.allclose(cone.vec(got_lin, stacks), v, rtol=0, atol=1e-14)
+
+    # blocks / stacked: each block's matrix by name is its column slice
+    by_name = cone.blocks(v)
+    assert list(by_name) == order
+    for name, x in by_name.items():
+        assert x.shape == (dim_of[name],) * 2
+        assert np.allclose(x, _mat(v[cone.columns[name]]), rtol=0, atol=1e-14)
+    assert [s.shape for s in cone.stacked(by_name)] == [(len(names_n), n, n)
+                                                        for n, names_n in cone.stacks]
+    assert np.allclose(problem.vector(by_name), v, rtol=0, atol=1e-14)
+
     # each block's column slice holds the coefficients it was given
-    for name, n in zip(names, dims):
-        cols = problem.columns[name]
+    for name in names:
+        cols = cone.columns[name]
         for row, coeffs in enumerate(rows):
             got = _mat(problem.a[row, cols].toarray()[0])
             assert np.allclose(got, np.atleast_2d(coeffs[name]), rtol=0, atol=1e-15)

@@ -25,9 +25,10 @@ with the status and iteration count of its last SDP solution and no value.
 
 ``compare`` prints the largest |value difference| over solves with a value
 in both files (and the solve it is at, when it is not 0), every status
-difference, and the iteration totals over the solves whose status is the
-same in both.  It exits 1 when the two files hold
-different solve sets or any status differs, else 0.
+difference, the solves with an unchanged status whose iteration count
+changed, and the iteration totals over the solves whose status is the same
+in both.  It exits 1 when the two files hold different solve sets or any
+status differs, else 0.
 """
 
 from __future__ import annotations
@@ -142,6 +143,10 @@ def compare(before: dict, after: dict) -> tuple[list[str], bool]:
             b, a = before[k], after[k]
             lines.append(f"status {k}: {b['status']} ({b['iterations']} iterations) -> "
                          f"{a['status']} ({a['iterations']} iterations)")
+    moved = [f"{k} {before[k]['iterations']} -> {after[k]['iterations']}" for k in same
+             if before[k]["iterations"] != after[k]["iterations"]]
+    lines.append(f"iteration counts changed on {len(moved)} solves"
+                 + (f": {', '.join(moved)}" if moved else ""))
     lines.append(f"iterations over {len(same)} solves with an unchanged status: "
                  f"{sum(before[k]['iterations'] for k in same)} -> "
                  f"{sum(after[k]['iterations'] for k in same)}")
