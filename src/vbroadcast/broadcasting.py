@@ -48,13 +48,16 @@ g_k its k-th row:
 * the marginal Tr_{other}[J] on (B, B_k) is
   gamma Gamma + pi d (I - Gamma/d) / (d^2 - 1) with gamma = <g_k g_k^T, P>
   and pi = w - gamma;
-* a covariant witness on (B, B_k) is Z = z_gamma Gamma
-  + z_pi d (I - Gamma/d) / (d^2 - 1), z >= 0, with Tr_{B_k} Z = (z_gamma + z_pi) I_B.
+* the marginal of J1 - J2 has weight x - y = 1, so pi_k = 1 - gamma_k: it is
+  the depolarizing Choi operator with t = (1 - gamma_k) d^2 / (d^2 - 1), and
+  its half diamond distance from the identity, |t| (d^2 - 1) / d^2, is
+  |1 - gamma_k|.
 
-So each J_i is the blocks P_i, S_i (and A_i), and every weight, marginal,
-witness and cap constraint is one or two scalar rows, whatever d is.  The
-decomposition on (B, B1, B2) is built from the reduced optimum only when it
-is read.
+So each J_i is the blocks P_i, S_i (and A_i), and every weight and marginal
+constraint is one scalar row, whatever d is; an error ball of radius thr
+around the identity is the range 1 - thr <= gamma_k <= 1 + thr.  All four
+problems are posed by ``_covariant_problem``.  The decomposition on
+(B, B1, B2) is built from the reduced optimum only when it is read.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ from .sdp import (
     STATUS_UNCERTIFIED,
     CertificateReport,
     ProblemBuilder,
+    SdpProblem,
     SdpSolution,
     SolverConfig,
     SolverFailure,
@@ -92,8 +96,8 @@ from .sdp import (
 )
 
 # Thresholds at or below this are treated as exact-marginal constraints; the
-# norm-ball formulation has empty interior at zero radius while the equality
-# form is numerically clean and mathematically identical.
+# range 1 - thr <= gamma <= 1 + thr has empty interior at zero radius while
+# the equality form is numerically clean and mathematically identical.
 ZERO_THRESHOLD = 1e-12
 
 DEFAULT_CONFIG = SolverConfig()
@@ -192,12 +196,6 @@ def _gamma_part(d: int, receiver: int) -> dict:
     return {"P": np.outer(g, g)}
 
 
-def _perp_part(d: int, receiver: int) -> dict:
-    """Coefficients of pi = w - gamma, the marginal's trace off Gamma."""
-    g = _gram(d)[receiver - 1]
-    return {**_weight(d), "P": _gram(d) - np.outer(g, g)}
-
-
 def _on(coeffs: dict, j: int, d: int, scale: float = 1.0) -> dict:
     """``scale`` times ``coeffs`` on the blocks of J_j."""
     return {f"{name}{j}": scale * v for name, v in coeffs.items() if name in _blocks(d)}
@@ -262,10 +260,15 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension d={d!r} is not an integer >= 2")
 
 
-def _covariant_builder(d: int, minimize_nu: bool = True) -> ProblemBuilder:
-    """The blocks of J1 and J2 in irreducible form and the weights x, y, with
-    the rows w(J1) = x, w(J2) = y and x - y = 1; raises ``ValueError`` unless
-    d is an integer >= 2."""
+def _covariant_problem(d: int, ranges: list[tuple[float, float]],
+                       budget: float | None = None) -> SdpProblem:
+    """The covariant problem over J1, J2 in irreducible form and the weights
+    x, y, with the rows w(J1) = x, w(J2) = y and x - y = 1, and
+    low_k <= gamma_k(J1 - J2) <= high_k for the ``ranges`` (low_k, high_k) of
+    the receivers k = 1, 2 (one equality row when low_k == high_k).  It
+    minimizes nu = x + y; with a ``budget`` it instead minimizes a shift delta
+    added to each gamma_k, under x + y <= sqrt(budget).  Raises
+    ``ValueError`` unless d is an integer >= 2."""
     _check_dim(d)
     builder = ProblemBuilder()
     for j in (1, 2):
@@ -273,21 +276,26 @@ def _covariant_builder(d: int, minimize_nu: bool = True) -> ProblemBuilder:
             builder.add_psd_block(f"{name}{j}", 2 if name == "P" else 1)
     builder.add_scalar("x")
     builder.add_scalar("y")
-    if minimize_nu:
+    shift = {}
+    if budget is None:
         builder.minimize({"x": 1.0, "y": 1.0})
+    else:
+        shift = {builder.add_scalar("delta"): 1.0}
+        builder.minimize(shift)
     builder.add_scalar_eq({**_on(_weight(d), 1, d), "x": -1.0}, 0.0, label="weight1")
     builder.add_scalar_eq({**_on(_weight(d), 2, d), "y": -1.0}, 0.0, label="weight2")
     builder.add_scalar_eq({"x": 1.0, "y": -1.0}, 1.0, label="unit_difference")
-    return builder
-
-
-def _pin_marginals(builder: ProblemBuilder, d: int, gamma: float,
-                   extra: dict | None = None) -> None:
-    """Fix gamma of both marginals of J1 - J2 (plus ``extra``) to ``gamma``;
-    with the weight rows, this fixes the whole covariant marginal."""
-    for k in (1, 2):
-        builder.add_scalar_eq({**_of_difference(_gamma_part(d, k), d), **(extra or {})},
-                              gamma, label=f"marginal{k}")
+    for k, (low, high) in enumerate(ranges, start=1):
+        gamma = {**_of_difference(_gamma_part(d, k), d), **shift}
+        if low == high:
+            builder.add_scalar_eq(gamma, low, label=f"marginal{k}")
+        else:
+            builder.add_scalar_ineq({name: -v for name, v in gamma.items()}, -low,
+                                    label=f"marginal{k}_low")
+            builder.add_scalar_ineq(gamma, high, label=f"marginal{k}_high")
+    if budget is not None:
+        builder.add_scalar_ineq({"x": 1.0, "y": 1.0}, math.sqrt(budget), label="budget")
+    return builder.build()
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +366,7 @@ def exact_overhead(d: int, config: SolverConfig | None = None) -> OverheadResult
     nu^2 >= 25/9 exceeds 2 for every d >= 2: exact virtual broadcasting is
     never sample efficient.
     """
-    builder = _covariant_builder(d)
-    _pin_marginals(builder, d, 1.0)
-    problem = builder.build()
+    problem = _covariant_problem(d, [(1.0, 1.0)] * 2)
     sol = solve(problem, config or DEFAULT_CONFIG)
     return _finish(problem, sol, d)
 
@@ -369,11 +375,12 @@ def approx_overhead(thresholds: ErrorThresholds | tuple[float, float], d: int,
                     config: SolverConfig | None = None) -> OverheadResult:
     """Minimal nu over maps whose marginals are (a, b)-close to the identity.
 
-    Each norm constraint is the feasibility form of the diamond-norm SDP with
-    the bound plugged in for the optimal value: a witness Z_i >= 0 dominating
-    the marginal difference with Tr_out[Z_i] <= thr_i * I_B.  Zero thresholds
-    are posed as exact marginal equalities instead (identical feasible set,
-    nonempty interior).
+    Closeness is in half diamond distance.  The covariant marginal of J1 - J2
+    on receiver k is depolarizing, at distance |1 - gamma_k| from the
+    identity (module docstring), so the constraint on receiver k is the range
+    1 - thr_k <= gamma_k <= 1 + thr_k: two rows, with no norm SDP.  A
+    threshold at or below ``ZERO_THRESHOLD`` is the single row gamma_k = 1
+    (the same feasible set, with a nonempty interior).
 
     The SDP is posed with a >= b.  For a < b the exchanged problem (b, a) is
     solved and the decomposition is read with the two receivers exchanged, so
@@ -381,21 +388,9 @@ def approx_overhead(thresholds: ErrorThresholds | tuple[float, float], d: int,
     ``certificate`` then belong to the exchanged problem.
     """
     thr = thresholds if isinstance(thresholds, ErrorThresholds) else ErrorThresholds(*thresholds)
-    builder = _covariant_builder(d)
-    for k, bound in enumerate((max(thr.a, thr.b), min(thr.a, thr.b)), start=1):
-        if bound <= ZERO_THRESHOLD:
-            builder.add_scalar_eq(_of_difference(_gamma_part(d, k), d), 1.0,
-                                  label=f"marginal{k}_exact")
-            continue
-        zg = builder.add_scalar(f"Z{k}_gamma")
-        zp = builder.add_scalar(f"Z{k}_perp")
-        # Z_k >= M_k - Gamma on each eigenspace, then Tr_out[Z_k] <= bound I_B
-        builder.add_scalar_ineq({**_of_difference(_gamma_part(d, k), d), zg: -1.0}, 1.0,
-                                label=f"witness{k}_dominates_gamma")
-        builder.add_scalar_ineq({**_of_difference(_perp_part(d, k), d), zp: -1.0}, 0.0,
-                                label=f"witness{k}_dominates_perp")
-        builder.add_scalar_ineq({zg: 1.0, zp: 1.0}, bound, label=f"witness{k}_cap")
-    problem = builder.build()
+    ranges = [(1.0, 1.0) if bound <= ZERO_THRESHOLD else (1.0 - bound, 1.0 + bound)
+              for bound in (max(thr.a, thr.b), min(thr.a, thr.b))]
+    problem = _covariant_problem(d, ranges)
     sol = solve(problem, config or DEFAULT_CONFIG)
     return _finish(problem, sol, d, exchange=thr.a < thr.b)
 
@@ -425,11 +420,14 @@ def depolarizing_overhead(t: float, d: int,
 
     The marginal (1 - t) Gamma + t I/d has gamma = 1 - t + t/d^2.
     Infeasibility, if the solver ever certifies it, is reported through the
-    result status rather than an exception.
+    result status rather than an exception.  A ``t`` that is not finite
+    raises ``ValueError``.
     """
-    builder = _covariant_builder(d)
-    _pin_marginals(builder, d, 1.0 - t + t / (d * d))
-    problem = builder.build()
+    if not math.isfinite(t):
+        raise ValueError(f"noise t={t!r} is not a finite number")
+    _check_dim(d)
+    gamma = 1.0 - t + t / (d * d)
+    problem = _covariant_problem(d, [(gamma, gamma)] * 2)
     sol = solve(problem, config or DEFAULT_CONFIG)
     return _finish(problem, sol, d, t=t)
 
@@ -447,12 +445,7 @@ def min_error(gamma: float, d: int, config: SolverConfig | None = None) -> Trade
     """
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"budget gamma={gamma!r} is not a finite number >= 0")
-    builder = _covariant_builder(d, minimize_nu=False)
-    builder.add_scalar("delta")
-    builder.minimize({"delta": 1.0})
-    _pin_marginals(builder, d, 1.0, extra={"delta": 1.0})
-    builder.add_scalar_ineq({"x": 1.0, "y": 1.0}, math.sqrt(gamma), label="budget")
-    problem = builder.build()
+    problem = _covariant_problem(d, [(1.0, 1.0)] * 2, budget=gamma)
     sol = solve(problem, config or DEFAULT_CONFIG)
     lift = functools.partial(_covariant_decomposition, sol, d)
     mu, status, lift, cert = _outcome(problem, sol, lift, "trade-off")

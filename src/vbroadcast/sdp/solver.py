@@ -123,7 +123,8 @@ def record_solves():
     try:
         yield log
     finally:
-        _ACTIVE_RECORDERS.remove(log)
+        # by identity: an outer log may equal this one, element for element
+        _ACTIVE_RECORDERS[:] = [other for other in _ACTIVE_RECORDERS if other is not log]
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,12 @@ class TestInputValidation:
     def test_zero_budget_is_infeasible(self):
         assert bc.min_error(0.0, 2).status == "primal_infeasible_certificate"
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_noise_is_finite(self, t):
+        # used to build the SDP and end in SolverFailure after NaN arithmetic
+        with pytest.raises(ValueError, match="is not a finite number"):
+            bc.depolarizing_overhead(t, 2)
+
 
 class TestMinError:
     def test_channel_budget_anchor(self):
@@ -353,7 +359,7 @@ class TestRowLabels:
         dump_problem(problem, str(path))
         comments = path.read_text().splitlines()
         labels = {label for _, _, label in problem.labels}
-        assert len(labels) == len(problem.labels) == 9
+        assert len(labels) == len(problem.labels) == 7
         for start, stop, label in problem.labels:
             assert f"# rows {start}-{stop - 1} {label}" in comments
 
@@ -376,17 +382,31 @@ def knee_grid():
     return {(a, b): _status_and_nu((a, b), 2) for a in axis for b in axis}
 
 
+ULP_POINTS = [0.6 - math.ulp(0.6), 0.6, 0.6 + math.ulp(0.6)]
+
+
+@pytest.fixture(scope="module")
+def ulp_points():
+    """(a, 0) at d = 2 and tol 1e-9 for a = 0.6 and 1 ulp either side."""
+    return {a: bc.approx_overhead((a, 0.0), 2, config=KNEE_CONFIG) for a in ULP_POINTS}
+
+
 class TestKnee:
     """a = 1 - 1/d^2 with b = 0, where nu first reaches 1: a degenerate
     optimum whose convergence at tol 1e-9 depends on rounding."""
 
-    @pytest.mark.xfail(strict=True, raises=SolverFailure,
-                       reason="the d = 2 knee still stalls at tol 1e-9 (ROADMAP item 2)")
     @pytest.mark.parametrize("thresholds", [(0.75, 0.0), (0.0, 0.75)])
     def test_d2_knee_is_certified_optimal(self, thresholds):
         res = bc.approx_overhead(thresholds, 2, config=KNEE_CONFIG)
         assert res.status == "optimal" and res.certificate.passed is True
         assert abs(res.nu - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("a", ULP_POINTS)
+    def test_points_one_ulp_apart_are_certified_optimal(self, ulp_points, a):
+        # 0.6 + 1 ulp used to stall in numerical_failure while 0.6 converged
+        res = ulp_points[a]
+        assert res.status == "optimal" and res.certificate.passed is True
+        assert max(abs(res.nu - other.nu) for other in ulp_points.values()) <= 1e-8
 
     def test_grid_is_mirror_symmetric(self, knee_grid):
         for (a, b), (status, nu) in knee_grid.items():

@@ -47,11 +47,14 @@ class TestClosedForms:
         assert abs(res.value) <= 1e-7
         assert abs(res.lower_bound) <= 1e-12
 
-    @pytest.mark.parametrize("t,expected", [(0.4, 0.30), (-0.5, 0.375), (1.0, 0.75)])
-    def test_depolarizing_difference(self, t, expected):
-        phi = ChoiOperator(depolarizing_choi(t, D2).op - gamma_operator(D2), D2, (D2,))
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("t", [-1.0, -0.5, 0.3, 1.0, 1.2, 1.5, 2.0])
+    def test_depolarizing_difference(self, t, d):
+        # |t| (d^2 - 1) / d^2 = |1 - gamma(t)| with gamma(t) = 1 - t + t / d^2:
+        # the closed form that poses the error balls of approx_overhead
+        phi = ChoiOperator(depolarizing_choi(t, d).op - gamma_operator(d), d, (d,))
         res = half_diamond_distance(phi, lower_bound_samples=4)
-        assert abs(res.value - expected) <= 1e-6
+        assert abs(res.value - abs(1.0 - (1.0 - t + t / d ** 2))) <= 1e-8
 
 
 class TestLowerBound:

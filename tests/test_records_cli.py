@@ -123,10 +123,8 @@ class TestCliCommands:
 
     def test_sweep_solves_each_mirror_pair_once(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        # the grid holds the knee pair (0.75, 0), (0, 0.75), so the exit code
-        # is not checked here; a failed point is mirrored like any other
         with record_solves() as log:
-            main(["sweep-ab", "--dim", "2", "--grid", "5", "--out", str(out)])
+            assert main(["sweep-ab", "--dim", "2", "--grid", "5", "--out", str(out)]) == 0
         recs = parse_csv(out.read_text())
         assert len(recs) == 25 and len(log) == 15
         by_ab = {(r.a, r.b): r for r in recs}
@@ -291,8 +289,8 @@ class TestFailedPoints:
     """A point whose solve fails becomes a record with its status and empty
     outputs; every other row is still written and the exit code is 3."""
 
-    # at 9 iterations some points of this grid are optimal and some are not
-    ARGV = ["sweep-ab", "--dim", "2", "--grid", "3", "--max-iter", "9"]
+    # at 8 iterations some points of this grid are optimal and some are not
+    ARGV = ["sweep-ab", "--dim", "2", "--grid", "3", "--max-iter", "8"]
 
     def test_sweep_writes_every_row(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

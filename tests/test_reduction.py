@@ -9,7 +9,12 @@ import pytest
 
 import dense_oracle
 from vbroadcast import broadcasting as bc
-from vbroadcast.channels import ChoiOperator, check_structural_conditions, swap_operator
+from vbroadcast.channels import (
+    ChoiOperator,
+    check_structural_conditions,
+    depolarizing_choi,
+    swap_operator,
+)
 from vbroadcast.linalg import partial_trace, permute_subsystems
 from vbroadcast.sdp import SolverConfig
 
@@ -56,7 +61,7 @@ class Irreps:
         return op
 
     def functionals(self, op):
-        """w, then gamma and pi of each receiver's marginal, read off J."""
+        """w, then gamma of each receiver's marginal, read off J."""
         d = self.d
         dd = (d, d, d)
         gamma = np.outer(np.eye(d).reshape(-1), np.eye(d).reshape(-1))
@@ -64,15 +69,12 @@ class Irreps:
         for k, drop in ((1, 2), (2, 1)):
             m = partial_trace(op, dd, drop=drop)
             out[f"gamma{k}"] = np.trace(gamma @ m) / d ** 2
-            out[f"perp{k}"] = np.trace((np.eye(d * d) - gamma / d) @ m) / d
         return out
 
 
 def _library(d):
-    g = {k: bc._gamma_part(d, k) for k in (1, 2)}
-    p = {k: bc._perp_part(d, k) for k in (1, 2)}
-    return {"weight": bc._weight(d), "gamma1": g[1], "gamma2": g[2],
-            "perp1": p[1], "perp2": p[2]}
+    return {"weight": bc._weight(d), "gamma1": bc._gamma_part(d, 1),
+            "gamma2": bc._gamma_part(d, 2)}
 
 
 def _random_point(d, rng):
@@ -139,12 +141,22 @@ class TestClosedForm:
         swapped = permute_subsystems(bc._covariant_choi(p, s, a, d), (d, d, d), (0, 2, 1))
         assert np.max(np.abs(swapped - bc._covariant_choi(x @ p @ x, s, a, d))) <= 1e-12
 
-    def test_witness_cap(self, irreps):
-        # Z = z_g Gamma + z_p d (I - Gamma/d) / (d^2 - 1) has Tr_out Z = (z_g + z_p) I
+    def test_unit_difference_has_depolarizing_marginals(self, irreps):
+        # the identity the error-ball rows rest on: when w(J1 - J2) = 1, the
+        # marginal on (B, B_k) is depolarizing with t = (1 - gamma_k) d^2 / (d^2 - 1),
+        # at half diamond distance |1 - gamma_k| from the identity
         d = irreps.d
-        gamma = np.outer(np.eye(d).reshape(-1), np.eye(d).reshape(-1))
-        z = 0.3 * gamma + 0.7 * d * (np.eye(d * d) - gamma / d) / (d * d - 1)
-        assert np.allclose(partial_trace(z, (d, d), drop=1), np.eye(d), atol=1e-12)
+        rng = np.random.default_rng(400 + d)
+        j1, j2 = (irreps.lift(*_random_point(d, rng)) for _ in range(2))
+        x = 1.7
+        w1, w2 = (irreps.functionals(j)["weight"] for j in (j1, j2))
+        diff = x * j1 / w1 - (x - 1.0) * j2 / w2
+        assert abs(irreps.functionals(diff)["weight"] - 1.0) <= 1e-12
+        for k, drop in ((1, 2), (2, 1)):
+            gamma = irreps.functionals(diff)[f"gamma{k}"].real
+            t = (1.0 - gamma) * d * d / (d * d - 1.0)
+            marginal = partial_trace(diff, (d, d, d), drop=drop)
+            assert np.max(np.abs(marginal - depolarizing_choi(t, d).op)) <= 1e-12, k
 
 
 class TestDenseOracle:

@@ -16,7 +16,7 @@ from vbroadcast.sdp import (
     solve,
 )
 from vbroadcast.sdp import solver
-from vbroadcast.sdp.solver import _chol_stack, _chol_with_jitter
+from vbroadcast.sdp.solver import _chol_stack, _chol_with_jitter, record_solves
 
 
 def make_trace_one_problem(c):
@@ -73,6 +73,20 @@ class TestSolveBasics:
         sol = solve(b.build())
         assert sol.status == "optimal"
         assert abs(sol.primal_objective - 0.75) <= 1e-7
+
+
+def test_nested_recorders_keep_their_own_logs():
+    # the inner log equals the outer one when it exits, so it must be removed
+    # by identity: the outer log still sees the later solve
+    first = make_trace_one_problem(np.diag([1.0, 2.0]).astype(complex))
+    second = make_trace_one_problem(np.diag([3.0, 1.0]).astype(complex))
+    with record_solves() as outer:
+        with record_solves() as inner:
+            solve(first)
+        solve(second)
+    assert [id(problem) for problem, _ in inner] == [id(first)]
+    assert [id(problem) for problem, _ in outer] == [id(first), id(second)]
+    assert not solver._ACTIVE_RECORDERS
 
 
 class TestBuilder:

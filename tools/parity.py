@@ -1,4 +1,4 @@
-"""Parity set of 131 solves: record status, value and iterations per solve,
+"""Parity set of 136 solves: record status, value and iterations per solve,
 and compare two such records.
 
     python tools/parity.py run OUT.json [--src SRC]
@@ -13,7 +13,7 @@ solves, at the CLI's default tolerance 1e-9:
 * the 9 x 9 ``approx_overhead`` grid of acceptance criterion 8 at d = 2;
 * ``depolarizing_overhead(t, 2)`` for t = -1.0, -0.9, ..., 1.0;
 * ``approx_overhead((a, 0), 2)`` at a = 0.6 and 1 ulp either side, and at the
-  knees (1 - 1/d^2, 0) for d = 2, ..., 5;
+  knees (1 - 1/d^2, 0) for d = 2, ..., 10;
 * ``half_diamond_distance`` on the maps of acceptance criteria 2 and 3;
 * ``overhead_of_map`` on a depolarizing channel, a channel mixture,
   ``canonical_broadcast_choi`` at (2, 0), (2, 0.3) and (3, 0), and seeded
@@ -55,7 +55,7 @@ def _cases(diamond_maps: dict, fixed_maps: dict):
                (round(0.1 * k, 10), 2)) for k in range(-10, 11)]
     cases += [(f"point-{a!r}-0.0", "approx", ((a, 0.0), 2))
               for a in (0.6 - math.ulp(0.6), 0.6, 0.6 + math.ulp(0.6))]
-    cases += [(f"knee-{d}", "approx", ((1 - 1 / d ** 2, 0.0), d)) for d in (2, 3, 4, 5)]
+    cases += [(f"knee-{d}", "approx", ((1 - 1 / d ** 2, 0.0), d)) for d in range(2, 11)]
     cases += [(f"diamond-{name}", "diamond", (j,)) for name, j in diamond_maps.items()]
     cases += [(f"map-{name}", "map", (j,)) for name, j in fixed_maps.items()]
     return cases
