@@ -21,6 +21,7 @@ import numpy as np
 from .linalg import (
     PSD_TOL,
     as_hermitian,
+    haar_unitary,
     kron,
     min_eigenvalue,
     partial_trace,
@@ -187,7 +188,7 @@ def apply_choi_with_ancilla(j: ChoiOperator, x: np.ndarray, anc_dim: int) -> np.
     dout = j.out_dim
     jt = j.op.reshape(d, dout, d, dout)
     xt = x.reshape(x.shape[:-2] + (d, da, d, da))
-    out = np.einsum("bxcy,...bacm->...xaym", jt, xt)
+    out = np.einsum("bxcy,...bacm->...xaym", jt, xt, optimize=True)
     return out.reshape(x.shape[:-2] + (dout * da, dout * da))
 
 
@@ -346,10 +347,8 @@ COVARIANCE_TEST_UNITARIES = 20
 
 
 def _covariance_test_set(d: int) -> list[np.ndarray]:
-    from .linalg import haar_unitary
-
     rng = np.random.default_rng(COVARIANCE_TEST_SEED)
-    units = [haar_unitary(d, rng) for _ in range(COVARIANCE_TEST_UNITARIES)]
+    units = list(haar_unitary(d, rng, (COVARIANCE_TEST_UNITARIES,)))
     shift = np.roll(np.eye(d), 1, axis=0).astype(complex)
     phase = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
     return units + [shift, phase]

@@ -23,6 +23,7 @@ for the isotropic instances used throughout and bracket it everywhere else.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,10 +86,12 @@ def half_diamond_distance(j_phi: ChoiOperator,
 
     The stabilizing ancilla dimension equals the input dimension, which is
     sufficient for the supremum.  Solver failures propagate as
-    :class:`~vbroadcast.sdp.SolverFailure`, a ``RuntimeError``.
+    :class:`~vbroadcast.sdp.SolverFailure`, a ``RuntimeError``; a sample
+    count that is not an integer >= 1 raises ``ValueError`` before the solve.
     """
     if j_phi.n_outputs != 1:
         raise ValueError("expected a single-output Choi operator")
+    _check_samples(lower_bound_samples)
     problem = diamond_problem(j_phi)
     cfg = config or SolverConfig(tol_gap=1e-9, tol_feas=1e-9)
     sol = solve(problem, cfg)
@@ -107,6 +110,17 @@ def half_diamond_distance(j_phi: ChoiOperator,
     )
 
 
+def _check_samples(samples: int) -> int:
+    """Validate a count of sampled states: an integer >= 1, or ValueError."""
+    try:
+        count = operator.index(samples)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"sample count {samples!r} is not an integer >= 1")
+    return count
+
+
 def lower_bound_by_states(j_phi: ChoiOperator, samples: int = DEFAULT_SAMPLES,
                           seed: int = DEFAULT_SEED) -> float:
     """Best stabilized trace-norm value over sampled bipartite pure inputs.
@@ -116,12 +130,12 @@ def lower_bound_by_states(j_phi: ChoiOperator, samples: int = DEFAULT_SAMPLES,
     state.  Deterministic for a fixed seed; a valid lower bound on the SDP
     value for any sample count.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    samples = _check_samples(samples)
     d = j_phi.in_dim
     dd = d * d
-    rng = np.random.default_rng(seed)
-    psi = np.hstack([haar_unitary(dd, rng) for _ in range(-(-samples // dd))])[:, :samples].T
+    units = haar_unitary(dd, np.random.default_rng(seed), (-(-samples // dd),))
+    # the columns of successive unitaries, in order
+    psi = units.swapaxes(-1, -2).reshape(-1, dd)[:samples]
     states = np.concatenate([max_entangled_state(d)[None],
                              psi[:, :, None] * psi[:, None, :].conj()])
     out = apply_choi_with_ancilla(j_phi, states, anc_dim=d)

@@ -204,10 +204,15 @@ def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+def haar_unitary(d: int, rng: np.random.Generator,
+                 size: tuple[int, ...] = ()) -> np.ndarray:
+    """Haar-distributed unitaries via QR of complex Gaussian matrices.
+
+    Returns an array of shape ``size + (d, d)``.  Each matrix draws its real
+    then its imaginary part, so a batch is bit-identical to successive
+    single draws from the same generator.
+    """
+    g = rng.standard_normal(tuple(size) + (2, d, d))
+    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]

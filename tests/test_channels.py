@@ -129,6 +129,19 @@ class TestApplyChoi:
         with pytest.raises(ValueError, match="does not match"):
             apply_choi_with_ancilla(j, np.zeros((3, 6, 6)), anc_dim=2)
 
+    def test_ancilla_matches_sum_over_input_blocks(self):
+        # (E (x) id)(X) = sum_{b,c} E(|b><c|) (x) X_bc for a two-output map
+        # and an ancilla larger than the input
+        rng = np.random.default_rng(26)
+        d, outs, da = 2, (2, 3), 3
+        k = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
+        j = choi_of_map(lambda m: k @ m @ k.conj().T, d, outs)
+        x = random_hermitian(d * da, rng)
+        blocks = x.reshape(d, da, d, da)
+        want = sum(np.kron(np.outer(k[:, b], k[:, c].conj()), blocks[b, :, c, :])
+                   for b in range(d) for c in range(d))
+        np.testing.assert_allclose(apply_choi_with_ancilla(j, x, anc_dim=da), want, atol=1e-12)
+
 
 class TestLinkProduct:
     def test_identity_link_is_partial_trace(self):

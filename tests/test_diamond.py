@@ -17,6 +17,7 @@ from vbroadcast.channels import (
 from vbroadcast.diamond import diamond_problem, half_diamond_distance, lower_bound_by_states
 from vbroadcast.linalg import haar_unitary, min_eigenvalue, random_hermitian
 from vbroadcast.sdp import STATUS_UNCERTIFIED
+from vbroadcast.sdp.solver import record_solves
 
 D2 = 2
 
@@ -88,9 +89,19 @@ class TestLowerBound:
         instances = [ChoiOperator(gamma_operator(d) - replacement_choi(d).op, d, (d,)),
                      hermitian_difference_choi(d, rng)]
         for phi in instances:
-            for samples, seed in ((1, 3), (d * d + 1, 4), (37, 5)):
+            for samples, seed in ((1, 3), (d * d + 1, 4), (37, 5), (256, 6)):
                 got = lower_bound_by_states(phi, samples=samples, seed=seed)
                 assert abs(got - per_state_lower_bound(phi, samples, seed)) <= 1e-12
+
+    @pytest.mark.parametrize("samples", [0, -3, 2.5])
+    def test_rejects_sample_count_before_any_solve(self, samples):
+        phi = ChoiOperator(gamma_operator(4) - replacement_choi(4).op, 4, (4,))
+        with pytest.raises(ValueError, match="sample count"):
+            lower_bound_by_states(phi, samples=samples)
+        with record_solves() as log:
+            with pytest.raises(ValueError, match="sample count"):
+                half_diamond_distance(phi, lower_bound_samples=samples)
+        assert log == []
 
 
 def per_state_lower_bound(j_phi, samples, seed):

@@ -200,6 +200,17 @@ class TestValidation:
         u = haar_unitary(5, rng)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 4, 9])
+    def test_haar_batch_matches_successive_draws(self, d):
+        k = 7
+        batch_rng, single_rng = np.random.default_rng(14), np.random.default_rng(14)
+        batch = haar_unitary(d, batch_rng, (k,))
+        assert batch.shape == (k, d, d)
+        np.testing.assert_array_equal(batch, [haar_unitary(d, single_rng) for _ in range(k)])
+        assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+        np.testing.assert_allclose(batch @ batch.conj().swapaxes(-1, -2),
+                                   np.broadcast_to(np.eye(d), batch.shape), atol=1e-12)
+
 
 def test_permute_subsystems_roundtrip():
     rng = np.random.default_rng(12)
