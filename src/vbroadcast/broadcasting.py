@@ -22,8 +22,8 @@ The problems solved:
                               construction that certifies the closed-form
                               error bound ``min_error_upper_bound``.
 
-The covariant problems (all but ``overhead_of_map``) raise ``ValueError``
-when d is not an integer >= 2.
+The covariant problems (all but ``overhead_of_map``) and the two closed-form
+helpers raise ``ValueError`` when d is not an integer >= 2.
 
 Symmetry reduction.  Every problem but ``overhead_of_map`` is invariant under
 conj(U) (x) U (x) U on (B, B1, B2), and twirling a feasible point over that
@@ -56,7 +56,10 @@ g_k its k-th row:
 So each J_i is the blocks P_i, S_i (and A_i), and every weight and marginal
 constraint is one scalar row, whatever d is; an error ball of radius thr
 around the identity is the range 1 - thr <= gamma_k <= 1 + thr.  All four
-problems are posed by ``_covariant_problem``.  The decomposition on
+problems are posed by ``_covariant_problem``, on rows built once per d,
+set of pinned receivers and budget or none (``_covariant_structure``), so
+the points of a sweep share one constraint matrix, presolve and Schur
+structure and differ in the right-hand side only.  The decomposition on
 (B, B1, B2) is built from the reduced optimum only when it is read.
 """
 
@@ -268,8 +271,35 @@ def _covariant_problem(d: int, ranges: list[tuple[float, float]],
     the receivers k = 1, 2 (one equality row when low_k == high_k).  It
     minimizes nu = x + y; with a ``budget`` it instead minimizes a shift delta
     added to each gamma_k, under x + y <= sqrt(budget).  Raises
-    ``ValueError`` unless d is an integer >= 2."""
+    ``ValueError`` unless d is an integer >= 2.
+
+    The rows depend only on d, on which receivers are pinned (low_k ==
+    high_k) and on whether a budget is set: the problem is the cached
+    :func:`_covariant_structure` of those three with the right-hand side of
+    these ranges and budget, set on its labelled rows."""
     _check_dim(d)
+    structure = _covariant_structure(operator.index(d),
+                                     tuple(low == high for low, high in ranges),
+                                     budget is not None)
+    rhs = {"unit_difference": 1.0}
+    for k, (low, high) in enumerate(ranges, start=1):
+        if low == high:
+            rhs[f"marginal{k}"] = low
+        else:
+            rhs[f"marginal{k}_low"], rhs[f"marginal{k}_high"] = -low, high
+    if budget is not None:
+        rhs["budget"] = math.sqrt(budget)
+    b = np.zeros(structure.n_rows)
+    for start, stop, label in structure.labels:
+        b[start:stop] = rhs.get(label, 0.0)
+    return structure.with_b(b)
+
+
+@functools.lru_cache(maxsize=64)
+def _covariant_structure(d: int, pinned: tuple[bool, ...], budget: bool) -> SdpProblem:
+    """The rows of :func:`_covariant_problem` for dimension ``d``, receivers
+    ``pinned`` to one value or not, and with or without a budget; every
+    right-hand side is 0."""
     builder = ProblemBuilder()
     for j in (1, 2):
         for name in _blocks(d):
@@ -277,24 +307,24 @@ def _covariant_problem(d: int, ranges: list[tuple[float, float]],
     builder.add_scalar("x")
     builder.add_scalar("y")
     shift = {}
-    if budget is None:
-        builder.minimize({"x": 1.0, "y": 1.0})
-    else:
+    if budget:
         shift = {builder.add_scalar("delta"): 1.0}
         builder.minimize(shift)
+    else:
+        builder.minimize({"x": 1.0, "y": 1.0})
     builder.add_scalar_eq({**_on(_weight(d), 1, d), "x": -1.0}, 0.0, label="weight1")
     builder.add_scalar_eq({**_on(_weight(d), 2, d), "y": -1.0}, 0.0, label="weight2")
-    builder.add_scalar_eq({"x": 1.0, "y": -1.0}, 1.0, label="unit_difference")
-    for k, (low, high) in enumerate(ranges, start=1):
+    builder.add_scalar_eq({"x": 1.0, "y": -1.0}, 0.0, label="unit_difference")
+    for k, exact in enumerate(pinned, start=1):
         gamma = {**_of_difference(_gamma_part(d, k), d), **shift}
-        if low == high:
-            builder.add_scalar_eq(gamma, low, label=f"marginal{k}")
+        if exact:
+            builder.add_scalar_eq(gamma, 0.0, label=f"marginal{k}")
         else:
-            builder.add_scalar_ineq({name: -v for name, v in gamma.items()}, -low,
+            builder.add_scalar_ineq({name: -v for name, v in gamma.items()}, 0.0,
                                     label=f"marginal{k}_low")
-            builder.add_scalar_ineq(gamma, high, label=f"marginal{k}_high")
-    if budget is not None:
-        builder.add_scalar_ineq({"x": 1.0, "y": 1.0}, math.sqrt(budget), label="budget")
+            builder.add_scalar_ineq(gamma, 0.0, label=f"marginal{k}_high")
+    if budget:
+        builder.add_scalar_ineq({"x": 1.0, "y": 1.0}, 0.0, label="budget")
     return builder.build()
 
 
@@ -459,8 +489,12 @@ def min_error_upper_bound(gamma: float, d: int) -> float:
     """Closed-form bound mu(gamma, d) <= ((d^2-1)/d^2) (3 - sqrt(gamma))/4.
 
     Dimension-free cap (3 - sqrt(gamma))/4; clamped below at zero (budgets at
-    or past the exact-broadcasting cost need no error at all).
+    or past the exact-broadcasting cost need no error at all).  A gamma that
+    is not finite, or a d that is not an integer >= 2, raises ``ValueError``.
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"budget gamma={gamma!r} is not a finite number")
+    _check_dim(d)
     if gamma < 1.0:
         raise ValueError("budgets below 1 are unattainable")
     return max(0.0, (d * d - 1.0) / (d * d) * (3.0 - math.sqrt(gamma)) / 4.0)
@@ -474,13 +508,15 @@ def discard_prepare_point(gamma: float, d: int) -> tuple[BroadcastDecomposition,
     discards the input and prepares maximally mixed states on both.  Weights
     x = (sqrt(gamma)+1)/2, y = (sqrt(gamma)-1)/2 meet the budget exactly, and
     both broadcast marginals come out depolarizing with t = (3-sqrt(gamma))/4,
-    which certifies ``min_error_upper_bound``.  Valid for 1 <= gamma <= 9.
+    which certifies ``min_error_upper_bound``.  Valid for 1 <= gamma <= 9
+    and an integer d >= 2; anything else raises ``ValueError``.
 
     Returns (decomposition, delta, report) where the report carries PSD,
     weight, and marginal residuals of the construction.
     """
     if not 1.0 <= gamma <= 9.0:
         raise ValueError(f"gamma={gamma} outside [1, 9]")
+    _check_dim(d)
     rt = math.sqrt(gamma)
     x = (rt + 1.0) / 2.0
     y = (rt - 1.0) / 2.0

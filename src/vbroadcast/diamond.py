@@ -23,18 +23,21 @@ for the isotropic instances used throughout and bracket it everywhere else.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import ChoiOperator, apply_choi_with_ancilla, max_entangled_state
-from .linalg import haar_unitary
+from .linalg import as_hermitian, haar_unitary
 from .sdp import (
     STATUS_OPTIMAL,
     STATUS_UNCERTIFIED,
     CertificateReport,
     ProblemBuilder,
+    SdpProblem,
     SdpSolution,
     SolverConfig,
     SolverFailure,
@@ -44,6 +47,7 @@ from .sdp import (
     scalar_term,
     solve,
 )
+from .sdp.problem import _vec
 
 DEFAULT_SAMPLES = 256
 DEFAULT_SEED = 20240917
@@ -62,17 +66,30 @@ class DiamondResult:
     certificate: CertificateReport = field(repr=False)
 
 
-def diamond_problem(j_phi: ChoiOperator):
+def diamond_problem(j_phi: ChoiOperator) -> SdpProblem:
     """Assemble the norm SDP for a Hermitian Choi operator with any number of
-    outputs."""
-    d = j_phi.in_dim
+    outputs: the rows of its layout (:func:`_diamond_structure`) with the
+    right-hand side J on the rows of Z >= J."""
+    structure = _diamond_structure(j_phi.dims)
+    b = np.zeros(structure.n_rows)
+    for start, stop, label in structure.labels:
+        if label == "dominates":
+            b[start:stop] = _vec(as_hermitian(j_phi.op))
+    return structure.with_b(b)
+
+
+@functools.lru_cache(maxsize=16)
+def _diamond_structure(dims: tuple[int, ...]) -> SdpProblem:
+    """The rows of the norm SDP for a Choi operator on the layout ``dims``
+    (input first), with every right-hand side 0."""
+    d, n = dims[0], math.prod(dims)
     builder = ProblemBuilder()
-    builder.add_psd_block("Z", d * j_phi.out_dim)
+    builder.add_psd_block("Z", n)
     builder.add_scalar("mu")
     builder.minimize({"mu": 1.0})
-    builder.add_operator_ineq([full_term("Z")], j_phi.op, label="dominates")
+    builder.add_operator_ineq([full_term("Z")], np.zeros((n, n)), label="dominates")
     builder.add_operator_eq(
-        [ptrace_term("Z", j_phi.dims, drop=tuple(range(1, 1 + j_phi.n_outputs))),
+        [ptrace_term("Z", dims, drop=tuple(range(1, len(dims)))),
          scalar_term("mu", np.eye(d), scale=-1.0)],
         np.zeros((d, d), dtype=complex), label="trace")
     return builder.build()

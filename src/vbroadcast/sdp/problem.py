@@ -29,6 +29,7 @@ construction and turns inequalities into equalities with slack blocks:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -120,6 +121,23 @@ class Cone:
                 for _, names in self.stacks]
 
 
+class Structure:
+    """What is computed from a problem's blocks, constraint matrix and
+    embeddings alone, never from ``b``: the ``cone``, and ``solver``, the
+    solver's presolve and block rows, which ``sdp.solver`` sets on the first
+    solve.  Problems derived by :meth:`SdpProblem.with_b` share their
+    origin's holder; every other problem, one made by
+    ``dataclasses.replace`` included, starts with an empty one of its own."""
+
+    def __init__(self, blocks: list[BlockSpec]):
+        self._blocks = blocks
+        self.solver = None
+
+    @functools.cached_property
+    def cone(self) -> Cone:
+        return Cone(self._blocks)
+
+
 @dataclass
 class SdpProblem:
     """minimize c . x s.t. a @ x = b, X_k >= 0, where x stacks the
@@ -134,15 +152,33 @@ class SdpProblem:
     allow_large_blocks: bool = False
     embeddings: list[Embedding] = field(default_factory=list)
     labels: list[tuple[int, int, str]] = field(default_factory=list)
+    structure: Structure = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.structure = Structure(self.blocks)
+
+    def with_b(self, b) -> SdpProblem:
+        """This problem with the right-hand side ``b`` (copied): the same
+        blocks, rows and objective, sharing ``structure``, so that a solve
+        of the result reuses what a solve of any problem of the same origin
+        computed from the rows.  ``blocks``, ``a`` and ``c`` are shared too:
+        the arrays of ``a`` and ``c`` are made read-only, here and in this
+        problem, so that no problem can change the rows of another."""
+        for shared in (self.a.data, self.a.indices, self.a.indptr, self.c):
+            shared.flags.writeable = False
+        p = dataclasses.replace(self, b=np.array(b, dtype=float),
+                                embeddings=list(self.embeddings), labels=list(self.labels))
+        p.structure = self.structure
+        return p
 
     @property
     def n_rows(self) -> int:
         return self.b.size
 
-    @functools.cached_property
+    @property
     def cone(self) -> Cone:
         """The column layout of ``blocks``."""
-        return Cone(self.blocks)
+        return self.structure.cone
 
     def row_label(self, row: int) -> str:
         """The name of the constraint that row ``row`` belongs to, from the

@@ -33,6 +33,13 @@ a small diagonal shift is factored instead.  Each solve is then refined
 against the unshifted M while the residual norm falls, at most four passes
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12).
 
+Everything a solve computes from the rows alone -- the presolve's pivoted
+Cholesky of the row Gram matrix, the block rows of the Schur complement and
+the reduced constraint matrix -- is computed on the first solve of a
+problem's ``structure`` and kept there, so solves of problems that differ
+only in ``b`` (``SdpProblem.with_b``) share it.  Each solve still validates
+its problem and tests its ``b`` against the dropped rows.
+
 The embedding tracks (x, y, s, tau, kappa) with the invariants
 
     A x - tau b            -> 0
@@ -231,30 +238,75 @@ def _schur(a_lin: np.ndarray, p_lin: np.ndarray, blocks: list[_BlockRows],
 # Preprocessing
 # ---------------------------------------------------------------------------
 
-def _select_independent_rows(a_full: sp.csr_matrix, b: np.ndarray, tol_rel: float):
-    """Pivoted Cholesky on the row Gram matrix; exact-redundant rows dropped.
+@dataclass
+class _Presolve:
+    """The rows a pivoted Cholesky of the row Gram matrix keeps and the ones
+    it drops as redundant, each in increasing order.  When it keeps and
+    drops rows, ``pivots`` holds all rows in pivot order, ``factor`` the
+    rows of L for the kept ones and ``spans`` the dropped rows' coordinates
+    on them."""
 
-    Returns (kept_row_indices, dropped_row_indices, max_inconsistency) where
-    the last entry measures how badly any dropped row's right-hand side
-    disagrees with the rows that span it (nonzero means infeasible input).
-    """
+    kept: list[int]
+    dropped: list[int]
+    pivots: np.ndarray | None = None
+    factor: np.ndarray | None = None
+    spans: np.ndarray | None = None
+
+    def inconsistency(self, b: np.ndarray) -> float:
+        """How badly the right-hand sides ``b`` of the dropped rows disagree
+        with the kept rows that span them; nonzero means infeasible input."""
+        if not self.dropped:
+            return 0.0
+        if self.factor is None:
+            return float(np.max(np.abs(b[self.dropped])))
+        r = self.factor.shape[0]
+        b_kept, b_dropped = b[self.pivots[:r]], b[self.pivots[r:]]
+        w = sla.solve_triangular(self.factor, b_kept, lower=True)
+        denom = (1.0 + np.abs(b_dropped)
+                 + np.linalg.norm(self.spans, axis=1) * np.linalg.norm(w))
+        return float(np.max(np.abs(b_dropped - self.spans @ w) / denom))
+
+
+def _independent_rows(a_full: sp.csr_matrix, tol_rel: float) -> _Presolve:
+    """Pivoted Cholesky on the row Gram matrix; exact-redundant rows dropped."""
+    if a_full.shape[0] == 0:
+        return _Presolve([], [])
     gram = (a_full @ a_full.T).toarray()
     scale = max(float(gram.diagonal().max(initial=0.0)), 1e-300)
     # P^T G P = L L^T on the first r pivots; the rows of L past r hold the
     # dropped rows' coordinates on those pivots
     lfac, piv, r, _ = sla.lapack.dpstrf(gram, tol=tol_rel * scale, lower=1)
     piv -= 1
-    lfac = np.tril(lfac[:, :r])
     perm, dropped = piv[:r], piv[r:]
-    inconsistency = 0.0
+    pre = _Presolve(sorted(perm.tolist()), sorted(dropped.tolist()))
     if dropped.size and r:
-        w = sla.solve_triangular(lfac[:r], b[perm], lower=True)
-        ld = lfac[r:]
-        denom = 1.0 + np.abs(b[dropped]) + np.linalg.norm(ld, axis=1) * np.linalg.norm(w)
-        inconsistency = float(np.max(np.abs(b[dropped] - ld @ w) / denom))
-    elif dropped.size:
-        inconsistency = float(np.max(np.abs(b[dropped])))
-    return sorted(perm.tolist()), sorted(dropped.tolist()), inconsistency
+        lfac = np.tril(lfac[:, :r])
+        pre.pivots, pre.factor, pre.spans = piv, lfac[:r], lfac[r:]
+    return pre
+
+
+class _Rows:
+    """What a solve computes from the problem's rows alone, once per
+    :class:`~vbroadcast.sdp.problem.Structure`: the presolve, the block rows
+    of the Schur complement, the kept rows ``a_red`` and their transpose,
+    and the dense columns ``a_lin`` of the orthant on all rows."""
+
+    def __init__(self, problem: SdpProblem):
+        self.presolve = _independent_rows(problem.a, PRESOLVE_TOL)
+        kept = self.presolve.kept
+        self.blocks = _block_rows(problem)
+        self.a_red = problem.a[kept]
+        self.a_red_t = self.a_red.T.tocsr()
+        self.a_lin = problem.a[:, :problem.cone.n_lin].toarray()
+        self.keep_ix = np.ix_(kept, kept)
+
+
+def _rows(problem: SdpProblem) -> _Rows:
+    """The row data of ``problem``'s structure, computed on its first solve."""
+    shared = problem.structure
+    if shared.solver is None:
+        shared.solver = _Rows(problem)
+    return shared.solver
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +405,13 @@ def _max_step(lin: np.ndarray, linv: list[np.ndarray], d_lin: np.ndarray,
     return alpha
 
 
-def _hsd_solve(problem: SdpProblem, kept: list[int], cfg: SolverConfig):
-    """Run the HSD iteration on rows ``kept`` of the problem; returns the
+def _hsd_solve(problem: SdpProblem, rows: _Rows, cfg: SolverConfig):
+    """Run the HSD iteration on the rows the presolve kept; returns the
     status, the best iterate (x, s, y) and its diagnostics."""
     cone, c = problem.cone, problem.c
-    blocks = _block_rows(problem)
-    a_red = problem.a[kept]
-    a_red_t = a_red.T.tocsr()
-    a_lin = problem.a[:, :cone.n_lin].toarray()
-    keep_ix = np.ix_(kept, kept)
-    b = problem.b[kept]
+    blocks, a_red, a_red_t, a_lin = rows.blocks, rows.a_red, rows.a_red_t, rows.a_lin
+    keep_ix = rows.keep_ix
+    b = problem.b[rows.presolve.kept]
     m = b.size
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.linalg.norm(c))
@@ -594,15 +643,12 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     t0 = time.perf_counter()
     problem.validate()
     b_vec, c = problem.b, problem.c
-
-    if b_vec.size:
-        kept, dropped, inconsistency = _select_independent_rows(
-            problem.a, b_vec, PRESOLVE_TOL)
-    else:
-        kept, dropped, inconsistency = [], [], 0.0
+    rows = _rows(problem)
+    kept, dropped = rows.presolve.kept, rows.presolve.dropped
+    inconsistency = rows.presolve.inconsistency(b_vec)
 
     diagnostics = {
-        "dropped_rows": dropped,
+        "dropped_rows": list(dropped),
         "row_inconsistency": inconsistency,
         "n_rows_original": int(b_vec.size),
         "n_rows_solved": len(kept),
@@ -615,7 +661,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             "equality rows are linearly dependent with inconsistent right-hand "
             f"sides (residual {inconsistency:.2e})"))
     else:
-        status, xv, sv, y, info = _hsd_solve(problem, kept, cfg)
+        status, xv, sv, y, info = _hsd_solve(problem, rows, cfg)
     diagnostics.update(info, seconds=time.perf_counter() - t0)
 
     # certificates are rays, reported unscaled

@@ -106,9 +106,15 @@ class HoeffdingBudget:
 
 def required_samples(m: float, nu: float, eps: float, fail_prob: float) -> HoeffdingBudget:
     """Hoeffding budget for estimating a range-M observable rescaled by nu."""
-    if min(m, nu, eps, fail_prob) <= 0 or fail_prob >= 1:
-        raise ValueError("m, nu, eps must be positive and fail_prob in (0, 1)")
-    n = math.ceil(m * m * nu * nu / (eps * eps) * math.log(2.0 / fail_prob))
+    if (not all(map(math.isfinite, (m, nu, eps, fail_prob)))
+            or min(m, nu, eps, fail_prob) <= 0 or fail_prob >= 1):
+        raise ValueError("m, nu, eps must be finite and positive and fail_prob in (0, 1)")
+    try:
+        n = math.ceil(m * m * nu * nu / (eps * eps) * math.log(2.0 / fail_prob))
+    except (ZeroDivisionError, OverflowError):
+        # eps * eps underflows to 0, or the budget overflows
+        raise ValueError(f"the budget for m={m}, nu={nu}, eps={eps} is not a "
+                         "finite number of shots") from None
     return HoeffdingBudget(m=m, nu=nu, eps=eps, fail_prob=fail_prob, n=n)
 
 

@@ -268,6 +268,12 @@ class TestExplicitConstruction:
         with pytest.raises(ValueError):
             bc.discard_prepare_point(9.5, 2)
 
+    @pytest.mark.parametrize("d", [2.5, 1, 2.0])
+    def test_dimension_validation(self, d):
+        # d = 2.5 used to reach numpy and raise its TypeError
+        with pytest.raises(ValueError, match="not an integer >= 2"):
+            bc.discard_prepare_point(2.0, d)
+
 
 class TestUpperBound:
     def test_dimension_free_cap(self):
@@ -287,6 +293,18 @@ class TestUpperBound:
     def test_budget_below_one_rejected(self):
         with pytest.raises(ValueError):
             bc.min_error_upper_bound(0.5, 2)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_budget_rejected(self, gamma):
+        # nan used to return 0.0, a bound claiming that no error is needed
+        with pytest.raises(ValueError, match="not a finite number"):
+            bc.min_error_upper_bound(gamma, 2)
+
+    @pytest.mark.parametrize("d", [1, 2.5, 0, "2"])
+    def test_dimension_validation(self, d):
+        # d = 1 used to return 0.0 and d = 2.5 a number
+        with pytest.raises(ValueError, match="not an integer >= 2"):
+            bc.min_error_upper_bound(1.8, d)
 
 
 def test_overhead_result_decomposition_invariants():

@@ -65,3 +65,40 @@ def test_no_iteration_change_is_reported_as_none():
     before = {"a": record(), "b": record(iterations=7)}
     lines, _ = parity.compare(before, dict(before))
     assert lines[-2] == "iteration counts changed on 0 solves"
+
+
+def test_fingerprints_count_identical_solves():
+    before = {"a": record() | {"problem": "p", "iterate": "x"},
+              "b": record() | {"problem": "q", "iterate": "y"}}
+    after = {"a": record() | {"problem": "p", "iterate": "x"},
+             "b": record() | {"problem": "q", "iterate": "z"}}
+    lines, same = parity.compare(before, after)
+    assert same
+    assert lines[1:3] == ["problems identical on 2/2", "iterates identical on 1/2"]
+
+
+def test_records_without_fingerprints_read_na():
+    lines, _ = parity.compare({"a": record()}, {"a": record()})
+    assert lines[1:3] == ["problems identical on n/a", "iterates identical on n/a"]
+    with_prints = {"a": record() | {"problem": "p", "iterate": "x"}, "b": record()}
+    lines, _ = parity.compare(with_prints, dict(with_prints))
+    assert lines[1:3] == ["problems identical on 1/2 (n/a on 1)",
+                          "iterates identical on 1/2 (n/a on 1)"]
+
+
+def test_fingerprints_see_every_byte():
+    import numpy as np
+    import scipy.sparse as sp
+    from types import SimpleNamespace
+
+    def solve_record(b, y):
+        problem = SimpleNamespace(a=sp.csr_matrix(np.eye(2)), b=np.array(b),
+                                  c=np.zeros(2), labels=[(0, 2, "rows")])
+        solution = SimpleNamespace(y=np.array(y), x_blocks={"X": np.eye(2)})
+        return parity.fingerprints(problem, solution)
+
+    base = solve_record([1.0, 0.0], [0.5, 0.5])
+    assert solve_record([1.0, 0.0], [0.5, 0.5]) == base
+    # -0.0 == 0.0, but not byte for byte
+    assert solve_record([1.0, -0.0], [0.5, 0.5])["problem"] != base["problem"]
+    assert solve_record([1.0, 0.0], [0.5, np.nextafter(0.5, 1.0)])["iterate"] != base["iterate"]

@@ -1,0 +1,198 @@
+"""Problems built once per structure: ``SdpProblem.with_b`` and the cached
+covariant and norm-SDP structures equal a fresh build byte for byte, share
+the presolve and the block rows, and never skip validation."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from vbroadcast import broadcasting as bc
+from vbroadcast import diamond
+from vbroadcast.channels import ChoiOperator
+from vbroadcast.linalg import random_hermitian
+from vbroadcast.sdp import ProblemBuilder, SolverConfig, full_term, ptrace_term, scalar_term
+from vbroadcast.sdp import solver
+from vbroadcast.sdp.solver import record_solves, solve
+
+
+def fresh_covariant(d, ranges, budget=None):
+    """The covariant problem as the builder writes it, right-hand sides
+    included, with nothing cached."""
+    builder = ProblemBuilder()
+    for j in (1, 2):
+        for name in bc._blocks(d):
+            builder.add_psd_block(f"{name}{j}", 2 if name == "P" else 1)
+    builder.add_scalar("x")
+    builder.add_scalar("y")
+    shift = {}
+    if budget is None:
+        builder.minimize({"x": 1.0, "y": 1.0})
+    else:
+        shift = {builder.add_scalar("delta"): 1.0}
+        builder.minimize(shift)
+    builder.add_scalar_eq({**bc._on(bc._weight(d), 1, d), "x": -1.0}, 0.0, label="weight1")
+    builder.add_scalar_eq({**bc._on(bc._weight(d), 2, d), "y": -1.0}, 0.0, label="weight2")
+    builder.add_scalar_eq({"x": 1.0, "y": -1.0}, 1.0, label="unit_difference")
+    for k, (low, high) in enumerate(ranges, start=1):
+        gamma = {**bc._of_difference(bc._gamma_part(d, k), d), **shift}
+        if low == high:
+            builder.add_scalar_eq(gamma, low, label=f"marginal{k}")
+        else:
+            builder.add_scalar_ineq({name: -v for name, v in gamma.items()}, -low,
+                                    label=f"marginal{k}_low")
+            builder.add_scalar_ineq(gamma, high, label=f"marginal{k}_high")
+    if budget is not None:
+        builder.add_scalar_ineq({"x": 1.0, "y": 1.0}, math.sqrt(budget), label="budget")
+    return builder.build()
+
+
+def fresh_diamond(j):
+    """The norm SDP of ``j`` as the builder writes it."""
+    builder = ProblemBuilder()
+    builder.add_psd_block("Z", j.in_dim * j.out_dim)
+    builder.add_scalar("mu")
+    builder.minimize({"mu": 1.0})
+    builder.add_operator_ineq([full_term("Z")], j.op, label="dominates")
+    builder.add_operator_eq(
+        [ptrace_term("Z", j.dims, drop=tuple(range(1, 1 + j.n_outputs))),
+         scalar_term("mu", np.eye(j.in_dim), scale=-1.0)],
+        np.zeros((j.in_dim, j.in_dim), dtype=complex), label="trace")
+    return builder.build()
+
+
+def assert_same_bytes(got, want):
+    assert got.blocks == want.blocks
+    assert got.a.shape == want.a.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(got.a, name), getattr(want.a, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    for name in ("b", "c"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert got.labels == want.labels
+    assert got.embeddings == want.embeddings
+
+
+def covariant_cases(d, rng):
+    """(ranges, budget) of each of the four covariant kinds, as the entry
+    points pose them, at seeded random thresholds, t and gamma."""
+    thresholds = [float(rng.uniform(0.0, 1.0)), float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))]
+    ranges = [(1.0, 1.0) if t <= bc.ZERO_THRESHOLD else (1.0 - t, 1.0 + t)
+              for t in (max(thresholds), min(thresholds))]
+    t = float(rng.uniform(-1.0, 1.3))
+    gamma = 1.0 - t + t / (d * d)
+    return {"exact": ([(1.0, 1.0)] * 2, None),
+            "approx": (ranges, None),
+            "depolarizing": ([(gamma, gamma)] * 2, None),
+            "min_error": ([(1.0, 1.0)] * 2, float(rng.uniform(1.0, 9.0)))}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_covariant_problem_equals_a_fresh_build(d):
+    rng = np.random.default_rng(100 + d)
+    for _ in range(3):  # later draws hit the cached structures
+        for kind, (ranges, budget) in covariant_cases(d, rng).items():
+            assert_same_bytes(bc._covariant_problem(d, ranges, budget),
+                              fresh_covariant(d, ranges, budget))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)])
+def test_diamond_problem_equals_a_fresh_build(dims):
+    rng = np.random.default_rng(sum(dims))
+    n = math.prod(dims)
+    for _ in range(3):
+        j = ChoiOperator(random_hermitian(n, rng), dims[0], dims[1:])
+        assert_same_bytes(diamond.diamond_problem(j), fresh_diamond(j))
+
+
+def test_solve_on_a_shared_structure_equals_a_fresh_solve():
+    cfg = SolverConfig(tol_gap=1e-9, tol_feas=1e-9)
+    ranges = [(0.7, 1.3), (0.9, 1.1)]
+    j = ChoiOperator(random_hermitian(4, np.random.default_rng(3)), 2, (2,))
+    bc._covariant_problem(2, [(0.5, 1.5)] * 2)      # primes the structure
+    for cached, fresh in ((bc._covariant_problem(2, ranges), fresh_covariant(2, ranges)),
+                          (diamond.diamond_problem(j), fresh_diamond(j))):
+        got, want = solve(cached, cfg), solve(fresh, cfg)
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        assert got.y.tobytes() == want.y.tobytes()
+        for name, x in want.x_blocks.items():
+            assert got.x_blocks[name].tobytes() == x.tobytes()
+
+
+def test_grid_builds_three_structures(monkeypatch):
+    calls = {"dpstrf": 0, "block_rows": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpstrf",
+                        counted("dpstrf", scipy.linalg.lapack.dpstrf))
+    monkeypatch.setattr(solver, "_block_rows", counted("block_rows", solver._block_rows))
+    bc._covariant_structure.cache_clear()
+    axis = [k / 8 for k in range(9)]
+    cfg = SolverConfig(tol_gap=1e-9, tol_feas=1e-9)
+    with record_solves() as log:
+        for a in axis:
+            for b in axis:
+                bc.approx_overhead((a, b), 2, config=cfg)
+    # both pinned, the larger threshold free, both free
+    assert len(log) == 81
+    assert calls == {"dpstrf": 3, "block_rows": 3}
+
+
+ENTRY_POINTS = {
+    "exact_overhead": lambda d: bc.exact_overhead(d),
+    "approx_overhead": lambda d: bc.approx_overhead((0.1, 0.0), d),
+    "approx_overhead_depolarizing": lambda d: bc.approx_overhead_depolarizing(0.1, d),
+    "depolarizing_overhead": lambda d: bc.depolarizing_overhead(0.2, d),
+    "min_error": lambda d: bc.min_error(1.8, d),
+    "min_error_upper_bound": lambda d: bc.min_error_upper_bound(1.8, d),
+    "discard_prepare_point": lambda d: bc.discard_prepare_point(1.8, d),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_cache_hit_never_skips_validation(name):
+    call = ENTRY_POINTS[name]
+    call(2)
+    for d in (2.0, True, "3"):
+        with pytest.raises(ValueError, match="not an integer >= 2"):
+            call(d)
+
+
+def test_replace_gets_fresh_row_data():
+    p = bc._covariant_problem(2, [(0.8, 1.2)] * 2)
+    solve(p)
+    assert p.with_b(p.b).structure is p.structure
+    q = dataclasses.replace(p, a=2.0 * p.a)
+    assert q.structure is not p.structure and q.structure.solver is None
+    solve(q)
+    rows = solver._rows(q)
+    assert rows is not solver._rows(p)
+    assert (rows.a_red != (2.0 * p.a)[rows.presolve.kept]).nnz == 0
+
+
+def test_writing_into_b_leaves_the_next_call_alone():
+    ranges = [(0.8, 1.2), (1.0, 1.0)]
+    first = bc._covariant_problem(3, ranges)
+    first.b[:] = 123.0
+    assert_same_bytes(bc._covariant_problem(3, ranges), fresh_covariant(3, ranges))
+    j = ChoiOperator(random_hermitian(4, np.random.default_rng(5)), 2, (2,))
+    first = diamond.diamond_problem(j)
+    first.b[:] = 123.0
+    assert_same_bytes(diamond.diamond_problem(j), fresh_diamond(j))
+
+
+def test_shared_rows_are_read_only():
+    p = bc._covariant_problem(2, [(0.8, 1.2)] * 2)
+    for shared in (p.a.data, p.a.indices, p.a.indptr, p.c):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 7
+    assert_same_bytes(bc._covariant_problem(2, [(0.8, 1.2)] * 2),
+                      fresh_covariant(2, [(0.8, 1.2)] * 2))

@@ -61,6 +61,28 @@ class TestRequiredSamples:
         with pytest.raises(ValueError):
             sim.required_samples(1.0, 1.0, 0.1, 1.5)
 
+    @pytest.mark.parametrize("args", [
+        (2.0, math.nan, 0.1, 0.05),
+        (2.0, 1.0, math.nan, 0.05),
+        (math.nan, 1.0, 0.1, 0.05),
+        (2.0, 1.0, 0.1, math.nan),
+        (math.inf, 1.0, 0.1, 0.05),
+        (2.0, math.inf, 0.1, 0.05),
+        (2.0, 1.0, math.inf, 0.05),
+    ])
+    def test_non_finite_arguments_rejected(self, args):
+        # nan used to fail converting the budget to an integer, m = inf
+        # with an OverflowError
+        with pytest.raises(ValueError, match="finite"):
+            sim.required_samples(*args)
+
+    @pytest.mark.parametrize("args", [(2.0, 1.0, 1e-200, 0.05), (1e200, 1e200, 0.1, 0.05)])
+    def test_unrepresentable_budget_rejected(self, args):
+        # eps * eps used to underflow into a ZeroDivisionError, and a budget
+        # past the float range to raise OverflowError
+        with pytest.raises(ValueError, match="not a finite number of shots"):
+            sim.required_samples(*args)
+
 
 class TestObservable:
     def test_degenerate_merging(self):

@@ -22,18 +22,25 @@ solves, at the CLI's default tolerance 1e-9:
 The value is nu (mu for ``min_error``, the half diamond distance for
 ``half_diamond_distance``).  A solve that raises is recorded
 with the status and iteration count of its last SDP solution and no value.
+Each record also holds two sha256 fingerprints of that last SDP: ``problem``
+over the constraint matrix (``a.indptr``, ``a.indices``, ``a.data``), ``b``,
+``c`` and the row labels, and ``iterate`` over the solution's ``y`` and its
+X blocks.
 
 ``compare`` prints the largest |value difference| over solves with a value
 in both files (and the solve it is at, when it is not 0), every status
 difference, the solves with an unchanged status whose iteration count
 changed, and the iteration totals over the solves whose status is the same
-in both.  It exits 1 when the two files hold different solve sets or any
-status differs, else 0.
+in both.  After the value line it counts the solves whose problems, and
+whose iterates, are byte-identical in the two files; a solve without
+fingerprints in either file counts as "n/a".  It exits 1 when the two files
+hold different solve sets or any status differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -97,6 +104,23 @@ def _maps() -> tuple[dict, dict]:
     }
 
 
+def _digest(parts) -> str:
+    """sha256 over the bytes of each array or string of ``parts``."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode() if isinstance(part, str) else part.tobytes())
+    return h.hexdigest()
+
+
+def fingerprints(problem, solution) -> dict:
+    """The ``problem`` and ``iterate`` fingerprints of one solve."""
+    a = problem.a
+    return {"problem": _digest([a.indptr, a.indices, a.data, problem.b, problem.c,
+                                repr(problem.labels)]),
+            "iterate": _digest([solution.y] + [part for name, x in solution.x_blocks.items()
+                                               for part in (name, x)])}
+
+
 def run(src: str) -> dict:
     sys.path.insert(0, src)
     from vbroadcast import broadcasting as bc
@@ -120,8 +144,10 @@ def run(src: str) -> dict:
                 status = res.status
             except RuntimeError:
                 value, status = None, log[-1][1].status
+        problem, solution = log[-1]
         out[key] = {"status": status, "value": value,
-                    "iterations": log[-1][1].iterations}
+                    "iterations": solution.iterations,
+                    **fingerprints(problem, solution)}
     return out
 
 
@@ -137,6 +163,13 @@ def compare(before: dict, after: dict) -> tuple[list[str], bool]:
     worst, at = max(diffs, default=(0.0, "-"))
     where = f" at {at}" if worst > 0 else ""
     lines.append(f"max |value difference| {worst:.3g}{where} over {len(diffs)} solves")
+    for name, field in (("problems", "problem"), ("iterates", "iterate")):
+        known = [k for k in keys if field in before[k] and field in after[k]]
+        identical = sum(before[k][field] == after[k][field] for k in known)
+        count = f"{identical}/{len(keys)}" if known else "n/a"
+        if known and len(known) < len(keys):
+            count += f" (n/a on {len(keys) - len(known)})"
+        lines.append(f"{name} identical on {count}")
     same = [k for k in keys if before[k]["status"] == after[k]["status"]]
     for k in keys:
         if k not in same:
