@@ -54,6 +54,7 @@ certificate of primal or dual infeasibility.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -374,15 +375,21 @@ def _schur_solve(schur: np.ndarray, chol: np.ndarray, rhs: np.ndarray) -> np.nda
 
     sol = tri_solve(rhs)
     res = rhs - schur @ sol
-    norm = np.linalg.norm(res)
+    norm = _norm(res)
     for _ in range(4):
         cand = sol + tri_solve(res)
         cand_res = rhs - schur @ cand
-        cand_norm = np.linalg.norm(cand_res)
+        cand_norm = _norm(cand_res)
         if not cand_norm < norm:
             break
         sol, res, norm = cand, cand_res, cand_norm
     return sol
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real vector: the sqrt(v . v) of ``np.linalg.norm``
+    without its dispatch."""
+    return math.sqrt(v @ v)
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
@@ -413,8 +420,8 @@ def _hsd_solve(problem: SdpProblem, rows: _Rows, cfg: SolverConfig):
     keep_ix = rows.keep_ix
     b = problem.b[rows.presolve.kept]
     m = b.size
-    norm_b = float(np.linalg.norm(b))
-    norm_c = float(np.linalg.norm(c))
+    norm_b = math.sqrt(b @ b)
+    norm_c = math.sqrt(c @ c)
     c_parts = cone.split(c)
 
     xv = cone.vec(np.ones(cone.n_lin), [np.broadcast_to(np.eye(n), (len(names), n, n))
@@ -429,8 +436,8 @@ def _hsd_solve(problem: SdpProblem, rows: _Rows, cfg: SolverConfig):
 
     def current_metrics(xv, sv, yv, tau_v):
         xhat, shat, yhat = xv / tau_v, sv / tau_v, yv / tau_v
-        pres = float(np.linalg.norm(a_red @ xhat - b)) / (1.0 + norm_b)
-        dres = float(np.linalg.norm(a_red_t @ yhat + shat - c)) / (1.0 + norm_c)
+        pres = _norm(a_red @ xhat - b) / (1.0 + norm_b)
+        dres = _norm(a_red_t @ yhat + shat - c) / (1.0 + norm_c)
         pobj, dobj = float(c @ xhat), float(b @ yhat)
         return pres, dres, abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)), pobj, dobj
 
@@ -456,14 +463,14 @@ def _hsd_solve(problem: SdpProblem, rows: _Rows, cfg: SolverConfig):
         by = float(b @ y)
         cx = float(c @ xv)
         if by > 0:
-            ratio = float(np.linalg.norm(a_red_t @ y + sv)) / by
+            ratio = _norm(a_red_t @ y + sv) / by
             if ratio <= INFEAS_TOL * (1.0 + norm_c):
                 status = STATUS_PRIMAL_INFEASIBLE
                 note = f"dual improving ray with residual ratio {ratio:.2e}"
                 best = (xv, sv, y, tau, kappa)
                 break
         if cx < 0:
-            ratio = float(np.linalg.norm(a_red @ xv)) / (-cx)
+            ratio = _norm(a_red @ xv) / (-cx)
             if ratio <= INFEAS_TOL * (1.0 + norm_b):
                 status = STATUS_DUAL_INFEASIBLE
                 note = f"primal improving ray with residual ratio {ratio:.2e}"
@@ -471,18 +478,20 @@ def _hsd_solve(problem: SdpProblem, rows: _Rows, cfg: SolverConfig):
                 break
 
         # Nesterov-Todd scaling point per block, one stack of blocks at a
-        # time: W = G G^H with G^-1 X G^-H = G^H S G = diag(lam)
+        # time: W = G G^H with G^-1 X G^-H = G^H S G = diag(lam).  The X and
+        # S blocks of a stack are factored, and inverted, as one stack.
         x_lin, x_st = cone.split(xv)
         s_lin, s_st = cone.split(sv)
         try:
-            chol_x = [_chol_stack(xm) for xm in x_st]
-            chol_s = [_chol_stack(sm) for sm in s_st]
+            chol = [_chol_stack(np.concatenate(pair)) for pair in zip(x_st, s_st)]
         except np.linalg.LinAlgError:
             status = STATUS_NUMERICAL
             note = "iterate left the cone (Cholesky failure)"
             break
         g_st, ginv_st, lam_st, w_st = [], [], [], []
-        for lx, ls in zip(chol_x, chol_s):
+        for lxs in chol:
+            k = len(lxs) // 2
+            lx, ls = lxs[:k], lxs[k:]
             u, sig, vh = np.linalg.svd(_herm(ls) @ lx)
             if sig.min() <= 0 or not np.all(np.isfinite(sig)):
                 break
@@ -492,13 +501,13 @@ def _hsd_solve(problem: SdpProblem, rows: _Rows, cfg: SolverConfig):
             ginv_st.append(_herm(u / root) @ _herm(ls))
             lam_st.append(sig)
             w_st.append(g @ _herm(g))
-        if len(w_st) < len(chol_x):
+        if len(w_st) < len(chol):
             status = STATUS_NUMERICAL
             note = "degenerate NT scaling"
             break
-        # inverse Cholesky factors, shared by the four step-length tests
-        linv_x = [np.linalg.inv(lx) for lx in chol_x]
-        linv_s = [np.linalg.inv(ls) for ls in chol_s]
+        # inverse Cholesky factors of X then S, shared by the two step lengths
+        linv = [np.linalg.inv(lxs) for lxs in chol]
+        xs_lin = np.concatenate([x_lin, s_lin])
         p_lin = x_lin / s_lin
 
         mu = (float(xv @ sv) + tau * kappa) / (cone.degree + 1.0)
@@ -559,8 +568,9 @@ def _hsd_solve(problem: SdpProblem, rows: _Rows, cfg: SolverConfig):
             return dx, dy, ds, d_tau, d_kappa, cone.split(dx), ds_parts
 
         def step_length(dx_parts, ds_parts, d_tau, d_kappa):
-            alpha = min(_max_step(x_lin, linv_x, *dx_parts),
-                        _max_step(s_lin, linv_s, *ds_parts))
+            (dx_lin, dx_st), (ds_lin, ds_st) = dx_parts, ds_parts
+            alpha = _max_step(xs_lin, linv, np.concatenate([dx_lin, ds_lin]),
+                              [np.concatenate(pair) for pair in zip(dx_st, ds_st)])
             if d_tau < 0:
                 alpha = min(alpha, -tau / d_tau)
             if d_kappa < 0:
