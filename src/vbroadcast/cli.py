@@ -213,10 +213,6 @@ def _summary(rec: SweepRecord) -> str:
 
 def _run_solves(args: argparse.Namespace) -> int:
     points = _points(args)
-    if min(args.tol_gap, args.tol_feas) <= 0:
-        raise ValueError("tolerances must be positive")
-    if args.max_iter < 1:
-        raise ValueError("max-iter must be positive")
     config = SolverConfig(tol_gap=args.tol_gap, tol_feas=args.tol_feas,
                           max_iter=args.max_iter)
     records = [_solve_point(p, config) for p in points]

@@ -37,6 +37,7 @@ def test_status_change_fails():
     assert not same
     assert ("status b: numerical_failure (40 iterations) -> optimal (20 iterations)"
             in lines)
+    assert "statuses: 1 to optimal, 0 from optimal" in lines
     assert lines[-1] == "iterations over 1 solves with an unchanged status: 10 -> 10"
 
 
@@ -102,3 +103,16 @@ def test_fingerprints_see_every_byte():
     # -0.0 == 0.0, but not byte for byte
     assert solve_record([1.0, -0.0], [0.5, 0.5])["problem"] != base["problem"]
     assert solve_record([1.0, 0.0], [0.5, np.nextafter(0.5, 1.0)])["iterate"] != base["iterate"]
+
+
+def test_status_summary_counts_both_directions():
+    before = {"a": record(), "b": record(status="numerical_failure", value=None),
+              "c": record(status="max_iterations", value=None), "d": record()}
+    after = {"a": record(status="numerical_failure", value=None), "b": record(),
+             "c": record(status="numerical_failure", value=None), "d": record()}
+    lines, same = parity.compare(before, after)
+    assert not same
+    # c changed between two statuses that are not optimal
+    assert "statuses: 1 to optimal, 1 from optimal" in lines
+    lines, same = parity.compare(before, dict(before))
+    assert same and "statuses: 0 to optimal, 0 from optimal" in lines

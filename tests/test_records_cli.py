@@ -197,6 +197,19 @@ class TestExitCodes:
         # one iteration cannot converge: surfaces as a solver failure
         assert main(["exact", "--dim", "2", "--max-iter", "1"]) == 3
 
+    @pytest.mark.parametrize("flags", [
+        ["--tol-gap", "nan"],
+        ["--tol-gap", "inf", "--tol-feas", "inf"],
+        ["--tol-feas", "0"],
+        ["--max-iter", "0"],
+    ])
+    def test_unusable_stopping_rule_rejected(self, flags, capsys):
+        # a NaN tolerance once ran 26 iterations and an infinite one
+        # reported an uncertified nu=2; both are bad arguments
+        assert main(["exact", "--dim", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
     def test_io_failure(self, tmp_path, capsys):
         missing = str(tmp_path / "no" / "such" / "dir" / "x.csv")
         assert main(["exact", "--dim", "2", "--out", missing]) == 4

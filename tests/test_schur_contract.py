@@ -12,7 +12,8 @@ M_ij = Re Tr(A_i W A_j W), assembled from the embeddings the builder
 records, equals the dense one built here from the coefficients.
 The Schur solve factors M once, shifting a copy only when M is not
 numerically positive definite, and refines against the unshifted M while the
-residual falls.
+residual falls.  One step-length test over X and S together gives the
+smaller of their two step lengths.
 """
 
 import dataclasses
@@ -42,6 +43,8 @@ from scipy.linalg import blas
 from vbroadcast.sdp import solver
 from vbroadcast.sdp.solver import (
     _block_rows,
+    _herm,
+    _max_step,
     _schur,
     _schur_factor,
     _schur_solve,
@@ -430,3 +433,38 @@ def test_indefinite_schur_is_a_numerical_failure(monkeypatch):
     sol = solve(exact_broadcast([name for name, _ in BLOCKS], range(4)))
     assert sol.status == "numerical_failure"
     assert sol.diagnostics["note"] == "singular Schur complement"
+
+
+def cone_side(rng, n_lin, stacks):
+    """A point of the cone (positive orthant entries, the inverse Cholesky
+    factor of each PD stack) and a direction of mixed sign."""
+    lin = rng.uniform(0.1, 2.0, n_lin)
+    d_lin = rng.standard_normal(n_lin)
+    linv = [np.linalg.inv(np.linalg.cholesky(np.stack([rand_pd(rng, n) for _ in range(k)])))
+            for n, k in stacks]
+    d_st = [np.stack([rand_hermitian(rng, n) for _ in range(k)]) for n, k in stacks]
+    return lin, linv, d_lin, d_st
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["orthant", "stacks", "both"]), st.integers(1, 4),
+       st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 2 ** 32 - 1))
+def test_joint_step_length_is_the_smaller_of_the_two(kind, n_lin, counts, seed):
+    # the solver takes one step-length test over X and S concatenated
+    rng = np.random.default_rng(seed)
+    n_lin = 0 if kind == "stacks" else n_lin
+    stacks = [] if kind == "orthant" else [(n, k) for n, k in zip((4, 3, 2), counts)]
+    x_side, s_side = cone_side(rng, n_lin, stacks), cone_side(rng, n_lin, stacks)
+    lin, d_lin = (np.concatenate([x_side[i], s_side[i]]) for i in (0, 2))
+    linv, d_st = ([np.concatenate(pair) for pair in zip(x_side[i], s_side[i])] for i in (1, 3))
+    joint = _max_step(lin, linv, d_lin, d_st)
+    assert joint == min(_max_step(*x_side), _max_step(*s_side))
+    # the step is the boundary of the cone: at alpha the smallest
+    # eigenvalue, or the smallest orthant entry, reaches zero
+    if np.isfinite(joint):
+        boundary, scale = [np.min(lin + joint * d_lin, initial=np.inf)], [1.0]
+        for li, d in zip(linv, d_st):
+            m = joint * (li @ d @ _herm(li))
+            boundary.append(np.linalg.eigvalsh(np.eye(li.shape[-1]) + m).min())
+            scale.append(np.abs(m).max())
+        assert abs(min(boundary)) <= 1e-12 * max(scale)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -415,6 +416,19 @@ class TestBatchedCholesky:
         shifted = singular + 1e-14 * np.eye(3)
         assert np.array_equal(got[1], np.linalg.cholesky(shifted))
 
+    def test_failing_s_block_of_a_joint_x_s_stack_is_the_only_one_shifted(self):
+        # the solver factors the X and S stacks of a dimension as one stack
+        rng = np.random.default_rng(8)
+        x = np.stack([random_hermitian(2, rng) + 3.0 * np.eye(2) for _ in range(3)])
+        s = x[::-1].copy()
+        s[1] = np.diag([1.0, 0.0])      # PSD, plain Cholesky fails
+        got = _chol_stack(np.concatenate([x, s]))
+        assert np.array_equal(got[:3], np.linalg.cholesky(x))
+        for k in (0, 2):
+            assert np.array_equal(got[3 + k], np.linalg.cholesky(s[k]))
+        shifted = s[1] + 1e-14 * np.eye(2)
+        assert np.array_equal(got[4], np.linalg.cholesky(shifted))
+
     def test_indefinite_block_raises(self):
         stack = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
         with pytest.raises(np.linalg.LinAlgError):
@@ -428,3 +442,21 @@ class TestBatchedCholesky:
         sol = solve(blocks_problem(["A", "B", "x", "C", "D"]))
         assert sol.status == "numerical_failure"
         assert "iterate left the cone" in sol.diagnostics["note"]
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("name", ["tol_gap", "tol_feas"])
+    @pytest.mark.parametrize("value", [0.0, -1e-9, math.nan, math.inf, -math.inf, "1e-9", None])
+    def test_tolerance_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 10.0, True, "10", None])
+    def test_max_iter_must_be_an_integer_of_at_least_one(self, value):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            SolverConfig(max_iter=value)
+
+    def test_valid_values_are_kept(self):
+        cfg = SolverConfig(tol_gap=np.float64(1e-3), tol_feas=1, max_iter=np.int64(1))
+        assert (cfg.tol_gap, cfg.tol_feas, cfg.max_iter) == (1e-3, 1, 1)
+        assert SolverConfig() == SolverConfig(1e-8, 1e-8, 200)

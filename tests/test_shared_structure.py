@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from vbroadcast import broadcasting as bc
 from vbroadcast import diamond
@@ -175,7 +176,41 @@ def test_replace_gets_fresh_row_data():
     solve(q)
     rows = solver._rows(q)
     assert rows is not solver._rows(p)
-    assert (rows.a_red != (2.0 * p.a)[rows.presolve.kept]).nnz == 0
+    a_red = rows.a_red.toarray() if sp.issparse(rows.a_red) else rows.a_red
+    assert np.array_equal(a_red, (2.0 * p.a)[rows.presolve.kept].toarray())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_covariant_rows_are_dense(d):
+    # a quarter or more of these entries are nonzero
+    rows = solver._Rows(bc._covariant_problem(d, [(0.8, 1.2)] * 2))
+    assert isinstance(rows.a_red, np.ndarray)
+    assert rows.a_red_t.base is rows.a_red    # a view, not a copy
+    assert all(isinstance(blk.a_block, np.ndarray) for blk in rows.blocks)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4)])
+def test_diamond_rows_stay_sparse(dims):
+    j = ChoiOperator(random_hermitian(math.prod(dims), np.random.default_rng(4)),
+                     dims[0], dims[1:])
+    rows = solver._Rows(diamond.diamond_problem(j))
+    assert sp.issparse(rows.a_red) and sp.issparse(rows.a_red_t)
+    assert all(sp.issparse(blk.a_block) for blk in rows.blocks)
+
+
+@pytest.mark.parametrize("problem", [
+    bc._covariant_problem(3, [(0.8, 1.2)] * 2),
+    diamond.diamond_problem(ChoiOperator(
+        random_hermitian(9, np.random.default_rng(6)), 3, (3,))),
+], ids=["dense", "sparse"])
+def test_reduced_rows_multiply_as_the_kept_rows(problem):
+    rows = solver._Rows(problem)
+    kept = problem.a[rows.presolve.kept]
+    rng = np.random.default_rng(2)
+    x = rng.uniform(-1.0, 1.0, kept.shape[1])
+    y = rng.uniform(-1.0, 1.0, kept.shape[0])
+    np.testing.assert_allclose(rows.a_red @ x, kept @ x, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(rows.a_red_t @ y, kept.T @ y, rtol=0.0, atol=1e-14)
 
 
 def test_writing_into_b_leaves_the_next_call_alone():

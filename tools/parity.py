@@ -29,8 +29,9 @@ X blocks.
 
 ``compare`` prints the largest |value difference| over solves with a value
 in both files (and the solve it is at, when it is not 0), every status
-difference, the solves with an unchanged status whose iteration count
-changed, and the iteration totals over the solves whose status is the same
+difference and a count of the status changes to and from ``optimal``,
+the solves with an unchanged status whose iteration count changed, and the
+iteration totals over the solves whose status is the same
 in both.  After the value line it counts the solves whose problems, and
 whose iterates, are byte-identical in the two files; a solve without
 fingerprints in either file counts as "n/a".  It exits 1 when the two files
@@ -171,11 +172,14 @@ def compare(before: dict, after: dict) -> tuple[list[str], bool]:
             count += f" (n/a on {len(keys) - len(known)})"
         lines.append(f"{name} identical on {count}")
     same = [k for k in keys if before[k]["status"] == after[k]["status"]]
-    for k in keys:
-        if k not in same:
-            b, a = before[k], after[k]
-            lines.append(f"status {k}: {b['status']} ({b['iterations']} iterations) -> "
-                         f"{a['status']} ({a['iterations']} iterations)")
+    changed = [k for k in keys if k not in same]
+    for k in changed:
+        b, a = before[k], after[k]
+        lines.append(f"status {k}: {b['status']} ({b['iterations']} iterations) -> "
+                     f"{a['status']} ({a['iterations']} iterations)")
+    to_opt = sum(after[k]["status"] == "optimal" for k in changed)
+    from_opt = sum(before[k]["status"] == "optimal" for k in changed)
+    lines.append(f"statuses: {to_opt} to optimal, {from_opt} from optimal")
     moved = [f"{k} {before[k]['iterations']} -> {after[k]['iterations']}" for k in same
              if before[k]["iterations"] != after[k]["iterations"]]
     lines.append(f"iteration counts changed on {len(moved)} solves"
