@@ -231,7 +231,7 @@ def criterion_11(log: list) -> CriterionResult:
     optimal = [(p, s) for p, s in log if s.status == STATUS_OPTIMAL]
     bad = 0
     for p, s in optimal:
-        rep = check_certificate(p, s, tol=1e-6)
+        rep = check_certificate(p, s)
         if not rep.passed:
             bad += 1
     conds.append((bad == 0, f"{bad} of {len(optimal)} optimal solves fail certification"))
@@ -241,7 +241,7 @@ def criterion_11(log: list) -> CriterionResult:
         p, s = optimal[0]
         corrupted = replace(
             s, x_blocks={k: 1.01 * v for k, v in s.x_blocks.items()})
-        rep = check_certificate(p, corrupted, tol=1e-6)
+        rep = check_certificate(p, corrupted)
         conds.append((rep.passed is False and rep.primal_residual > 1e-6,
                       "corrupted solution was not rejected"))
     return _check(11, "solver certification", conds)

@@ -349,7 +349,7 @@ def _outcome(problem, sol, lift, kind: str):
     :class:`SolverFailure`.
     """
     if sol.status == STATUS_OPTIMAL:
-        cert = check_certificate(problem, sol, tol=1e-6)
+        cert = check_certificate(problem, sol)
         return (float(sol.primal_objective),
                 STATUS_OPTIMAL if cert.passed else STATUS_UNCERTIFIED, lift, cert)
     if sol.status in (STATUS_PRIMAL_INFEASIBLE, STATUS_DUAL_INFEASIBLE):

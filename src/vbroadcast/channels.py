@@ -19,7 +19,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .linalg import (
-    PSD_TOL,
     as_hermitian,
     haar_unitary,
     kron,
@@ -118,12 +117,6 @@ class ChoiOperator:
         diff = self.output_trace() - weight * np.eye(self.in_dim)
         return float(np.linalg.norm(diff))
 
-    def is_trace_preserving(self, weight: float = 1.0, tol: float = 1e-9) -> bool:
-        return self.tp_residual(weight) <= tol
-
-    def is_cp(self, tol: float = PSD_TOL) -> bool:
-        return min_eigenvalue(self.op) >= -tol
-
 
 def identity_choi(d: int) -> ChoiOperator:
     return ChoiOperator(gamma_operator(d), d, (d,))
@@ -148,10 +141,10 @@ class DepolarizingParam:
         return 0.0 <= self.t <= self.cp_upper(d)
 
 
-def depolarizing_choi(t: float | DepolarizingParam, d: int) -> ChoiOperator:
+def depolarizing_choi(t: float, d: int) -> ChoiOperator:
     """Choi operator (1-t) |G><G| + t I/d of the depolarizing family."""
-    tval = t.t if isinstance(t, DepolarizingParam) else float(t)
-    op = (1.0 - tval) * gamma_operator(d) + (tval / d) * np.eye(d * d)
+    t = float(t)
+    op = (1.0 - t) * gamma_operator(d) + (t / d) * np.eye(d * d)
     return ChoiOperator(op, d, (d,))
 
 
@@ -278,16 +271,19 @@ def isotropic_twirl(m: np.ndarray, d: int) -> tuple[np.ndarray, float]:
     return proj, f
 
 
-def is_broadcasting_choi(j: ChoiOperator, tol: float = 1e-8
-                         ) -> tuple[bool, tuple[float, float]]:
-    """Check the marginal conditions Tr_{B2} J = G_{BB1} and Tr_{B1} J = G_{BB2}."""
+# Frobenius-norm residual up to which a structural predicate holds
+STRUCTURE_TOL = 1e-8
+
+
+def is_broadcasting_choi(j: ChoiOperator) -> tuple[bool, tuple[float, float]]:
+    """Check Tr_{B2} J = G_{BB1} and Tr_{B1} J = G_{BB2} within ``STRUCTURE_TOL``."""
     if j.n_outputs != 2:
         raise ValueError("broadcasting check expects two outputs")
     d = j.in_dim
     gamma = gamma_operator(d)
     res1 = float(np.linalg.norm(marginal_choi(j, drop=2).op - gamma))
     res2 = float(np.linalg.norm(marginal_choi(j, drop=1).op - gamma))
-    return (res1 <= tol and res2 <= tol), (res1, res2)
+    return (res1 <= STRUCTURE_TOL and res2 <= STRUCTURE_TOL), (res1, res2)
 
 
 def canonical_broadcast_choi(d: int, lam: float = 0.0) -> ChoiOperator:
@@ -311,30 +307,29 @@ def canonical_broadcast_choi(d: int, lam: float = 0.0) -> ChoiOperator:
 class StructureReport:
     """Residuals of the structural predicates of a two-output Choi operator.
 
-    Flags are derived from the residuals at ``tol`` (Frobenius norm).
+    Flags are derived from the residuals at ``STRUCTURE_TOL`` (Frobenius norm).
     """
 
     broadcasting_residuals: tuple[float, float]
     unitary_covariance_residual: float
     permutation_invariance_residual: float
     classical_consistency_residual: float
-    tol: float = 1e-8
 
     @property
     def is_broadcasting(self) -> bool:
-        return max(self.broadcasting_residuals) <= self.tol
+        return max(self.broadcasting_residuals) <= STRUCTURE_TOL
 
     @property
     def is_unitary_covariant(self) -> bool:
-        return self.unitary_covariance_residual <= self.tol
+        return self.unitary_covariance_residual <= STRUCTURE_TOL
 
     @property
     def is_permutation_invariant(self) -> bool:
-        return self.permutation_invariance_residual <= self.tol
+        return self.permutation_invariance_residual <= STRUCTURE_TOL
 
     @property
     def is_classically_consistent(self) -> bool:
-        return self.classical_consistency_residual <= self.tol
+        return self.classical_consistency_residual <= STRUCTURE_TOL
 
 
 # Unitary covariance is probed on a fixed generating set: Haar-seeded
@@ -354,12 +349,12 @@ def _covariance_test_set(d: int) -> list[np.ndarray]:
     return units + [shift, phase]
 
 
-def check_structural_conditions(j: ChoiOperator, tol: float = 1e-8) -> StructureReport:
+def check_structural_conditions(j: ChoiOperator) -> StructureReport:
     """Evaluate broadcasting / covariance / permutation / classical-consistency residuals."""
     if j.n_outputs != 2:
         raise ValueError("structural checks expect two outputs")
     d = j.in_dim
-    _, bc_res = is_broadcasting_choi(j, tol)
+    _, bc_res = is_broadcasting_choi(j)
 
     # Covariance (U (x) U) o E = E o U  <=>  J commutes with conj(U)_B (x) U (x) U.
     cov = 0.0
@@ -389,7 +384,6 @@ def check_structural_conditions(j: ChoiOperator, tol: float = 1e-8) -> Structure
         unitary_covariance_residual=cov,
         permutation_invariance_residual=perm,
         classical_consistency_residual=cc,
-        tol=tol,
     )
 
 

@@ -115,7 +115,7 @@ def half_diamond_distance(j_phi: ChoiOperator,
     if sol.status != STATUS_OPTIMAL:
         raise SolverFailure(f"diamond-norm SDP did not reach optimality: {sol.status} "
                             f"({sol.diagnostics.get('note', '')})", sol.status)
-    cert = check_certificate(problem, sol, tol=1e-6)
+    cert = check_certificate(problem, sol)
     lower = lower_bound_by_states(j_phi, samples=lower_bound_samples, seed=seed)
     return DiamondResult(
         value=float(sol.primal_objective),
@@ -128,9 +128,9 @@ def half_diamond_distance(j_phi: ChoiOperator,
 
 
 def _check_samples(samples: int) -> int:
-    """Validate a count of sampled states: an integer >= 1, or ValueError."""
+    """Validate a count of sampled states: an integer >= 1, not a bool, or ValueError."""
     try:
-        count = operator.index(samples)
+        count = 0 if isinstance(samples, bool) else operator.index(samples)
     except TypeError:
         count = 0
     if count < 1:

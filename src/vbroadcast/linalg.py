@@ -5,9 +5,9 @@ are plain complex ``ndarray``s; subsystem layouts are sequences of factor
 dimensions, row-major with the leftmost factor most significant.  The standard
 tolerance ladder used throughout the package:
 
-* ``CONSTRUCTION_TOL`` (1e-12): floating noise of basic linear algebra,
-* ``PSD_TOL`` (1e-9): cone-membership checks on solver output,
-* ``SDP_TOL`` (1e-6): residuals at the level of solved optimization problems.
+* ``HERMITICITY_TOL`` (1e-10): asymmetry symmetrized away on construction,
+* ``PSD_TOL`` (1e-9): cone-membership checks (``psd_check``),
+* ``SDP_TOL`` (1e-6): residuals of solved problems (``sdp.check_certificate``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-CONSTRUCTION_TOL = 1e-12
 PSD_TOL = 1e-9
 SDP_TOL = 1e-6
 
@@ -31,10 +30,10 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def as_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def as_hermitian(m: np.ndarray) -> np.ndarray:
     """Validate and symmetrize a square matrix that should be Hermitian.
 
-    Asymmetry up to ``tol * (1 + max|m|)`` is absorbed by symmetrizing;
+    Asymmetry up to ``HERMITICITY_TOL * (1 + max|m|)`` is absorbed by symmetrizing;
     anything beyond that raises ``ValueError`` instead of being masked.
     """
     m = np.asarray(m, dtype=complex)
@@ -44,9 +43,9 @@ def as_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     scale = 1.0 + np.max(np.abs(m)) if m.size else 1.0
     asym = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if asym > tol * scale:
+    if asym > HERMITICITY_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} "
-                         f"exceeds {tol:.1e} * {scale:.3e}")
+                         f"exceeds {HERMITICITY_TOL:.1e} * {scale:.3e}")
     return hermitian_part(m)
 
 
@@ -144,14 +143,14 @@ class Spectrum:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def eig_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> Spectrum:
+def eig_hermitian(h: np.ndarray) -> Spectrum:
     """Eigendecompose a Hermitian matrix (LAPACK ``eigh`` under the hood).
 
-    Raises ``ValueError`` if the input is not Hermitian within ``tol`` and
+    Raises ``ValueError`` if the input is not Hermitian (``as_hermitian``) and
     ``numpy.linalg.LinAlgError`` if the iteration fails to converge, which
     signals ill-conditioned input.
     """
-    h = as_hermitian(h, tol=tol)
+    h = as_hermitian(h)
     w, v = np.linalg.eigh(h)
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
@@ -171,21 +170,21 @@ def min_eigenvalue(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(as_hermitian(h))[0])
 
 
-def psd_check(h: np.ndarray, tol: float = PSD_TOL) -> tuple[bool, float]:
-    """Return ``(min_eig >= -tol, min_eig)`` for a Hermitian matrix."""
+def psd_check(h: np.ndarray) -> tuple[bool, float]:
+    """Return ``(min_eig >= -PSD_TOL, min_eig)`` for a Hermitian matrix."""
     lam = min_eigenvalue(h)
-    return lam >= -tol, lam
+    return lam >= -PSD_TOL, lam
 
 
-def check_density(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Validate a density operator: Hermitian, PSD and unit trace."""
+def check_density(rho: np.ndarray) -> np.ndarray:
+    """Validate a density operator: Hermitian, PSD and unit trace within 1e-10."""
     rho = as_hermitian(rho)
     lam = min_eigenvalue(rho)
-    if lam < -tol:
+    if lam < -1e-10:
         raise ValueError(f"not positive semidefinite: min eigenvalue {lam:.3e}")
     tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"trace {tr} is not 1 within {tol:.1e}")
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"trace {tr} is not 1 within 1e-10")
     return rho
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..linalg import HERMITICITY_TOL
+from ..linalg import HERMITICITY_TOL, SDP_TOL
 from .problem import SdpProblem, _vec
 from .solver import STATUS_OPTIMAL, SdpSolution
 
@@ -61,13 +61,12 @@ def _hermitian_stacks(problem: SdpProblem, blocks: dict[str, np.ndarray],
     return out
 
 
-def check_certificate(problem: SdpProblem, solution: SdpSolution,
-                      tol: float = 1e-6) -> CertificateReport:
+def check_certificate(problem: SdpProblem, solution: SdpSolution) -> CertificateReport:
     """Recompute primal/dual residuals, complementarity and cone membership.
 
-    Pass criteria: every normalized residual at most ``tol`` and every block
-    eigenvalue at least ``-tol``.  A block that is not Hermitian raises
-    ``ValueError``.
+    Pass criteria: every normalized residual at most ``linalg.SDP_TOL``
+    (1e-6) and every block eigenvalue at least ``-SDP_TOL``.  A block that is
+    not Hermitian raises ``ValueError``.
     """
     x_st = _hermitian_stacks(problem, solution.x_blocks, "X")
     s_st = _hermitian_stacks(problem, solution.s_blocks, "S")
@@ -104,12 +103,12 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution,
             min_eig_x=min_x, min_eig_s=min_s, worst_row=worst_row,
             details="no pass/fail verdict for a non-optimal solve")
 
-    passed = (pres <= tol and dres <= tol and compl <= tol and gap <= tol
-              and min_x >= -tol and min_s >= -tol)
+    passed = (pres <= SDP_TOL and dres <= SDP_TOL and compl <= SDP_TOL and gap <= SDP_TOL
+              and min_x >= -SDP_TOL and min_s >= -SDP_TOL)
     details = "" if passed else (
         f"primal {pres:.2e} (worst row: {worst_row}), dual {dres:.2e}, "
         f"compl {compl:.2e}, gap {gap:.2e}, min eig X {min_x:.2e}, "
-        f"min eig S {min_s:.2e} vs tol {tol:.1e}")
+        f"min eig S {min_s:.2e} vs tol {SDP_TOL:.1e}")
     return CertificateReport(
         passed=passed, status=solution.status, primal_residual=pres,
         dual_residual=dres, complementarity=compl, duality_gap=gap,

@@ -33,7 +33,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -41,10 +40,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..linalg import as_hermitian
-
-# Largest block dimension accepted without an explicit override; keeps
-# accidental huge dense solves from hanging a session.
-MAX_BLOCK_DIM = 130
 
 
 @dataclass(frozen=True)
@@ -149,7 +144,6 @@ class SdpProblem:
     a: sp.csr_matrix
     b: np.ndarray
     c: np.ndarray
-    allow_large_blocks: bool = False
     embeddings: list[Embedding] = field(default_factory=list)
     labels: list[tuple[int, int, str]] = field(default_factory=list)
     structure: Structure = field(init=False, repr=False, compare=False)
@@ -195,20 +189,14 @@ class SdpProblem:
         raise KeyError(f"no block named {name!r}")
 
     def validate(self) -> None:
+        """Raise ``ValueError`` unless the parts fit together and ``a``, ``b``
+        and ``c`` are finite.  Any size builds (``solve`` bounds the size)."""
         dims = {b.name: b.dim for b in self.blocks}
         if len(dims) != len(self.blocks):
             raise ValueError("duplicate block names")
         for b in self.blocks:
             if b.dim < 1:
                 raise ValueError(f"block {b.name!r} has invalid dimension {b.dim}")
-            if b.dim > MAX_BLOCK_DIM and not self.allow_large_blocks:
-                raise ValueError(
-                    f"block {b.name!r} has dimension {b.dim} > {MAX_BLOCK_DIM}; "
-                    "pass allow_large_blocks=True to override")
-            if b.dim > MAX_BLOCK_DIM:
-                warnings.warn(f"block {b.name!r} exceeds the desk-scale guardrail "
-                              f"(dimension {b.dim}); expect long solve times",
-                              RuntimeWarning)
         m, n = self.n_rows, int(self.cone.offsets[-1])
         if self.a.shape != (m, n):
             raise ValueError(f"constraint coefficients have shape {self.a.shape}, "
@@ -216,6 +204,10 @@ class SdpProblem:
         if self.c.shape != (n,):
             raise ValueError(f"objective coefficients have shape {self.c.shape}, "
                              f"not the ({n},) of the declared blocks")
+        for what, v in (("coefficients a", self.a.data), ("right-hand side b", self.b),
+                        ("objective c", self.c)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"non-finite entries in {what}")
         for e in self.embeddings:
             if (int(np.prod(e.dims)) != dims.get(e.block)
                     or not 0 <= e.start <= e.start + e.dim ** 2 <= m):
@@ -330,14 +322,13 @@ class ProblemBuilder:
     constraint; the problem keeps the names as row ranges.
     """
 
-    def __init__(self, allow_large_blocks: bool = False):
+    def __init__(self):
         self._dims: dict[str, int] = {}
         self._a: list[tuple[str, np.ndarray, np.ndarray, np.ndarray]] = []
         self._b: list[float] = []
         self._c: dict[str, np.ndarray] = {}
         self._embeddings: list[Embedding] = []
         self._labels: list[tuple[int, int, str]] = []
-        self.allow_large_blocks = allow_large_blocks
 
     # -- variables -----------------------------------------------------------
 
@@ -465,7 +456,6 @@ class ProblemBuilder:
         for name, coords in self._c.items():
             c[cone.columns[name]] = coords
         p = SdpProblem(blocks=blocks, a=a, b=np.array(self._b), c=c,
-                       allow_large_blocks=self.allow_large_blocks,
                        embeddings=list(self._embeddings), labels=list(self._labels))
         p.validate()
         return p

@@ -54,6 +54,11 @@ problem's ``structure`` and kept there, so solves of problems that differ
 only in ``b`` (``SdpProblem.with_b``) share it.  Each solve still validates
 its problem and tests its ``b`` against the dropped rows.
 
+With m rows, the presolve's Gram matrix, the Schur complement, its kept-row
+copy and its factor are m x m, as is the largest complex pair block of the
+Schur build, so a solve first refuses, with ``ValueError``, a problem of
+more than ``MAX_ROWS`` rows or with a block above ``MAX_BLOCK_DIM``.
+
 The embedding tracks (x, y, s, tau, kappa) with the invariants
 
     A x - tau b            -> 0
@@ -108,6 +113,12 @@ PRESOLVE_TOL = 1e-12
 # first diagonal shift, relative to the largest diagonal entry, tried when the
 # Schur complement is not numerically positive definite
 SCHUR_REGULARIZATION = 1e-12
+# the largest problem a solve accepts: the fixed map canonical_broadcast_choi(4)
+# has 4112 rows and takes 7.7 s at 861 MB peak RSS on a 2-core host, so 6000
+# rows is about 1.8 GB and 25 s (memory as m^2, time as m^3); at d = 5 its
+# 15,650 rows need about 12.5 GB.  The dense d = 6 oracles have blocks of 216.
+MAX_ROWS = 6000
+MAX_BLOCK_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -310,15 +321,16 @@ class _Presolve:
         return float(np.max(np.abs(b_dropped - self.spans @ w) / denom))
 
 
-def _independent_rows(a_full: sp.csr_matrix, tol_rel: float) -> _Presolve:
-    """Pivoted Cholesky on the row Gram matrix; exact-redundant rows dropped."""
+def _independent_rows(a_full: sp.csr_matrix) -> _Presolve:
+    """Pivoted Cholesky on the row Gram matrix; rows whose pivot is below
+    ``PRESOLVE_TOL`` times the largest diagonal entry are dropped."""
     if a_full.shape[0] == 0:
         return _Presolve([], [])
     gram = (a_full @ a_full.T).toarray()
     scale = max(float(gram.diagonal().max(initial=0.0)), 1e-300)
     # P^T G P = L L^T on the first r pivots; the rows of L past r hold the
     # dropped rows' coordinates on those pivots
-    lfac, piv, r, _ = sla.lapack.dpstrf(gram, tol=tol_rel * scale, lower=1)
+    lfac, piv, r, _ = sla.lapack.dpstrf(gram, tol=PRESOLVE_TOL * scale, lower=1)
     piv -= 1
     perm, dropped = piv[:r], piv[r:]
     pre = _Presolve(sorted(perm.tolist()), sorted(dropped.tolist()))
@@ -336,7 +348,7 @@ class _Rows:
     dense columns ``a_lin`` of the orthant on all rows."""
 
     def __init__(self, problem: SdpProblem):
-        self.presolve = _independent_rows(problem.a, PRESOLVE_TOL)
+        self.presolve = _independent_rows(problem.a)
         kept = self.presolve.kept
         self.blocks = _block_rows(problem)
         self.a_red = _dense_if_filled(problem.a[kept])
@@ -691,11 +703,16 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     The returned solution carries complex-domain blocks.  On ``optimal`` the
     normalized primal/dual residuals are below ``tol_feas`` and the relative
     duality gap below ``tol_gap``; infeasibility is reported through Farkas
-    certificates found by the self-dual embedding.
+    certificates found by the self-dual embedding.  A problem past
+    ``MAX_ROWS`` or ``MAX_BLOCK_DIM`` raises ``ValueError``.
     """
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
     problem.validate()
+    largest = max((b.dim for b in problem.blocks), default=0)
+    if problem.n_rows > MAX_ROWS or largest > MAX_BLOCK_DIM:
+        raise ValueError(f"problem size (rows {problem.n_rows}, largest block {largest}) exceeds "
+                         f"what solve accepts (rows {MAX_ROWS}, block {MAX_BLOCK_DIM})")
     b_vec, c = problem.b, problem.c
     rows = _rows(problem)
     kept, dropped = rows.presolve.kept, rows.presolve.dropped

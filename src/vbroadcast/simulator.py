@@ -53,12 +53,12 @@ class Observable:
     projectors: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_matrix(cls, op: np.ndarray, tol: float = DEGENERACY_TOL) -> "Observable":
+    def from_matrix(cls, op: np.ndarray) -> "Observable":
         op = as_hermitian(op)
         spec = eig_hermitian(op)
         groups: list[list[int]] = [[0]]
         for k in range(1, spec.eigenvalues.size):
-            if spec.eigenvalues[k] - spec.eigenvalues[groups[-1][0]] <= tol:
+            if spec.eigenvalues[k] - spec.eigenvalues[groups[-1][0]] <= DEGENERACY_TOL:
                 groups[-1].append(k)
             else:
                 groups.append([k])

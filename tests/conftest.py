@@ -4,6 +4,7 @@ import pytest
 
 from vbroadcast import broadcasting as bc
 from vbroadcast import diamond
+from vbroadcast.sdp import solver
 
 
 @pytest.fixture
@@ -18,3 +19,12 @@ def corrupted_solves(monkeypatch):
 
     monkeypatch.setattr(bc, "solve", solve)
     monkeypatch.setattr(diamond, "solve", solve)
+
+
+@pytest.fixture
+def no_presolve(monkeypatch):
+    """A solve that reaches the presolve fails the test."""
+    def presolve(*args):
+        raise AssertionError("the presolve ran")
+
+    monkeypatch.setattr(solver, "_independent_rows", presolve)

@@ -40,7 +40,7 @@ def _decomposition_builder(dims: tuple[int, ...], minimize_nu: bool = True) -> P
     """Blocks J1, J2 on (B, outputs...) with Tr_out J1 = x I_B,
     Tr_out J2 = y I_B and x - y = 1."""
     d, drop = dims[0], tuple(range(1, len(dims)))
-    builder = ProblemBuilder(allow_large_blocks=True)
+    builder = ProblemBuilder()
     builder.add_psd_block("J1", math.prod(dims))
     builder.add_psd_block("J2", math.prod(dims))
     builder.add_scalar("x")
@@ -70,7 +70,7 @@ def _value(builder: ProblemBuilder, config: SolverConfig | None) -> float:
     problem = builder.build()
     sol = solve(problem, config)
     assert sol.status == STATUS_OPTIMAL, sol.status
-    assert check_certificate(problem, sol, tol=1e-6).passed
+    assert check_certificate(problem, sol).passed
     return float(sol.primal_objective)
 
 

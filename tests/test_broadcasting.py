@@ -13,7 +13,7 @@ from vbroadcast.channels import (
     gamma_operator,
     marginal_choi,
 )
-from vbroadcast.diamond import half_diamond_distance
+from vbroadcast.diamond import diamond_problem, half_diamond_distance
 from vbroadcast.linalg import partial_trace, random_hermitian
 from vbroadcast.sdp import SolverConfig, SolverFailure, check_certificate, dump_problem
 from vbroadcast.sdp.solver import record_solves
@@ -75,6 +75,15 @@ class TestOverheadOfMap:
         assert res.certificate.passed
         # a particular broadcasting map can never beat the optimum over all
         assert res.nu >= 5.0 / 3.0 - 1e-6
+
+    def test_map_too_large_to_solve_is_refused_before_the_presolve(self, no_presolve):
+        # a block of only 125, but every m x m array of its solve is about 2 GB
+        j = canonical_broadcast_choi(5)
+        assert diamond_problem(j).n_rows == 15650
+        with record_solves() as log:
+            with pytest.raises(ValueError, match=r"rows 15650, largest block 125\) exceeds"):
+                bc.overhead_of_map(j)
+        assert log == []
 
 
 class TestExactOverhead:

@@ -86,10 +86,9 @@ class TestDepolarizing:
         d = 2
         par = DepolarizingParam(1.2)
         assert par.is_cp_range(d)
-        assert psd_check(depolarizing_choi(1.2, d).op, 1e-9)[0]
-        assert not psd_check(depolarizing_choi(DepolarizingParam.cp_upper(d) + 0.05, d).op,
-                             1e-9)[0]
-        assert not psd_check(depolarizing_choi(-0.05, d).op, 1e-9)[0]
+        assert psd_check(depolarizing_choi(1.2, d).op)[0]
+        assert not psd_check(depolarizing_choi(DepolarizingParam.cp_upper(d) + 0.05, d).op)[0]
+        assert not psd_check(depolarizing_choi(-0.05, d).op)[0]
 
 
 class TestApplyChoi:

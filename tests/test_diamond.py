@@ -93,7 +93,7 @@ class TestLowerBound:
                 got = lower_bound_by_states(phi, samples=samples, seed=seed)
                 assert abs(got - per_state_lower_bound(phi, samples, seed)) <= 1e-12
 
-    @pytest.mark.parametrize("samples", [0, -3, 2.5])
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True])
     def test_rejects_sample_count_before_any_solve(self, samples):
         phi = ChoiOperator(gamma_operator(4) - replacement_choi(4).op, 4, (4,))
         with pytest.raises(ValueError, match="sample count"):

@@ -158,11 +158,11 @@ class TestEig:
 
 class TestPsdCheck:
     def test_identity(self):
-        ok, lam = psd_check(np.eye(3), 1e-9)
+        ok, lam = psd_check(np.eye(3))
         assert ok and np.isclose(lam, 1.0)
 
     def test_indefinite(self):
-        ok, lam = psd_check(np.diag([1.0, -0.5]), 1e-9)
+        ok, lam = psd_check(np.diag([1.0, -0.5]))
         assert not ok and np.isclose(lam, -0.5)
 
     def test_depolarizing_cp_boundary(self):
@@ -170,12 +170,12 @@ class TestPsdCheck:
         d = 2
         t = 1.2
         h = (1 - t) * gamma_operator(d) + t * np.eye(d * d) / d
-        ok, lam = psd_check(h, 1e-9)
+        ok, lam = psd_check(h)
         assert ok
         np.testing.assert_allclose(
             sorted(np.linalg.eigvalsh(h))[0], min((1 - t) * d + t / d, t / d), atol=1e-12)
         beyond = (1 - 1.4) * gamma_operator(d) + 1.4 * np.eye(d * d) / d
-        assert not psd_check(beyond, 1e-9)[0]
+        assert not psd_check(beyond)[0]
 
 
 class TestValidation:

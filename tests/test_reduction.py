@@ -162,7 +162,6 @@ class TestClosedForm:
 class TestDenseOracle:
     """Reduced and dense optima agree to 1e-7."""
 
-    @pytest.mark.filterwarnings("ignore:block .* exceeds the desk-scale guardrail")
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_exact(self, d):
         assert abs(bc.exact_overhead(d).nu - dense_oracle.exact_overhead(d)) <= 1e-7
