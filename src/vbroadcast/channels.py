@@ -1,4 +1,4 @@
-"""Choi-operator toolbox: channels, HPTP maps, link product, twirling.
+"""Choi-operator toolbox: channels, HPTP maps, marginals, twirling.
 
 A linear map E from a d-dimensional system B to output systems (B1, ...) is
 represented by its Choi operator J = (id (x) E)(|G><G|), where |G> = sum_i |ii>
@@ -14,34 +14,24 @@ convention
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import (
-    as_hermitian,
-    haar_unitary,
-    kron,
-    min_eigenvalue,
-    partial_trace,
-    permute_subsystems,
-)
+from .linalg import as_hermitian, haar_unitary, min_eigenvalue, partial_trace
 
 __all__ = [
     "ChoiOperator",
-    "DepolarizingParam",
     "BroadcastDecomposition",
     "StructureReport",
     "gamma_operator",
     "max_entangled_state",
     "swap_operator",
-    "identity_choi",
     "depolarizing_choi",
     "replacement_choi",
     "apply_choi",
     "apply_choi_with_ancilla",
     "choi_of_map",
-    "link_product",
     "marginal_choi",
     "isotropic_twirl",
     "is_broadcasting_choi",
@@ -118,31 +108,12 @@ class ChoiOperator:
         return float(np.linalg.norm(diff))
 
 
-def identity_choi(d: int) -> ChoiOperator:
-    return ChoiOperator(gamma_operator(d), d, (d,))
-
-
-@dataclass(frozen=True)
-class DepolarizingParam:
-    """Noise parameter t of the depolarizing family L^t = (1-t) |G><G| + t I/d.
-
-    The family is trace-preserving for every real t; it is completely
-    positive only for 0 <= t <= d^2/(d^2 - 1).  t = 0 is the identity channel
-    and t = 1 the replacement channel (output I/d regardless of input).
-    """
-
-    t: float
-
-    @staticmethod
-    def cp_upper(d: int) -> float:
-        return d * d / (d * d - 1.0)
-
-    def is_cp_range(self, d: int) -> bool:
-        return 0.0 <= self.t <= self.cp_upper(d)
-
-
 def depolarizing_choi(t: float, d: int) -> ChoiOperator:
-    """Choi operator (1-t) |G><G| + t I/d of the depolarizing family."""
+    """Choi operator (1-t) |G><G| + t I/d of the depolarizing family.
+
+    The family is trace-preserving for every real t and completely positive
+    for 0 <= t <= d^2/(d^2 - 1); t = 0 is the identity channel.
+    """
     t = float(t)
     op = (1.0 - t) * gamma_operator(d) + (t / d) * np.eye(d * d)
     return ChoiOperator(op, d, (d,))
@@ -199,43 +170,6 @@ def choi_of_map(fn: Callable[[np.ndarray], np.ndarray], d_in: int,
             basis[i, k] = 1.0
             t[i, :, k, :] = fn(basis)
     return ChoiOperator(op, d_in, out_dims)
-
-
-def link_product(a: np.ndarray, labels_a: Sequence[str],
-                 b: np.ndarray, labels_b: Sequence[str],
-                 dims: Mapping[str, int]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Link product Tr_X[a^{T_X} b] over the shared subsystems X.
-
-    ``labels_a`` / ``labels_b`` name the tensor factors of each operator in
-    order; factors appearing in both are contracted.  Returns the resulting
-    operator together with its factor labels (free labels of ``a``, then free
-    labels of ``b``).  Composing Choi operators this way yields the Choi
-    operator of the composed map.
-    """
-    labels_a = tuple(labels_a)
-    labels_b = tuple(labels_b)
-    shared = [lab for lab in labels_a if lab in labels_b]
-    free_a = [lab for lab in labels_a if lab not in shared]
-    free_b = [lab for lab in labels_b if lab not in shared]
-
-    def arrange(m, labels, order):
-        dlist = tuple(dims[lab] for lab in labels)
-        perm = [labels.index(lab) for lab in order]
-        return permute_subsystems(np.asarray(m, dtype=complex), dlist, perm)
-
-    # a ordered (free_a, shared), b ordered (shared, free_b)
-    a_p = arrange(a, labels_a, free_a + shared)
-    b_p = arrange(b, labels_b, shared + free_b)
-
-    na = int(np.prod([dims[lab] for lab in free_a])) if free_a else 1
-    nb = int(np.prod([dims[lab] for lab in free_b])) if free_b else 1
-    nx = int(np.prod([dims[lab] for lab in shared])) if shared else 1
-
-    ta = a_p.reshape(na, nx, na, nx)
-    tb = b_p.reshape(nx, nb, nx, nb)
-    # with T_X applied to a: out[(i,j),(i',j')] = sum_{m,x} a[(i,m),(i',x)] b[(m,j),(x,j')]
-    out = np.einsum("imkx,mjxl->ijkl", ta, tb).reshape(na * nb, na * nb)
-    return out, tuple(free_a + free_b)
 
 
 def marginal_choi(j: ChoiOperator, drop: int) -> ChoiOperator:
@@ -359,11 +293,11 @@ def check_structural_conditions(j: ChoiOperator) -> StructureReport:
     # Covariance (U (x) U) o E = E o U  <=>  J commutes with conj(U)_B (x) U (x) U.
     cov = 0.0
     for u in _covariance_test_set(d):
-        v = kron(u.conj(), kron(u, u))
+        v = np.kron(u.conj(), np.kron(u, u))
         cov = max(cov, float(np.linalg.norm(v @ j.op @ v.conj().T - j.op)))
 
     swap = swap_operator(d)
-    v = kron(np.eye(d), swap)
+    v = np.kron(np.eye(d), swap)
     perm = float(np.linalg.norm(v @ j.op @ v.conj().T - j.op))
 
     # Classical consistency: dephasing in the canonical basis before and after

@@ -6,18 +6,15 @@ dimensions, row-major with the leftmost factor most significant.  The standard
 tolerance ladder used throughout the package:
 
 * ``HERMITICITY_TOL`` (1e-10): asymmetry symmetrized away on construction,
-* ``PSD_TOL`` (1e-9): cone-membership checks (``psd_check``),
 * ``SDP_TOL`` (1e-6): residuals of solved problems (``sdp.check_certificate``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-PSD_TOL = 1e-9
 SDP_TOL = 1e-6
 
 # Hermiticity is enforced on construction: asymmetry up to this (relative)
@@ -47,11 +44,6 @@ def as_hermitian(m: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} "
                          f"exceeds {HERMITICITY_TOL:.1e} * {scale:.3e}")
     return hermitian_part(m)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def _check_layout(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
@@ -89,18 +81,6 @@ def partial_trace(m: np.ndarray, dims: Sequence[int],
     return t.reshape(d_keep, d_keep)
 
 
-def partial_transpose(m: np.ndarray, dims: Sequence[int], subsystem: int) -> np.ndarray:
-    """Transpose a single tensor factor; applying it twice is the identity."""
-    m = np.asarray(m)
-    dims = _check_layout(m, dims)
-    k = len(dims)
-    if not 0 <= subsystem < k:
-        raise ValueError(f"subsystem {subsystem} out of range for {k} subsystems")
-    t = m.reshape(dims + dims)
-    t = np.swapaxes(t, subsystem, subsystem + k)
-    return t.reshape(m.shape)
-
-
 def permute_subsystems(m: np.ndarray, dims: Sequence[int],
                        perm: Sequence[int]) -> np.ndarray:
     """Reorder tensor factors so that new position ``i`` holds old factor ``perm[i]``."""
@@ -115,65 +95,8 @@ def permute_subsystems(m: np.ndarray, dims: Sequence[int],
     return t.reshape(m.shape)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Full eigensystem of a Hermitian operator.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def trace_norm(self) -> float:
-        return float(np.sum(np.abs(self.eigenvalues)))
-
-    @property
-    def operator_norm(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[0])
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def eig_hermitian(h: np.ndarray) -> Spectrum:
-    """Eigendecompose a Hermitian matrix (LAPACK ``eigh`` under the hood).
-
-    Raises ``ValueError`` if the input is not Hermitian (``as_hermitian``) and
-    ``numpy.linalg.LinAlgError`` if the iteration fails to converge, which
-    signals ill-conditioned input.
-    """
-    h = as_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    return Spectrum(eigenvalues=w, eigenvectors=v)
-
-
-def trace_norm(h: np.ndarray) -> float:
-    """Schatten-1 norm of a Hermitian matrix: sum of |eigenvalues|."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(as_hermitian(h)))))
-
-
-def operator_norm(h: np.ndarray) -> float:
-    """Schatten-inf norm of a Hermitian matrix: max |eigenvalue|."""
-    w = np.linalg.eigvalsh(as_hermitian(h))
-    return float(np.max(np.abs(w))) if w.size else 0.0
-
-
 def min_eigenvalue(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(as_hermitian(h))[0])
-
-
-def psd_check(h: np.ndarray) -> tuple[bool, float]:
-    """Return ``(min_eig >= -PSD_TOL, min_eig)`` for a Hermitian matrix."""
-    lam = min_eigenvalue(h)
-    return lam >= -PSD_TOL, lam
 
 
 def check_density(rho: np.ndarray) -> np.ndarray:
@@ -195,12 +118,6 @@ def check_density(rho: np.ndarray) -> np.ndarray:
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return hermitian_part(a)
-
-
-def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
 
 
 def haar_unitary(d: int, rng: np.random.Generator,

@@ -157,10 +157,15 @@ class SdpProblem:
         of the result reuses what a solve of any problem of the same origin
         computed from the rows.  ``blocks``, ``a`` and ``c`` are shared too:
         the arrays of ``a`` and ``c`` are made read-only, here and in this
-        problem, so that no problem can change the rows of another."""
+        problem, so that no problem can change the rows of another.  Raises
+        ``ValueError`` unless ``b`` is 1-D with one entry per row."""
+        b = np.array(b, dtype=float)
+        if b.shape != (self.n_rows,):
+            raise ValueError(f"right-hand side b has shape {b.shape}, not the "
+                             f"({self.n_rows},) of the problem's rows")
         for shared in (self.a.data, self.a.indices, self.a.indptr, self.c):
             shared.flags.writeable = False
-        p = dataclasses.replace(self, b=np.array(b, dtype=float),
+        p = dataclasses.replace(self, b=b,
                                 embeddings=list(self.embeddings), labels=list(self.labels))
         p.structure = self.structure
         return p

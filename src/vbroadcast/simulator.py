@@ -29,7 +29,7 @@ import numpy as np
 # apply_choi is not called here; it stays a name of this module because
 # bench/tracing.py wraps ``simulator.apply_choi``
 from .channels import BroadcastDecomposition, ChoiOperator, apply_choi  # noqa: F401
-from .linalg import Spectrum, as_hermitian, eig_hermitian
+from .linalg import as_hermitian, check_density
 
 DEGENERACY_TOL = 1e-10
 # decompositions typically come from the SDP layer, so physicality guards sit
@@ -48,26 +48,25 @@ class Observable:
     """
 
     op: np.ndarray
-    spectrum: Spectrum = field(repr=False)
     values: np.ndarray
     projectors: np.ndarray = field(repr=False)
 
     @classmethod
     def from_matrix(cls, op: np.ndarray) -> "Observable":
         op = as_hermitian(op)
-        spec = eig_hermitian(op)
+        w, vecs = np.linalg.eigh(op)
         groups: list[list[int]] = [[0]]
-        for k in range(1, spec.eigenvalues.size):
-            if spec.eigenvalues[k] - spec.eigenvalues[groups[-1][0]] <= DEGENERACY_TOL:
+        for k in range(1, w.size):
+            if w[k] - w[groups[-1][0]] <= DEGENERACY_TOL:
                 groups[-1].append(k)
             else:
                 groups.append([k])
-        values = np.array([float(np.mean(spec.eigenvalues[g])) for g in groups])
+        values = np.array([float(np.mean(w[g])) for g in groups])
         projectors = []
         for g in groups:
-            v = spec.eigenvectors[:, g]
+            v = vecs[:, g]
             projectors.append(v @ v.conj().T)
-        return cls(op=op, spectrum=spec, values=values, projectors=np.stack(projectors))
+        return cls(op=op, values=values, projectors=np.stack(projectors))
 
     @property
     def range_m(self) -> float:
@@ -142,6 +141,36 @@ def _branch_state(j: ChoiOperator, weight: float, rho: np.ndarray,
     return np.einsum(subscripts, rho, t) / weight
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, or ValueError for a bool or a non-integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} {value!r} is not an integer")
+
+
+def _check_observable(obs: Observable, d: int) -> None:
+    """Raise ValueError unless ``obs`` acts on a d-dimensional system."""
+    if obs.op.shape[0] != d:
+        raise ValueError(f"observable dimension {obs.op.shape[0]} does not match "
+                         f"the measured state's dimension {d}")
+
+
+def _check_protocol_inputs(dec: BroadcastDecomposition, rho, obs: Observable,
+                           marginal) -> np.ndarray:
+    """Check ``marginal`` (1 or 2), the observable, and the state of a protocol
+    run; returns ``rho`` as ``linalg.check_density`` does."""
+    if _integer(marginal, "marginal") not in (1, 2):
+        raise ValueError("marginal must be 1 or 2")
+    d = dec.j1.in_dim
+    if np.shape(rho) != (d, d):
+        raise ValueError("state dimension does not match the decomposition input")
+    _check_observable(obs, dec.j1.out_dims[marginal - 1])
+    return check_density(rho)
+
+
 def run_protocol(dec: BroadcastDecomposition, rho: np.ndarray, obs: Observable,
                  marginal: int, shots: int, seed: int) -> ProtocolEstimate:
     """Simulate the virtual protocol and estimate Tr[O Tr_other(E(rho))].
@@ -149,14 +178,14 @@ def run_protocol(dec: BroadcastDecomposition, rho: np.ndarray, obs: Observable,
     Per shot: draw the sign branch (p+ = x/(x+y)), evolve ``rho`` through the
     chosen part normalized to a channel, measure ``obs`` on receiver
     ``marginal`` (1 or 2), and record (x+y) times the signed eigenvalue.
+    Raises ``ValueError`` unless ``rho`` is a density operator on the input,
+    ``obs`` acts on the receiver and ``seed`` is an integer.
     """
     shots = operator.index(shots)
     if shots < 1:
         raise ValueError("need at least one shot")
-    if marginal not in (1, 2):
-        raise ValueError("marginal must be 1 or 2")
-    if rho.shape[0] != dec.j1.in_dim:
-        raise ValueError("state dimension does not match the decomposition input")
+    seed = _integer(seed, "seed")
+    rho = _check_protocol_inputs(dec, rho, obs, marginal)
 
     x, y = dec.x, dec.y
     scale = x + y
@@ -203,6 +232,7 @@ def protocol_expectation(dec: BroadcastDecomposition, rho: np.ndarray,
     The sampled estimator matches this up to the (tolerance-level) clipping
     of slightly negative outcome probabilities.
     """
+    rho = _check_protocol_inputs(dec, rho, obs, marginal)
     x, y = dec.x, dec.y
     plus = _branch_state(dec.j1, x, rho, marginal)
     total = x * float(np.real(np.trace(obs.op @ plus)))
@@ -226,7 +256,10 @@ def naive_baseline(rho: np.ndarray, obs: Observable, shots: int,
     shots = operator.index(shots)
     if shots < 2:
         raise ValueError("the baseline splits shots between two receivers")
-    probs = obs.outcome_probabilities(np.asarray(rho, dtype=complex))
+    seed = _integer(seed, "seed")
+    rho = check_density(rho)
+    _check_observable(obs, rho.shape[0])
+    probs = obs.outcome_probabilities(rho)
     rng = np.random.Generator(np.random.Philox(key=seed))
     mean, sample_std = _count_statistics(obs.values, rng.multinomial(shots, probs))
     return ProtocolEstimate(mean=mean, sample_std=sample_std, shots=shots,

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from random_states import random_density
+import vbroadcast
+import vbroadcast.sdp
 from vbroadcast.channels import (
     BroadcastDecomposition,
     ChoiOperator,
-    DepolarizingParam,
     apply_choi,
     apply_choi_with_ancilla,
     canonical_broadcast_choi,
@@ -12,22 +14,14 @@ from vbroadcast.channels import (
     choi_of_map,
     depolarizing_choi,
     gamma_operator,
-    identity_choi,
     is_broadcasting_choi,
     isotropic_twirl,
-    link_product,
     marginal_choi,
     max_entangled_state,
     replacement_choi,
     swap_operator,
 )
-from vbroadcast.linalg import (
-    min_eigenvalue,
-    partial_trace,
-    psd_check,
-    random_density,
-    random_hermitian,
-)
+from vbroadcast.linalg import min_eigenvalue, partial_trace, random_hermitian
 
 
 def random_channel_choi(d, rng):
@@ -83,19 +77,21 @@ class TestDepolarizing:
             assert np.isclose(np.trace(j.op), 3.0)
 
     def test_cp_window(self):
+        # completely positive exactly for 0 <= t <= d^2/(d^2 - 1)
         d = 2
-        par = DepolarizingParam(1.2)
-        assert par.is_cp_range(d)
-        assert psd_check(depolarizing_choi(1.2, d).op)[0]
-        assert not psd_check(depolarizing_choi(DepolarizingParam.cp_upper(d) + 0.05, d).op)[0]
-        assert not psd_check(depolarizing_choi(-0.05, d).op)[0]
+        upper = d * d / (d * d - 1)
+        assert min_eigenvalue(depolarizing_choi(1.2, d).op) >= -1e-12
+        assert min_eigenvalue(depolarizing_choi(upper, d).op) >= -1e-12
+        assert min_eigenvalue(depolarizing_choi(upper + 0.05, d).op) < -1e-3
+        assert min_eigenvalue(depolarizing_choi(-0.05, d).op) < -1e-3
 
 
 class TestApplyChoi:
     def test_identity_channel(self):
         rng = np.random.default_rng(21)
         rho = random_density(2, rng)
-        np.testing.assert_allclose(apply_choi(identity_choi(2), rho), rho, atol=1e-12)
+        identity = ChoiOperator(gamma_operator(2), 2, (2,))
+        np.testing.assert_allclose(apply_choi(identity, rho), rho, atol=1e-12)
 
     def test_replacement(self):
         rng = np.random.default_rng(22)
@@ -114,7 +110,7 @@ class TestApplyChoi:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_choi(identity_choi(2), np.eye(3) / 3)
+            apply_choi(ChoiOperator(gamma_operator(2), 2, (2,)), np.eye(3) / 3)
 
     def test_ancilla_batch_maps_each_operator(self):
         rng = np.random.default_rng(24)
@@ -142,34 +138,6 @@ class TestApplyChoi:
         np.testing.assert_allclose(apply_choi_with_ancilla(j, x, anc_dim=da), want, atol=1e-12)
 
 
-class TestLinkProduct:
-    def test_identity_link_is_partial_trace(self):
-        rng = np.random.default_rng(24)
-        j = random_channel_choi(2, rng)
-        got, labels = link_product(np.eye(2), ("B1",), j.op, ("B", "B1"),
-                                   {"B": 2, "B1": 2})
-        np.testing.assert_allclose(got, partial_trace(j.op, (2, 2), drop=1), atol=1e-12)
-        assert labels == ("B",)
-
-    def test_composition_matches_apply_oracle(self):
-        rng = np.random.default_rng(25)
-        d = 2
-        je = random_channel_choi(d, rng)   # E: B -> B1
-        jf = random_channel_choi(d, rng)   # F: B1 -> B2
-        got, labels = link_product(je.op, ("B", "B1"), jf.op, ("B1", "B2"),
-                                   {"B": d, "B1": d, "B2": d})
-        assert labels == ("B", "B2")
-        # oracle: rebuild the Choi operator of F(E(.)) by applying to a basis
-        composed = choi_of_map(
-            lambda m: apply_choi(jf, apply_choi(je, m)), d, (d,))
-        np.testing.assert_allclose(got, composed.op, atol=1e-10)
-
-    def test_gamma_link_gamma(self):
-        g = gamma_operator(2)
-        got, _ = link_product(g, ("B", "X"), g, ("X", "C"), {"B": 2, "X": 2, "C": 2})
-        np.testing.assert_allclose(got, g, atol=1e-12)
-
-
 class TestMarginals:
     def test_broadcasting_choi_marginals_are_gamma(self):
         j = canonical_broadcast_choi(2, 0.0)
@@ -190,11 +158,13 @@ class TestMarginals:
         expect = choi_of_map(lambda m: np.trace(apply_choi(ja, m)) * sigma, d, (d,))
         np.testing.assert_allclose(marginal_choi(big, drop=1).op, expect.op, atol=1e-10)
 
-    def test_marginal_consistency_with_link_product(self):
+    def test_marginal_consistency_with_partial_trace(self):
         j = canonical_broadcast_choi(2, 0.4)
-        got, _ = link_product(j.op, ("B", "B1", "B2"), np.eye(2), ("B2",),
-                              {"B": 2, "B1": 2, "B2": 2})
-        np.testing.assert_allclose(got, marginal_choi(j, drop=2).op, atol=1e-12)
+        for drop in (1, 2):
+            got = marginal_choi(j, drop=drop)
+            assert got.dims == (2, 2)
+            np.testing.assert_allclose(got.op, partial_trace(j.op, (2, 2, 2), drop=drop),
+                                       atol=1e-12)
 
 
 def _product_choi(ja, sigma):
@@ -320,3 +290,12 @@ def test_max_entangled_state_is_density():
     from vbroadcast.linalg import check_density
 
     check_density(max_entangled_state(3))
+
+
+def test_exports_resolve():
+    for module in (vbroadcast, vbroadcast.sdp, vbroadcast.channels):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
+    namespace = {}
+    exec("from vbroadcast.channels import *", namespace)
+    assert set(vbroadcast.channels.__all__) <= set(namespace)

@@ -10,7 +10,6 @@ from vbroadcast.channels import (
     choi_of_map,
     depolarizing_choi,
     gamma_operator,
-    identity_choi,
     max_entangled_state,
     replacement_choi,
 )
@@ -194,7 +193,8 @@ def test_trace_rows_are_equalities(j):
 
 def test_identity_choi_sanity():
     # distance between identity and itself is zero
-    phi = ChoiOperator(identity_choi(2).op - gamma_operator(2), 2, (2,))
+    identity = ChoiOperator(gamma_operator(2), 2, (2,))
+    phi = ChoiOperator(identity.op - gamma_operator(2), 2, (2,))
     assert abs(half_diamond_distance(phi, lower_bound_samples=1).value) <= 1e-8
 
 

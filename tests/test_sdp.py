@@ -184,6 +184,18 @@ class TestBuilder:
                 solve(p)
         assert log == []
 
+    def test_with_b_of_the_wrong_length_rejected(self):
+        p = make_trace_one_problem(np.eye(2))
+        with pytest.raises(ValueError,
+                           match=r"right-hand side b has shape \(2,\), not the \(1,\)"):
+            p.with_b([1.0, 2.0])
+
+    def test_with_b_of_the_wrong_rank_rejected(self):
+        p = make_trace_one_problem(np.eye(2))
+        with pytest.raises(ValueError,
+                           match=r"right-hand side b has shape \(1, 1\), not the \(1,\)"):
+            p.with_b([[1.0]])
+
     def test_large_block_with_one_row_solves(self):
         # one row: the bound on what a solve allocates is the row count
         sol = solve(make_trace_one_problem(np.diag(np.arange(131.0))))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from random_states import random_density
 from vbroadcast import simulator as sim
 from vbroadcast.broadcasting import discard_prepare_point
 from vbroadcast.channels import (
@@ -91,6 +92,10 @@ class TestObservable:
         assert obs.range_m == 2.0
         np.testing.assert_allclose(sum(obs.projectors), np.eye(3), atol=1e-12)
 
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            sim.Observable.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
     def test_probabilities(self):
         obs = sim.Observable.from_matrix(PAULI_Z)
         probs = obs.outcome_probabilities(np.eye(2) / 2)
@@ -167,7 +172,6 @@ class TestRunProtocol:
         # estimator expectation == Tr[O marginal(E(rho))], computed two ways
         rng = np.random.default_rng(51)
         from vbroadcast.broadcasting import approx_overhead
-        from vbroadcast.linalg import random_density
 
         dec = approx_overhead((0.2, 0.2), 2).decomposition
         obs = sim.Observable.from_matrix(PAULI_Z)
@@ -305,6 +309,63 @@ class TestNaiveBaseline:
         m2n = base.sample_std ** 2 + base.mean ** 2
         # closed form: every outcome is +-nu for the protocol, +-1 for naive
         assert abs(m2v / m2n - dec.nu ** 2) <= 0.1 * dec.nu ** 2
+
+
+class TestInputValidation:
+    """``run_protocol``, ``naive_baseline`` and ``protocol_expectation``
+    reject what is not a density operator, an observable of the measured
+    dimension, an integer seed or receiver 1 or 2."""
+
+    @staticmethod
+    def _setup():
+        dec, _, _ = discard_prepare_point(2.0, 2)
+        return dec, sim.Observable.from_matrix(PAULI_Z)
+
+    def test_non_hermitian_state_rejected(self):
+        dec, obs = self._setup()
+        rho = np.array([[0.5, 0.5], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            sim.run_protocol(dec, rho, obs, marginal=1, shots=100, seed=0)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            sim.naive_baseline(rho, obs, shots=100, seed=0)
+
+    def test_state_as_nested_lists(self):
+        dec, obs = self._setup()
+        as_list = sim.run_protocol(dec, KET0.tolist(), obs, marginal=1, shots=100, seed=3)
+        assert as_list == sim.run_protocol(dec, KET0, obs, marginal=1, shots=100, seed=3)
+        assert (sim.naive_baseline(KET0.tolist(), obs, shots=100, seed=4)
+                == sim.naive_baseline(KET0, obs, shots=100, seed=4))
+
+    def test_observable_of_another_dimension_rejected(self):
+        dec, _ = self._setup()
+        qutrit = sim.Observable.from_matrix(np.diag([1.0, 0.0, -1.0]))
+        with pytest.raises(ValueError, match="observable dimension 3 does not match"):
+            sim.run_protocol(dec, KET0, qutrit, marginal=1, shots=100, seed=0)
+        with pytest.raises(ValueError, match="observable dimension 3 does not match"):
+            sim.naive_baseline(KET0, qutrit, shots=100, seed=0)
+        with pytest.raises(ValueError, match="observable dimension 3 does not match"):
+            sim.protocol_expectation(dec, KET0, qutrit, marginal=1)
+
+    def test_expectation_rejects_a_third_receiver(self):
+        dec, obs = self._setup()
+        with pytest.raises(ValueError, match="marginal must be 1 or 2"):
+            sim.protocol_expectation(dec, KET0, obs, marginal=3)
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_non_integer_seed_rejected(self, seed):
+        dec, obs = self._setup()
+        with pytest.raises(ValueError, match="seed .* is not an integer"):
+            sim.run_protocol(dec, KET0, obs, marginal=1, shots=100, seed=seed)
+        with pytest.raises(ValueError, match="seed .* is not an integer"):
+            sim.naive_baseline(KET0, obs, shots=100, seed=seed)
+
+    @pytest.mark.parametrize("marginal", [True, 1.0])
+    def test_non_integer_marginal_rejected(self, marginal):
+        dec, obs = self._setup()
+        with pytest.raises(ValueError, match="marginal .* is not an integer"):
+            sim.run_protocol(dec, KET0, obs, marginal=marginal, shots=100, seed=0)
+        with pytest.raises(ValueError, match="marginal .* is not an integer"):
+            sim.protocol_expectation(dec, KET0, obs, marginal=marginal)
 
 
 def test_protocol_estimate_fields():
