@@ -286,6 +286,14 @@ def test_swap_operator_squares_to_identity():
     np.testing.assert_allclose(s @ np.kron(a, b) @ s, np.kron(b, a), atol=1e-12)
 
 
+def test_swap_operator_is_partial_transpose_of_gamma():
+    d = 3
+    # oracle: transpose the first factor of Gamma by an explicit index swap
+    g = gamma_operator(d).reshape(d, d, d, d)
+    oracle = np.einsum("ijkl->kjil", g).reshape(d * d, d * d)
+    np.testing.assert_array_equal(swap_operator(d), oracle)
+
+
 def test_max_entangled_state_is_density():
     from vbroadcast.linalg import check_density
 

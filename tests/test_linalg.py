@@ -58,6 +58,17 @@ class TestPartialTrace:
 
 
 class TestMinEigenvalue:
+    def test_identity(self):
+        assert np.isclose(min_eigenvalue(np.eye(3)), 1.0)
+
+    def test_indefinite(self):
+        assert np.isclose(min_eigenvalue(np.diag([1.0, -0.5])), -0.5)
+
+    def test_matches_sorted_spectrum(self):
+        rng = np.random.default_rng(13)
+        h = random_hermitian(5, rng)
+        assert np.isclose(min_eigenvalue(h), np.sort(np.linalg.eigvals(h).real)[0])
+
     def test_depolarizing_cp_boundary(self):
         # Choi (1-t) Gamma + t I/d stays PSD up to t = d^2/(d^2-1)
         d = 2

@@ -18,9 +18,10 @@ from vbroadcast.channels import (
     apply_choi,
     choi_of_map,
     depolarizing_choi,
+    gamma_operator,
     marginal_choi,
 )
-from vbroadcast.linalg import partial_trace
+from vbroadcast.linalg import partial_trace, random_hermitian
 
 PAULI_Z = np.diag([1.0, -1.0])
 KET0 = np.diag([1.0, 0.0]).astype(complex)
@@ -95,6 +96,30 @@ class TestObservable:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             sim.Observable.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_sorted_outcomes(self):
+        obs = sim.Observable.from_matrix(np.diag([3.0, 1.0, 2.0]))
+        np.testing.assert_allclose(obs.values, [1.0, 2.0, 3.0])
+        for k, i in enumerate((1, 2, 0)):
+            np.testing.assert_allclose(np.diag(obs.projectors[k]), np.eye(3)[i], atol=1e-14)
+
+    def test_gamma_outcomes_and_ranks(self):
+        # Gamma = d |phi+><phi+|: eigenvalue 0 with multiplicity d^2 - 1, then d
+        obs = sim.Observable.from_matrix(gamma_operator(2))
+        np.testing.assert_allclose(obs.values, [0.0, 2.0], atol=1e-12)
+        ranks = [np.trace(p).real for p in obs.projectors]
+        np.testing.assert_allclose(ranks, [3.0, 1.0], atol=1e-12)
+
+    def test_reconstruction_up_to_dim_64(self):
+        rng = np.random.default_rng(10)
+        for dim in (3, 17, 64):
+            h = random_hermitian(dim, rng)
+            obs = sim.Observable.from_matrix(h)
+            err = np.linalg.norm(np.einsum("k,kij->ij", obs.values, obs.projectors) - h)
+            assert err <= 1e-10 * np.linalg.norm(h)
+            np.testing.assert_allclose(obs.projectors.sum(axis=0), np.eye(dim), atol=1e-10)
+            for p in obs.projectors:
+                assert np.linalg.norm(p @ p - p) <= 1e-10
 
     def test_probabilities(self):
         obs = sim.Observable.from_matrix(PAULI_Z)
