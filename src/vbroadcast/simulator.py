@@ -54,6 +54,8 @@ class Observable:
     @classmethod
     def from_matrix(cls, op: np.ndarray) -> "Observable":
         op = as_hermitian(op)
+        if not op.size:
+            raise ValueError("an observable needs at least one dimension, got a 0 x 0 matrix")
         w, vecs = np.linalg.eigh(op)
         groups: list[list[int]] = [[0]]
         for k in range(1, w.size):

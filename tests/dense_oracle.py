@@ -130,6 +130,15 @@ def min_error(gamma: float, d: int, config: SolverConfig | None = None) -> float
     return _value(builder, config)
 
 
+def row_residuals(problem, solution) -> np.ndarray:
+    """|A(X) - b| per row, A(X) summed one block's columns at a time."""
+    values = np.zeros(problem.n_rows)
+    for blk in problem.blocks:
+        cols = problem.cone.columns[blk.name]
+        values += problem.a[:, cols] @ _vec(np.asarray(solution.x_blocks[blk.name]))
+    return np.abs(values - problem.b)
+
+
 def blockwise_certificate(problem, solution, tol: float = 1e-6) -> CertificateReport:
     """The report of ``vbroadcast.sdp.check_certificate``, computed one block
     at a time: A(X) as the sum of each block's columns times its coordinates,
@@ -139,10 +148,7 @@ def blockwise_certificate(problem, solution, tol: float = 1e-6) -> CertificateRe
     a = {name: problem.a[:, cols] for name, cols in problem.cone.columns.items()}
     c = {name: _mat(problem.c[cols]) for name, cols in problem.cone.columns.items()}
 
-    values = np.zeros(problem.n_rows)
-    for blk in problem.blocks:
-        values += a[blk.name] @ _vec(np.asarray(x[blk.name]))
-    resid = np.abs(values - b)
+    resid = row_residuals(problem, solution)
     pres = float(np.max(resid, initial=0.0)) / (1.0 + float(np.max(np.abs(b), initial=0.0)))
     worst_row = problem.row_label(int(np.argmax(resid))) if resid.size else ""
 

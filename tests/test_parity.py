@@ -116,3 +116,14 @@ def test_status_summary_counts_both_directions():
     assert "statuses: 1 to optimal, 1 from optimal" in lines
     lines, same = parity.compare(before, dict(before))
     assert same and "statuses: 0 to optimal, 0 from optimal" in lines
+
+
+def test_face_steps_counted_in_each_file():
+    before = {"a": record(), "b": record()}
+    after = {"a": record() | {"face_steps": 2, "face_accepted": True},
+             "b": record() | {"face_steps": 1, "face_accepted": False}}
+    lines, same = parity.compare(before, after)
+    assert same
+    assert lines[3] == "solves finished by a face step: n/a -> 1/2 (3 tried)"
+    lines, _ = parity.compare(after, dict(after))
+    assert lines[3] == "solves finished by a face step: 1/2 (3 tried) -> 1/2 (3 tried)"

@@ -18,8 +18,9 @@ from vbroadcast.channels import (
 from vbroadcast.linalg import partial_trace, permute_subsystems
 from vbroadcast.sdp import SolverConfig
 
-# the CLI's default tolerance: at the library default 1e-8 a solve may stop
-# with nu off by a few 1e-8, the accuracy that tolerance allows
+# the CLI's default tolerance: at the library default 1e-8 a solve that no
+# face step finishes may stop with nu off by a few 1e-8, the accuracy that
+# tolerance allows
 TIGHT = SolverConfig(tol_gap=1e-9, tol_feas=1e-9)
 
 
@@ -192,6 +193,44 @@ def test_exact_closed_form(d):
     res = bc.exact_overhead(d, config=TIGHT)
     assert res.status == "optimal" and res.certificate.passed is True
     assert abs(res.nu - (3 * d - 1) / (d + 1)) <= 1e-8
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 9, 10, 100, 1000])
+def test_exact_closed_form_at_the_default_tolerance(d):
+    # a face step finishes on the optimum itself, not on an iterate whose
+    # residual is just under the tolerance
+    res = bc.exact_overhead(d)
+    assert res.status == "optimal" and res.certificate.passed is True
+    assert abs(res.nu - (3 * d - 1) / (d + 1)) <= 1e-8
+
+
+# the balanced trade-off is one line in sqrt(gamma), cut off at nu = 1; each
+# grid holds the points where the line meets the cut-off
+CLOSED_FORM_DIMS = [2, 3, 5, 10]
+
+
+@pytest.mark.parametrize("d", CLOSED_FORM_DIMS)
+def test_min_error_closed_form(d):
+    zero_from = ((3 * d - 1) / (d + 1)) ** 2
+    for gamma in (1.0, 1.5, 2.0, 3.0, 0.99 * zero_from, zero_from, 1.01 * zero_from):
+        want = max(0.0, (3 * d - 1 - (d + 1) * math.sqrt(gamma)) / (4 * d))
+        assert abs(bc.min_error(gamma, d, config=TIGHT).mu - want) <= 1e-8, gamma
+
+
+@pytest.mark.parametrize("d", CLOSED_FORM_DIMS)
+def test_depolarizing_closed_form(d):
+    # nu_dep reaches 1 at t = d/(2(d + 1)) and leaves it at d^2/(d^2 - 1)
+    for t in (-1.0, -0.3, 0.0, 0.2, d / (2 * (d + 1)), 0.7, d * d / (d * d - 1), 1.5):
+        want = max(1.0, abs((3 * d - 1) / (d + 1) - 4 * t * (d - 1) / d))
+        assert abs(bc.depolarizing_overhead(t, d, config=TIGHT).nu - want) <= 1e-8, t
+
+
+@pytest.mark.parametrize("d", CLOSED_FORM_DIMS)
+def test_balanced_threshold_closed_form(d):
+    # nu(delta, delta) reaches 1 at delta = (d - 1)/(2d)
+    for delta in (0.0, 0.05, 0.1, 0.2, (d - 1) / (2 * d), 0.6, 1.0):
+        want = max(1.0, (3 * d - 1 - 4 * d * delta) / (d + 1))
+        assert abs(bc.approx_overhead((delta, delta), d, config=TIGHT).nu - want) <= 1e-8, delta
 
 
 def test_decomposition_is_lazy_and_cached():

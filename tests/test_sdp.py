@@ -377,6 +377,30 @@ class TestNumericalProperties:
         assert rep.passed
 
 
+class TestFaceStep:
+    """min <C, X> subject to tr X = 1: the optimum is the smallest eigenvalue
+    of C, on the face of the eigenvectors that attain it."""
+
+    def test_simple_smallest_eigenvalue_finishes_on_the_face(self):
+        c = random_hermitian(5, np.random.default_rng(31))
+        p = make_trace_one_problem(c)
+        sol = solve(p)
+        assert sol.status == "optimal" and check_certificate(p, sol).passed is True
+        assert sol.diagnostics["face_accepted"] is True
+        assert sol.diagnostics["face_steps"] >= 1
+        assert sol.diagnostics["note"] == "finished by a face step"
+        assert abs(sol.primal_objective - np.linalg.eigvalsh(c)[0]) <= 1e-12
+
+    def test_doubly_degenerate_smallest_eigenvalue(self):
+        rng = np.random.default_rng(38)
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        c = q @ np.diag([-1.0, -1.0, 0.5, 1.0, 2.0]) @ q.conj().T
+        p = make_trace_one_problem(c)
+        sol = solve(p)
+        assert sol.status == "optimal" and check_certificate(p, sol).passed is True
+        assert abs(sol.primal_objective + 1.0) <= 1e-12
+
+
 def test_dump_problem_documented_format(tmp_path):
     d = 2
     b = ProblemBuilder()

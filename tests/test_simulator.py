@@ -97,6 +97,10 @@ class TestObservable:
         with pytest.raises(ValueError, match="not Hermitian"):
             sim.Observable.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(ValueError, match="0 x 0"):
+            sim.Observable.from_matrix(np.zeros((0, 0)))
+
     def test_sorted_outcomes(self):
         obs = sim.Observable.from_matrix(np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(obs.values, [1.0, 2.0, 3.0])

@@ -25,7 +25,8 @@ with the status and iteration count of its last SDP solution and no value.
 Each record also holds two sha256 fingerprints of that last SDP: ``problem``
 over the constraint matrix (``a.indptr``, ``a.indices``, ``a.data``), ``b``,
 ``c`` and the row labels, and ``iterate`` over the solution's ``y`` and its
-X blocks.
+X blocks.  It also holds the solver's ``face_steps`` (face steps tried) and
+``face_accepted`` (whether one finished the solve).
 
 ``compare`` prints the largest |value difference| over solves with a value
 in both files (and the solve it is at, when it is not 0), every status
@@ -34,8 +35,10 @@ the solves with an unchanged status whose iteration count changed, and the
 iteration totals over the solves whose status is the same
 in both.  After the value line it counts the solves whose problems, and
 whose iterates, are byte-identical in the two files; a solve without
-fingerprints in either file counts as "n/a".  It exits 1 when the two files
-hold different solve sets or any status differs, else 0.
+fingerprints in either file counts as "n/a".  Next it counts, in each file,
+the solves that a face step finished and the face steps tried ("n/a" for a
+file recorded before the solver took face steps).  It exits 1 when the two
+files hold different solve sets or any status differs, else 0.
 """
 
 from __future__ import annotations
@@ -148,8 +151,20 @@ def run(src: str) -> dict:
         problem, solution = log[-1]
         out[key] = {"status": status, "value": value,
                     "iterations": solution.iterations,
+                    "face_steps": solution.diagnostics.get("face_steps"),
+                    "face_accepted": solution.diagnostics.get("face_accepted"),
                     **fingerprints(problem, solution)}
     return out
+
+
+def _face_count(records: dict, keys: list[str]) -> str:
+    """How many of the solves ``keys`` a face step finished, and the face
+    steps tried over them; "n/a" unless every record holds both."""
+    if any(records[k].get("face_steps") is None for k in keys):
+        return "n/a"
+    accepted = sum(bool(records[k]["face_accepted"]) for k in keys)
+    tried = sum(records[k]["face_steps"] for k in keys)
+    return f"{accepted}/{len(keys)} ({tried} tried)"
 
 
 def compare(before: dict, after: dict) -> tuple[list[str], bool]:
@@ -171,6 +186,8 @@ def compare(before: dict, after: dict) -> tuple[list[str], bool]:
         if known and len(known) < len(keys):
             count += f" (n/a on {len(keys) - len(known)})"
         lines.append(f"{name} identical on {count}")
+    lines.append("solves finished by a face step: "
+                 + " -> ".join(_face_count(f, keys) for f in (before, after)))
     same = [k for k in keys if before[k]["status"] == after[k]["status"]]
     changed = [k for k in keys if k not in same]
     for k in changed:
