@@ -181,9 +181,10 @@ def run_protocol(dec: BroadcastDecomposition, rho: np.ndarray, obs: Observable,
     chosen part normalized to a channel, measure ``obs`` on receiver
     ``marginal`` (1 or 2), and record (x+y) times the signed eigenvalue.
     Raises ``ValueError`` unless ``rho`` is a density operator on the input,
-    ``obs`` acts on the receiver and ``seed`` is an integer.
+    ``obs`` acts on the receiver, ``shots`` is an integer >= 1 and ``seed``
+    is an integer (a bool is neither).
     """
-    shots = operator.index(shots)
+    shots = _integer(shots, "shots")
     if shots < 1:
         raise ValueError("need at least one shot")
     seed = _integer(seed, "seed")
@@ -254,8 +255,10 @@ def bias_bound(obs: Observable, delta: float) -> float:
 def naive_baseline(rho: np.ndarray, obs: Observable, shots: int,
                    seed: int) -> ProtocolEstimate:
     """Sample-splitting baseline: half the shots per receiver, measuring rho
-    directly; unbiased for Tr[O rho] with scale 1."""
-    shots = operator.index(shots)
+    directly; unbiased for Tr[O rho] with scale 1.  Raises ``ValueError``
+    unless ``shots`` is an integer >= 2 and ``seed`` an integer (a bool is
+    neither)."""
+    shots = _integer(shots, "shots")
     if shots < 2:
         raise ValueError("the baseline splits shots between two receivers")
     seed = _integer(seed, "seed")

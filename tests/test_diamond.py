@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from vbroadcast.channels import (
     replacement_choi,
 )
 from vbroadcast.diamond import diamond_problem, half_diamond_distance, lower_bound_by_states
-from vbroadcast.linalg import haar_unitary, min_eigenvalue, random_hermitian
+from vbroadcast.linalg import haar_unitary, min_eigenvalue, partial_trace, random_hermitian
 from vbroadcast.sdp import STATUS_UNCERTIFIED
 from vbroadcast.sdp.solver import record_solves
 
@@ -26,8 +28,6 @@ def hermitian_difference_choi(d, rng, scale=0.3):
     h = scale * random_hermitian(d * d, rng)
     # remove the output-trace part so the map is trace annihilating, as a
     # difference of TP maps would be
-    from vbroadcast.linalg import partial_trace
-
     marg = partial_trace(h, (d, d), drop=1)
     h = h - np.kron(marg, np.eye(d)) / d
     return ChoiOperator(h, d, (d,))
@@ -86,11 +86,34 @@ class TestLowerBound:
     def test_matches_per_state_loop(self, d):
         rng = np.random.default_rng(60 + d)
         instances = [ChoiOperator(gamma_operator(d) - replacement_choi(d).op, d, (d,)),
-                     hermitian_difference_choi(d, rng)]
+                     hermitian_difference_choi(d, rng),
+                     sampled_state_wins_choi(np.eye(d)[0]),
+                     sampled_state_wins_choi(np.eye(d)[0] + 1j * np.eye(d)[1])]
         for phi in instances:
             for samples, seed in ((1, 3), (d * d + 1, 4), (37, 5), (256, 6)):
                 got = lower_bound_by_states(phi, samples=samples, seed=seed)
                 assert abs(got - per_state_lower_bound(phi, samples, seed)) <= 1e-12
+        # the maximally entangled state reaches only 1/d on the last two maps,
+        # so a skip of a sampled state that beats it would show here
+        for phi in instances[-2:]:
+            assert lower_bound_by_states(phi, samples=256, seed=6) > 1 / d + 1e-3
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4), (2, 2, 3)])
+    def test_candidate_bound_dominates_trace_norm(self, dims):
+        # the skip rule: ||(Phi (x) id)(psi psi^dagger)||_1 is at most
+        # sum_bc T[b, c] (M M^dagger)[b, c] with T = Tr_out |J| and psi = vec M
+        rng = np.random.default_rng(80 + math.prod(dims))
+        d = dims[0]
+        phi = ChoiOperator(random_hermitian(math.prod(dims), rng), d, dims[1:])
+        w, v = np.linalg.eigh(phi.op)
+        t = partial_trace((v * np.abs(w)) @ v.conj().T, dims, drop=range(1, len(dims)))
+        for _ in range(50):
+            psi = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+            psi /= np.linalg.norm(psi)
+            m = psi.reshape(d, d)
+            out = apply_choi_with_ancilla(phi, np.outer(psi, psi.conj()), anc_dim=d)
+            norm = float(np.sum(np.abs(np.linalg.eigvalsh(out))))
+            assert float(np.sum(t * (m @ m.conj().T)).real) >= norm - 1e-12
 
     @pytest.mark.parametrize("samples", [0, -3, 2.5, True])
     def test_rejects_sample_count_before_any_solve(self, samples):
@@ -101,6 +124,17 @@ class TestLowerBound:
             with pytest.raises(ValueError, match="sample count"):
                 half_diamond_distance(phi, lower_bound_samples=samples)
         assert log == []
+
+
+def sampled_state_wins_choi(v):
+    """J = |v><v|_in (x) (|0><0| - |1><1|)_out for a unit vector v: a candidate
+    psi = vec M gives <v*|M M^dagger|v*>, so the maximally entangled state
+    gives 1/d and some sampled states more.  A complex v tells the bound's
+    sum_bc T[b, c] (M M^dagger)[b, c] from Tr[T M M^dagger]."""
+    d = len(v)
+    v = v / np.linalg.norm(v)
+    out = np.diag([1.0, -1.0] + [0.0] * (d - 2))
+    return ChoiOperator(np.kron(np.outer(v, v.conj()), out), d, (d,))
 
 
 def per_state_lower_bound(j_phi, samples, seed):
@@ -166,8 +200,6 @@ class TestWitness:
         z = res.witness_z
         assert min_eigenvalue(z) >= -1e-7
         assert min_eigenvalue(z - phi.op) >= -1e-7
-        from vbroadcast.linalg import partial_trace
-
         trace = partial_trace(z, (d, d), drop=1)
         assert np.linalg.norm(trace - res.value * np.eye(d), 2) <= 1e-7
 

@@ -217,6 +217,19 @@ def test_min_error_closed_form(d):
         assert abs(bc.min_error(gamma, d, config=TIGHT).mu - want) <= 1e-8, gamma
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_min_error_grid_at_tol_1e_10(d):
+    # the whole trade-off curve up to the budget of exact broadcasting, at a
+    # tolerance where the interior-point iterates alone once stalled
+    zero_from = ((3 * d - 1) / (d + 1)) ** 2
+    config = SolverConfig(tol_gap=1e-10, tol_feas=1e-10)
+    for gamma in np.linspace(1.0, zero_from, 200):
+        res = bc.min_error(float(gamma), d, config=config)
+        want = max(0.0, (3 * d - 1 - (d + 1) * math.sqrt(gamma)) / (4 * d))
+        assert res.status == "optimal", gamma
+        assert abs(res.mu - want) <= 1e-9, gamma
+
+
 @pytest.mark.parametrize("d", CLOSED_FORM_DIMS)
 def test_depolarizing_closed_form(d):
     # nu_dep reaches 1 at t = d/(2(d + 1)) and leaves it at d^2/(d^2 - 1)

@@ -242,8 +242,15 @@ class TestRunProtocol:
     def test_float_shots_rejected(self):
         dec, _, _ = discard_prepare_point(1.5, 2)
         obs = sim.Observable.from_matrix(PAULI_Z)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="shots"):
             sim.run_protocol(dec, KET0, obs, marginal=1, shots=1e6, seed=0)
+
+    def test_bool_shots_rejected(self):
+        # True is an int to operator.index and would run one shot
+        dec, _, _ = discard_prepare_point(1.5, 2)
+        obs = sim.Observable.from_matrix(PAULI_Z)
+        with pytest.raises(ValueError, match="shots True"):
+            sim.run_protocol(dec, KET0, obs, marginal=1, shots=True, seed=0)
 
     def test_exact_law_of_three_shots(self):
         # per-shot law: each shot lands in cell (branch, outcome) with
@@ -324,8 +331,13 @@ class TestNaiveBaseline:
 
     def test_float_shots_rejected(self):
         obs = sim.Observable.from_matrix(PAULI_Z)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="shots"):
             sim.naive_baseline(KET0, obs, shots=1e6, seed=0)
+
+    def test_bool_shots_rejected(self):
+        obs = sim.Observable.from_matrix(PAULI_Z)
+        with pytest.raises(ValueError, match="shots True"):
+            sim.naive_baseline(KET0, obs, shots=True, seed=0)
 
     def test_variance_overhead_vs_naive(self):
         # population second moments: virtual nu^2 * E[lambda^2] vs naive E[lambda^2]
