@@ -55,12 +55,30 @@ g_k its k-th row:
 
 So each J_i is the blocks P_i, S_i (and A_i), and every weight and marginal
 constraint is one scalar row, whatever d is; an error ball of radius thr
-around the identity is the range 1 - thr <= gamma_k <= 1 + thr.  All four
-problems are posed by ``_covariant_problem``, on rows built once per d,
-set of pinned receivers and budget or none (``_covariant_structure``), so
-the points of a sweep share one constraint matrix, presolve and Schur
-structure and differ in the right-hand side only.  The decomposition on
-(B, B1, B2) is built from the reduced optimum only when it is read.
+around the identity is the range 1 - thr <= gamma_k <= 1 + thr.
+
+Receiver symmetry.  When both receivers have the same range -- always in
+``exact_overhead``, ``depolarizing_overhead`` and ``min_error``, and in
+``approx_overhead`` when a == b -- the problem is also invariant under the
+receiver swap B1 <-> B2.  The swap exchanges the two frames and so maps P to
+X P X, and twirling over U(d) x S_2 keeps a feasible point feasible at the
+same objective, so P may be taken to be [[alpha, beta], [beta, alpha]]: it
+is diagonal on |+-> = (1, +-1) / sqrt(2), P = p+ |+><+| + p- |-><-| with
+p+, p- >= 0, and the commutant is commutative.  A coefficient C of P then
+acts as the two numbers <C, |+-><+-|>: the weight is (1 +- 1/d) p+- and
+gamma_k = (1 +- 1/d)^2 / 2 on p+- for both receivers, so the two marginal
+rows coincide and are posed once (``marginal``, or ``marginal_low`` and
+``marginal_high`` for a range).  The problem is an LP, 4 or 5 rows on 8-12
+nonnegative scalars with no Hermitian block, so a solver iteration makes no
+Cholesky, scaling or eigenvalue call on a Hermitian stack.  Unequal ranges
+break the swap symmetry, and those problems keep P.
+
+All four problems are posed by ``_covariant_problem``, which chooses the
+form from the ranges, on rows built once per d, form, set of pinned ranges
+and budget or none (``_covariant_structure``), so the points of a sweep
+share one constraint matrix, presolve and Schur structure and differ in the
+right-hand side only.  The decomposition on (B, B1, B2) is built from the
+reduced optimum only when it is read.
 """
 
 from __future__ import annotations
@@ -178,9 +196,16 @@ class TradeoffPoint:
 # the irreducible form of a covariant J (module docstring)
 # ---------------------------------------------------------------------------
 
-def _blocks(d: int) -> tuple[str, ...]:
-    """The blocks of one J: P on the fundamental copies, S and (d >= 3) A."""
-    return ("P", "S", "A") if d >= 3 else ("P", "S")
+def _blocks(d: int, symmetric: bool = False) -> dict[str, int]:
+    """The blocks of one J and their dimensions: P on the fundamental copies,
+    or in the receiver-symmetric form its weights P+ and P- on |+> and |->,
+    then S and (d >= 3) A."""
+    p = {"P+": 1, "P-": 1} if symmetric else {"P": 2}
+    return {**p, "S": 1, "A": 1} if d >= 3 else {**p, "S": 1}
+
+
+# |+> and |-> times sqrt(2): a receiver-symmetric P is diagonal on them
+_PLUS_MINUS = {"P+": np.array([1.0, 1.0]), "P-": np.array([1.0, -1.0])}
 
 
 def _gram(d: int) -> np.ndarray:
@@ -199,9 +224,17 @@ def _gamma_part(d: int, receiver: int) -> dict:
     return {"P": np.outer(g, g)}
 
 
+def _twirled(coeffs: dict) -> dict:
+    """``coeffs`` on the receiver-symmetric form: the coefficient C of P
+    becomes <C, |+><+|> on P+ and <C, |-><-|> on P-."""
+    out = {name: v for name, v in coeffs.items() if name != "P"}
+    out.update({name: float(v @ coeffs["P"] @ v) / 2.0 for name, v in _PLUS_MINUS.items()})
+    return out
+
+
 def _on(coeffs: dict, j: int, d: int, scale: float = 1.0) -> dict:
     """``scale`` times ``coeffs`` on the blocks of J_j."""
-    return {f"{name}{j}": scale * v for name, v in coeffs.items() if name in _blocks(d)}
+    return {f"{name}{j}": scale * v for name, v in coeffs.items() if name != "A" or d >= 3}
 
 
 def _of_difference(coeffs: dict, d: int) -> dict:
@@ -241,9 +274,13 @@ def _covariant_choi(p: np.ndarray, s: float, a: float, d: int) -> np.ndarray:
 def _covariant_decomposition(sol: SdpSolution, d: int,
                              exchange: bool = False) -> BroadcastDecomposition:
     """J1, J2 on (B, B1, B2) of a reduced optimum; ``exchange`` swaps the two
-    receivers, which exchanges the frames: P -> X P X."""
+    receivers, which exchanges the frames: P -> X P X.  The receiver-symmetric
+    form's P is p+ |+><+| + p- |-><-|."""
     def choi(j: int) -> ChoiOperator:
-        p = sol.x_blocks[f"P{j}"]
+        p = sol.x_blocks.get(f"P{j}")
+        if p is None:
+            p = sum(sol.scalar(f"{name}{j}") * np.outer(v, v) / 2.0
+                    for name, v in _PLUS_MINUS.items())
         if exchange:
             p = p[::-1, ::-1]
         a = sol.scalar(f"A{j}") if d >= 3 else 0.0
@@ -273,20 +310,31 @@ def _covariant_problem(d: int, ranges: list[tuple[float, float]],
     added to each gamma_k, under x + y <= sqrt(budget).  Raises
     ``ValueError`` unless d is an integer >= 2.
 
-    The rows depend only on d, on which receivers are pinned (low_k ==
-    high_k) and on whether a budget is set: the problem is the cached
-    :func:`_covariant_structure` of those three with the right-hand side of
-    these ranges and budget, set on its labelled rows."""
+    When the two ranges are equal the problem is receiver symmetric and is
+    posed in its twirled form, an LP with one marginal row or range (module
+    docstring); otherwise each J keeps its 2 x 2 block P."""
     _check_dim(d)
-    structure = _covariant_structure(operator.index(d),
-                                     tuple(low == high for low, high in ranges),
+    if ranges[0] == ranges[1]:
+        ranges = ranges[:1]
+    return _posed(operator.index(d), ranges, budget)
+
+
+def _posed(d: int, ranges: list[tuple[float, float]], budget: float | None) -> SdpProblem:
+    """The problem of :func:`_covariant_problem` for the ``ranges`` of the
+    receivers 1, 2, or for one range shared by both in the
+    receiver-symmetric form.  Its rows depend only on d, the number of
+    ranges, which are pinned (low == high) and whether a budget is set: it
+    is the cached :func:`_covariant_structure` of these with the right-hand
+    side of these ranges and budget, set on its labelled rows."""
+    structure = _covariant_structure(d, tuple(low == high for low, high in ranges),
                                      budget is not None)
     rhs = {"unit_difference": 1.0}
     for k, (low, high) in enumerate(ranges, start=1):
+        row = _marginal_label(k, len(ranges))
         if low == high:
-            rhs[f"marginal{k}"] = low
+            rhs[row] = low
         else:
-            rhs[f"marginal{k}_low"], rhs[f"marginal{k}_high"] = -low, high
+            rhs[f"{row}_low"], rhs[f"{row}_high"] = -low, high
     if budget is not None:
         rhs["budget"] = math.sqrt(budget)
     b = np.zeros(structure.n_rows)
@@ -295,15 +343,24 @@ def _covariant_problem(d: int, ranges: list[tuple[float, float]],
     return structure.with_b(b)
 
 
+def _marginal_label(k: int, n_ranges: int) -> str:
+    """The label of receiver k's marginal rows; the one range of the
+    receiver-symmetric form is ``marginal``."""
+    return "marginal" if n_ranges == 1 else f"marginal{k}"
+
+
 @functools.lru_cache(maxsize=64)
 def _covariant_structure(d: int, pinned: tuple[bool, ...], budget: bool) -> SdpProblem:
-    """The rows of :func:`_covariant_problem` for dimension ``d``, receivers
+    """The rows of :func:`_covariant_problem` for dimension ``d``, ranges
     ``pinned`` to one value or not, and with or without a budget; every
-    right-hand side is 0."""
+    right-hand side is 0.  One entry in ``pinned`` poses the
+    receiver-symmetric LP, two the form with a 2 x 2 block P per J."""
+    symmetric = len(pinned) == 1
+    form = _twirled if symmetric else dict
     builder = ProblemBuilder()
     for j in (1, 2):
-        for name in _blocks(d):
-            builder.add_psd_block(f"{name}{j}", 2 if name == "P" else 1)
+        for name, dim in _blocks(d, symmetric).items():
+            builder.add_psd_block(f"{name}{j}", dim)
     builder.add_scalar("x")
     builder.add_scalar("y")
     shift = {}
@@ -312,17 +369,19 @@ def _covariant_structure(d: int, pinned: tuple[bool, ...], budget: bool) -> SdpP
         builder.minimize(shift)
     else:
         builder.minimize({"x": 1.0, "y": 1.0})
-    builder.add_scalar_eq({**_on(_weight(d), 1, d), "x": -1.0}, 0.0, label="weight1")
-    builder.add_scalar_eq({**_on(_weight(d), 2, d), "y": -1.0}, 0.0, label="weight2")
+    weight = form(_weight(d))
+    builder.add_scalar_eq({**_on(weight, 1, d), "x": -1.0}, 0.0, label="weight1")
+    builder.add_scalar_eq({**_on(weight, 2, d), "y": -1.0}, 0.0, label="weight2")
     builder.add_scalar_eq({"x": 1.0, "y": -1.0}, 0.0, label="unit_difference")
     for k, exact in enumerate(pinned, start=1):
-        gamma = {**_of_difference(_gamma_part(d, k), d), **shift}
+        gamma = {**_of_difference(form(_gamma_part(d, k)), d), **shift}
+        row = _marginal_label(k, len(pinned))
         if exact:
-            builder.add_scalar_eq(gamma, 0.0, label=f"marginal{k}")
+            builder.add_scalar_eq(gamma, 0.0, label=row)
         else:
             builder.add_scalar_ineq({name: -v for name, v in gamma.items()}, 0.0,
-                                    label=f"marginal{k}_low")
-            builder.add_scalar_ineq(gamma, 0.0, label=f"marginal{k}_high")
+                                    label=f"{row}_low")
+            builder.add_scalar_ineq(gamma, 0.0, label=f"{row}_high")
     if budget:
         builder.add_scalar_ineq({"x": 1.0, "y": 1.0}, 0.0, label="budget")
     return builder.build()
@@ -394,7 +453,8 @@ def exact_overhead(d: int, config: SolverConfig | None = None) -> OverheadResult
 
     The optimum has the closed form (3d - 1)/(d + 1), so the overhead
     nu^2 >= 25/9 exceeds 2 for every d >= 2: exact virtual broadcasting is
-    never sample efficient.
+    never sample efficient.  Solved as the receiver-symmetric LP (module
+    docstring).
     """
     problem = _covariant_problem(d, [(1.0, 1.0)] * 2)
     sol = solve(problem, config or DEFAULT_CONFIG)
@@ -412,8 +472,11 @@ def approx_overhead(thresholds: ErrorThresholds | tuple[float, float], d: int,
     threshold at or below ``ZERO_THRESHOLD`` is the single row gamma_k = 1
     (the same feasible set, with a nonempty interior).
 
-    The SDP is posed with a >= b.  For a < b the exchanged problem (b, a) is
-    solved and the decomposition is read with the two receivers exchanged, so
+    With a == b (or both at most ``ZERO_THRESHOLD``) the problem is receiver
+    symmetric and is solved as the LP of the module docstring, one range for
+    both marginals.  Otherwise the SDP, with a 2 x 2 block per Choi part, is
+    posed with a >= b.  For a < b the exchanged problem (b, a) is solved and
+    the decomposition is read with the two receivers exchanged, so
     nu(a, b) == nu(b, a) and the two share one status; ``solution`` and
     ``certificate`` then belong to the exchanged problem.
     """
@@ -448,10 +511,11 @@ def depolarizing_overhead(t: float, d: int,
     operator with parameter ``t`` (any real value; the map is HPTP throughout
     and CP only inside [0, d^2/(d^2-1)]).
 
-    The marginal (1 - t) Gamma + t I/d has gamma = 1 - t + t/d^2.
-    Infeasibility, if the solver ever certifies it, is reported through the
-    result status rather than an exception.  A ``t`` that is not finite
-    raises ``ValueError``.
+    The marginal (1 - t) Gamma + t I/d has gamma = 1 - t + t/d^2, the same
+    on both receivers, so this is the receiver-symmetric LP (module
+    docstring).  Infeasibility, if the solver ever certifies it, is reported
+    through the result status rather than an exception.  A ``t`` that is not
+    finite raises ``ValueError``.
     """
     if not math.isfinite(t):
         raise ValueError(f"noise t={t!r} is not a finite number")
@@ -468,8 +532,10 @@ def min_error(gamma: float, d: int, config: SolverConfig | None = None) -> Trade
     Solved in the depolarizing-reduced form with the error delta as a cone
     variable tied linearly to the noise parameter, t = delta d^2/(d^2-1), and
     the quadratic budget linearized to x + y <= sqrt(gamma) (equivalent for
-    nonnegative weights).  The marginal (1 - t) Gamma + t I/d has
-    gamma = 1 - delta.  gamma in [0, 1) is reported as infeasible -- no
+    nonnegative weights).  Both receivers carry the same error, so this is
+    the receiver-symmetric LP of the module docstring: one marginal row with
+    the shift delta, and the budget row.  The marginal (1 - t) Gamma + t I/d
+    has gamma = 1 - delta.  gamma in [0, 1) is reported as infeasible -- no
     decomposition has x + y < 1.  A gamma that is negative or not finite
     raises ``ValueError``.
     """

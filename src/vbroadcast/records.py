@@ -2,7 +2,9 @@
 
 Every sweep row carries the same fixed schema so downstream plotting can
 consume one format: inputs (a, b, gamma, d), outputs (nu, s, mu, t), and
-solver metadata (status, gap, seconds).  Unused fields stay empty.  Numbers
+solver metadata (status, gap, seconds).  Unused fields stay empty, and so do
+non-finite numbers (the NaN outputs of an infeasible budget): an empty CSV
+cell and a JSON null, so that strict JSON parsers read the file.  Numbers
 are rendered with 9 significant digits and rows are ordered lexicographically
 by inputs, so identical runs produce byte-identical files apart from the
 wall-clock ``seconds`` column.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 CSV_HEADER = "a,b,gamma,d,nu,s,mu,t,status,gap,seconds"
@@ -35,15 +38,14 @@ class SweepRecord:
     def sort_key(self):
         """Order by the inputs as rendered, so a parsed file sorts the same."""
         def key(v):
-            if v is None:
-                return (False, 0.0)
-            return (True, v if isinstance(v, int) else _round9(v))
+            v = v if isinstance(v, int) else _round9(v)
+            return (False, 0.0) if v is None else (True, v)
 
         return (key(self.a), key(self.b), key(self.gamma), key(self.d))
 
 
 def format_number(x: float | int | None) -> str:
-    if x is None:
+    if x is None or not math.isfinite(x):
         return ""
     if isinstance(x, int):
         return str(x)
@@ -51,7 +53,7 @@ def format_number(x: float | int | None) -> str:
 
 
 def _round9(x: float | None) -> float | None:
-    return None if x is None else float(f"{x:.9g}")
+    return None if x is None or not math.isfinite(x) else float(f"{x:.9g}")
 
 
 def render_csv(records: list[SweepRecord]) -> str:
@@ -82,7 +84,7 @@ def render_json(records: list[SweepRecord]) -> str:
                 v = _round9(v)
             row[f.name] = v
         rows.append(row)
-    return json.dumps(rows, indent=2) + "\n"
+    return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
 def parse_csv(text: str) -> list[SweepRecord]:

@@ -59,6 +59,13 @@ class TestRecords:
         assert rows[0]["a"] is None
         assert set(rows[0]) == set(CSV_HEADER.split(","))
 
+    def test_non_finite_numbers_are_empty(self):
+        rec = SweepRecord(gamma=0.5, d=2, mu=float("nan"), t=float("inf"),
+                          gap=float("-inf"), status="primal_infeasible_certificate")
+        assert render_csv([rec]).splitlines()[1] == ",,0.5,2,,,,,primal_infeasible_certificate,,"
+        row, = json.loads(render_json([rec]))
+        assert row["mu"] is row["t"] is row["gap"] is None
+
     def test_nine_significant_digits(self):
         rec = SweepRecord(d=2, nu=1.0 / 3.0)
         assert "0.333333333" in render_csv([rec])
@@ -139,6 +146,21 @@ class TestCliCommands:
         assert [(r.a, r.b) for r in recs] == [(0.0, 0.0), (0.75, 0.75)]
         assert abs(recs[0].nu - 5.0 / 3.0) <= 1e-5
         assert abs(recs[1].nu - 1.0) <= 1e-5
+
+    def test_infeasible_budget_writes_strict_json_and_empty_cells(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out = tmp_path / "inf.json"
+        assert main(["min-error", "--gamma", "0.5", "--dim", "2",
+                     "--format", "json", "--out", str(out)]) == 0
+        row, = json.loads(out.read_text(), parse_constant=reject)
+        assert row["status"] == "primal_infeasible_certificate"
+        assert row["mu"] is row["t"] is row["gap"] is row["nu"] is None
+        out = tmp_path / "inf.csv"
+        assert main(["min-error", "--gamma", "0.5", "--dim", "2", "--out", str(out)]) == 0
+        rec, = parse_csv(out.read_text())
+        assert rec.mu is rec.t is rec.gap is rec.nu is None
 
     def test_tradeoff_json(self, tmp_path):
         out = str(tmp_path / "tr.json")

@@ -113,6 +113,24 @@ class TestClosedForm:
                 want = coeffs.get(block, 0.0) if block in blocks else 0.0
                 got = irreps.functionals(units[block])[name]
                 assert abs(got - want) <= 1e-12, (name, block)
+        # the weights P+, P- of the receiver-symmetric form: |+-><+-| on the
+        # block is the fundamental copy in I_B (x) Sym (Anti), scaled by
+        # |u_1k +- u_2k|^2 / 2 = 1 +- 1/d
+        u1, u2 = irreps.frames
+        for block, sign in (("P+", 1.0), ("P-", -1.0)):
+            copy = u1 + sign * u2
+            want_op = copy.T @ copy / 2.0
+            scale = np.trace(want_op).real / d
+            assert abs(scale - (1.0 + sign / d)) <= 1e-12
+            assert np.allclose(want_op @ want_op, scale * want_op, atol=1e-12)
+            pm = np.array([1.0, sign]) / math.sqrt(2.0)
+            lifted = bc._covariant_choi(np.outer(pm, pm), 0.0, 0.0, d)
+            assert np.max(np.abs(lifted - want_op)) <= 1e-12
+            for name, coeffs in _library(d).items():
+                got = irreps.functionals(want_op)[name]
+                assert abs(got - bc._twirled(coeffs)[block]) <= 1e-12, (name, block)
+            assert abs(bc._twirled(_library(d)["gamma1"])[block]
+                       - (1.0 + sign / d) ** 2 / 2.0) <= 1e-15
 
     def test_lift_matches_oracle(self, irreps):
         d = irreps.d

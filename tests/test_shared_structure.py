@@ -21,11 +21,17 @@ from vbroadcast.sdp.solver import record_solves, solve
 
 def fresh_covariant(d, ranges, budget=None):
     """The covariant problem as the builder writes it, right-hand sides
-    included, with nothing cached."""
+    included, with nothing cached.  Equal ranges pose the receiver-symmetric
+    LP: the weights P+, P- of |+>, |-> instead of P, and one marginal row or
+    range for both receivers."""
+    symmetric = ranges[0] == ranges[1]
+    if symmetric:
+        ranges = ranges[:1]
+    form = bc._twirled if symmetric else dict
     builder = ProblemBuilder()
     for j in (1, 2):
-        for name in bc._blocks(d):
-            builder.add_psd_block(f"{name}{j}", 2 if name == "P" else 1)
+        for name, dim in bc._blocks(d, symmetric).items():
+            builder.add_psd_block(f"{name}{j}", dim)
     builder.add_scalar("x")
     builder.add_scalar("y")
     shift = {}
@@ -34,17 +40,19 @@ def fresh_covariant(d, ranges, budget=None):
     else:
         shift = {builder.add_scalar("delta"): 1.0}
         builder.minimize(shift)
-    builder.add_scalar_eq({**bc._on(bc._weight(d), 1, d), "x": -1.0}, 0.0, label="weight1")
-    builder.add_scalar_eq({**bc._on(bc._weight(d), 2, d), "y": -1.0}, 0.0, label="weight2")
+    weight = form(bc._weight(d))
+    builder.add_scalar_eq({**bc._on(weight, 1, d), "x": -1.0}, 0.0, label="weight1")
+    builder.add_scalar_eq({**bc._on(weight, 2, d), "y": -1.0}, 0.0, label="weight2")
     builder.add_scalar_eq({"x": 1.0, "y": -1.0}, 1.0, label="unit_difference")
     for k, (low, high) in enumerate(ranges, start=1):
-        gamma = {**bc._of_difference(bc._gamma_part(d, k), d), **shift}
+        gamma = {**bc._of_difference(form(bc._gamma_part(d, k)), d), **shift}
+        row = "marginal" if symmetric else f"marginal{k}"
         if low == high:
-            builder.add_scalar_eq(gamma, low, label=f"marginal{k}")
+            builder.add_scalar_eq(gamma, low, label=row)
         else:
             builder.add_scalar_ineq({name: -v for name, v in gamma.items()}, -low,
-                                    label=f"marginal{k}_low")
-            builder.add_scalar_ineq(gamma, high, label=f"marginal{k}_high")
+                                    label=f"{row}_low")
+            builder.add_scalar_ineq(gamma, high, label=f"{row}_high")
     if budget is not None:
         builder.add_scalar_ineq({"x": 1.0, "y": 1.0}, math.sqrt(budget), label="budget")
     return builder.build()
@@ -78,15 +86,18 @@ def assert_same_bytes(got, want):
 
 
 def covariant_cases(d, rng):
-    """(ranges, budget) of each of the four covariant kinds, as the entry
-    points pose them, at seeded random thresholds, t and gamma."""
+    """(ranges, budget) of each of the four covariant kinds, and of a
+    balanced threshold, as the entry points pose them, at seeded random
+    thresholds, t and gamma."""
     thresholds = [float(rng.uniform(0.0, 1.0)), float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))]
     ranges = [(1.0, 1.0) if t <= bc.ZERO_THRESHOLD else (1.0 - t, 1.0 + t)
               for t in (max(thresholds), min(thresholds))]
     t = float(rng.uniform(-1.0, 1.3))
     gamma = 1.0 - t + t / (d * d)
+    delta = thresholds[0]
     return {"exact": ([(1.0, 1.0)] * 2, None),
             "approx": (ranges, None),
+            "balanced": ([(1.0 - delta, 1.0 + delta)] * 2, None),
             "depolarizing": ([(gamma, gamma)] * 2, None),
             "min_error": ([(1.0, 1.0)] * 2, float(rng.uniform(1.0, 9.0)))}
 
@@ -113,7 +124,7 @@ def test_solve_on_a_shared_structure_equals_a_fresh_solve():
     cfg = SolverConfig(tol_gap=1e-9, tol_feas=1e-9)
     ranges = [(0.7, 1.3), (0.9, 1.1)]
     j = ChoiOperator(random_hermitian(4, np.random.default_rng(3)), 2, (2,))
-    bc._covariant_problem(2, [(0.5, 1.5)] * 2)      # primes the structure
+    bc._covariant_problem(2, [(0.5, 1.5), (0.6, 1.4)])  # primes the structure
     for cached, fresh in ((bc._covariant_problem(2, ranges), fresh_covariant(2, ranges)),
                           (diamond.diamond_problem(j), fresh_diamond(j))):
         got, want = solve(cached, cfg), solve(fresh, cfg)
@@ -123,7 +134,7 @@ def test_solve_on_a_shared_structure_equals_a_fresh_solve():
             assert got.x_blocks[name].tobytes() == x.tobytes()
 
 
-def test_grid_builds_three_structures(monkeypatch):
+def test_grid_builds_four_structures(monkeypatch):
     calls = {"dpstrf": 0, "block_rows": 0}
 
     def counted(key, fn):
@@ -142,9 +153,10 @@ def test_grid_builds_three_structures(monkeypatch):
         for a in axis:
             for b in axis:
                 bc.approx_overhead((a, b), 2, config=cfg)
-    # both pinned, the larger threshold free, both free
+    # the symmetric LP pinned and free, then the 2 x 2 form with the larger
+    # threshold free and with both free
     assert len(log) == 81
-    assert calls == {"dpstrf": 3, "block_rows": 3}
+    assert calls == {"dpstrf": 4, "block_rows": 4}
 
 
 ENTRY_POINTS = {
@@ -182,11 +194,13 @@ def test_replace_gets_fresh_row_data():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_covariant_rows_are_dense(d):
-    # a quarter or more of these entries are nonzero
-    rows = solver._Rows(bc._covariant_problem(d, [(0.8, 1.2)] * 2))
-    assert isinstance(rows.a_red, np.ndarray)
-    assert rows.a_red_t.base is rows.a_red    # a view, not a copy
-    assert all(isinstance(blk.a_block, np.ndarray) for blk in rows.blocks)
+    # a quarter or more of these entries are nonzero, in the LP and in the
+    # 2 x 2 form
+    for ranges in ([(0.8, 1.2)] * 2, [(0.8, 1.2), (0.9, 1.1)]):
+        rows = solver._Rows(bc._covariant_problem(d, ranges))
+        assert isinstance(rows.a_red, np.ndarray)
+        assert rows.a_red_t.base is rows.a_red    # a view, not a copy
+        assert all(isinstance(blk.a_block, np.ndarray) for blk in rows.blocks)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4)])
