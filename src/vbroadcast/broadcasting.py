@@ -27,58 +27,77 @@ helpers raise ``ValueError`` when d is not an integer >= 2.
 
 Symmetry reduction.  Every problem but ``overhead_of_map`` is invariant under
 conj(U) (x) U (x) U on (B, B1, B2), and twirling a feasible point over that
-group keeps it feasible at the same nu, so these SDPs are solved over the
-commutant (Gatermann and Parrilo, JPAA 192 (2004); Mozrzymas, Studzinski and
+group keeps it feasible at the same nu, so J1 and J2 may be taken covariant
+(Gatermann and Parrilo, JPAA 192 (2004); Mozrzymas, Studzinski and
 Horodecki, "A simplified formalism for the walled Brauer algebra", 2018).
 Under the group, (B, B1, B2) holds two copies of the fundamental irrep, with
 frames u_1k = |G>_{B B1}|k>_{B2} / sqrt(d) and u_2k = |G>_{B B2}|k>_{B1} / sqrt(d)
 (k = 1..d), plus the traceless parts of B (x) Sym(B1 B2), of dimension
-D_S = d(d+2)(d-1)/2, and, for d >= 3, of B (x) Anti(B1 B2), of dimension
-D_A = d(d-2)(d+1)/2.  A covariant Choi operator is therefore
+D_S = d(d+2)(d-1)/2, and, for d >= 3, of B (x) Anti(B1 B2).  A covariant
+J >= 0 is a 2 x 2 block P >= 0 on the frames plus nonnegative weights on
+the two traceless parts, each term normalized to trace-preserving weight 1.
+With G = [[1, 1/d], [1/d, 1]], the Gram matrix of the two frames, and g_k
+its k-th row:
 
-    J = sum_ab P_ab sum_k |u_ak><u_bk| + s (d / D_S) Pi_S + a (d / D_A) Pi_A
+* Tr_{B1 B2} J = w I_B with w = <G, P> plus the two weights;
+* the marginal of J on (B, B_k) has gamma_k = g_k^T P g_k, and the
+  traceless parts add nothing to it;
+* the marginal of J1 - J2 has weight x - y = 1, so it is the depolarizing
+  Choi operator with t = (1 - gamma_k) d^2 / (d^2 - 1), at half diamond
+  distance |1 - gamma_k| from the identity.
 
-with a 2 x 2 block P >= 0 and scalars s, a >= 0 (Pi_S, Pi_A the projectors
-onto the two traceless parts); J >= 0 exactly when they are.  Each term is
-normalized to trace-preserving weight 1, so every coefficient below is O(1)
-in d.  With G = [[1, 1/d], [1/d, 1]], the Gram matrix of the two frames, and
-g_k its k-th row:
+One fundamental block.  A marginal floor gamma_k(J1 - J2) >= r_k on each
+receiver gives nu = max(1, 2v - 1) with
 
-* Tr_{B1 B2} J = w I_B with w = <G, P> + s + a;
-* the marginal Tr_{other}[J] on (B, B_k) is
-  gamma Gamma + pi d (I - Gamma/d) / (d^2 - 1) with gamma = <g_k g_k^T, P>
-  and pi = w - gamma;
-* the marginal of J1 - J2 has weight x - y = 1, so pi_k = 1 - gamma_k: it is
-  the depolarizing Choi operator with t = (1 - gamma_k) d^2 / (d^2 - 1), and
-  its half diamond distance from the identity, |t| (d^2 - 1) / d^2, is
-  |1 - gamma_k|.
+    v = min <G, P>  s.t.  P >= 0,  g_k^T P g_k >= r_k,
 
-So each J_i is the blocks P_i, S_i (and A_i), and every weight and marginal
-constraint is one scalar row, whatever d is; an error ball of radius thr
-around the identity is the range 1 - thr <= gamma_k <= 1 + thr.
+so the SDP carries P alone, and x, y and the traceless parts are assembled
+outside it.
 
-Receiver symmetry.  When both receivers have the same range -- always in
+* Lower bound: gamma_k(J2) = g_k^T P2 g_k >= 0, so P1 alone meets the
+  floors, and x = w(J1) >= <G, P1> >= v.  Hence nu = 2x - 1 >= 2v - 1, and
+  nu = x + y >= x - y = 1.
+* Achievability: J1 = P plus the weight max(0, 1 - v) on Pi_S, and J2 the
+  weight max(0, v - 1) on Pi_S.  The fillers leave every gamma_k alone, and
+  give x = max(1, v), y = max(0, v - 1), so nu = max(1, 2v - 1).
+* Upper rows are implied.  An error ball of radius thr is the range
+  1 - thr <= gamma_k <= 1 + thr, and only its floor r_k = 1 - thr is posed.
+  Two rows give a rank-one optimum P = p p^T (Pataki: rank r with
+  r(r + 1)/2 <= 2), and with q = G p the problem is min q^T G^-1 q s.t.
+  q_k^2 >= r_k.  Either both rows are active, so gamma_k = r_k <= 1, or
+  only the first is, at q = (sqrt(r_1), sqrt(r_1)/d), where
+  gamma_2 = r_1/d^2 <= 1.  Either way gamma_k <= 1 <= 1 + thr_k.
+* Pinned marginals (``exact_overhead``, ``depolarizing_overhead``) pin
+  gamma_k(J1 - J2) to gamma_0.  For gamma_0 >= 0 the floor is r = gamma_0,
+  the optimum meets it with equality (scaling P down lowers <G, P>), and the
+  lift scales P to meet it exactly.  For gamma_0 < 0 (t > d^2/(d^2 - 1)) the
+  branch mirrors: gamma(P2) = gamma(P1) - gamma_0 >= |gamma_0|, so P2 meets
+  the floor r = |gamma_0| and y >= v.  Then J2 = P and J1 is the weight
+  1 + v on Pi_S, so nu = 2v + 1.
+* A budget (``min_error``): x + y <= sqrt(gamma) and x - y = 1 give
+  <G, P1> <= x <= (sqrt(gamma) + 1)/2, so the smallest error is
+  mu = max(0, 1 - gamma*), with gamma* the largest gamma(P) under that row.
+  The lift scales P to gamma = 1 - mu.
+
+Receiver symmetry.  When both receivers have the same floor -- always in
 ``exact_overhead``, ``depolarizing_overhead`` and ``min_error``, and in
-``approx_overhead`` when a == b -- the problem is also invariant under the
-receiver swap B1 <-> B2.  The swap exchanges the two frames and so maps P to
-X P X, and twirling over U(d) x S_2 keeps a feasible point feasible at the
-same objective, so P may be taken to be [[alpha, beta], [beta, alpha]]: it
-is diagonal on |+-> = (1, +-1) / sqrt(2), P = p+ |+><+| + p- |-><-| with
-p+, p- >= 0, and the commutant is commutative.  A coefficient C of P then
-acts as the two numbers <C, |+-><+-|>: the weight is (1 +- 1/d) p+- and
-gamma_k = (1 +- 1/d)^2 / 2 on p+- for both receivers, so the two marginal
-rows coincide and are posed once (``marginal``, or ``marginal_low`` and
-``marginal_high`` for a range).  The problem is an LP, 4 or 5 rows on 8-12
-nonnegative scalars with no Hermitian block, so a solver iteration makes no
-Cholesky, scaling or eigenvalue call on a Hermitian stack.  Unequal ranges
-break the swap symmetry, and those problems keep P.
+``approx_overhead`` when a == b or both are at least (d - 1)/(2d) -- the
+problem is also invariant under the receiver swap B1 <-> B2, which maps
+P to X P X.  Twirling over U(d) x S_2
+lets P be diagonal on |+-> = (1, +-1) / sqrt(2), P = p+ |+><+| + p- |-><-|
+with p+, p- >= 0.  A coefficient C of P then acts as the two numbers
+<C, |+-><+-|>: the weight is (1 +- 1/d) p+- and gamma_k is
+(1 +- 1/d)^2 / 2 on p+- for both receivers, so the two floors are one row.
+That problem is an LP, one row on two scalars (and its slack), with no
+Hermitian block.  Unequal floors keep the 2 x 2 block P and one row per
+receiver.
 
 All four problems are posed by ``_covariant_problem``, which chooses the
-form from the ranges, on rows built once per d, form, set of pinned ranges
+form from the floors, on rows built once per d, number of distinct floors
 and budget or none (``_covariant_structure``), so the points of a sweep
 share one constraint matrix, presolve and Schur structure and differ in the
 right-hand side only.  The decomposition on (B, B1, B2) is built from the
-reduced optimum only when it is read.
+optimal P only when it is read.
 """
 
 from __future__ import annotations
@@ -115,11 +134,6 @@ from .sdp import (
     check_certificate,
     solve,
 )
-
-# Thresholds at or below this are treated as exact-marginal constraints; the
-# range 1 - thr <= gamma <= 1 + thr has empty interior at zero radius while
-# the equality form is numerically clean and mathematically identical.
-ZERO_THRESHOLD = 1e-12
 
 DEFAULT_CONFIG = SolverConfig()
 
@@ -193,53 +207,39 @@ class TradeoffPoint:
 
 
 # ---------------------------------------------------------------------------
-# the irreducible form of a covariant J (module docstring)
+# the fundamental block of a covariant J (module docstring)
 # ---------------------------------------------------------------------------
-
-def _blocks(d: int, symmetric: bool = False) -> dict[str, int]:
-    """The blocks of one J and their dimensions: P on the fundamental copies,
-    or in the receiver-symmetric form its weights P+ and P- on |+> and |->,
-    then S and (d >= 3) A."""
-    p = {"P+": 1, "P-": 1} if symmetric else {"P": 2}
-    return {**p, "S": 1, "A": 1} if d >= 3 else {**p, "S": 1}
-
 
 # |+> and |-> times sqrt(2): a receiver-symmetric P is diagonal on them
 _PLUS_MINUS = {"P+": np.array([1.0, 1.0]), "P-": np.array([1.0, -1.0])}
 
 
 def _gram(d: int) -> np.ndarray:
-    """G_ab = sum_k <u_ak|u_bk> / d, the Gram matrix of the two frames."""
+    """G_ab = sum_k <u_ak|u_bk> / d, the Gram matrix of the two frames and
+    the coefficient of the weight w."""
     return np.array([[1.0, 1.0 / d], [1.0 / d, 1.0]])
 
 
-def _weight(d: int) -> dict:
-    """Coefficients of w, Tr_{B1 B2} J = w I_B."""
-    return {"P": _gram(d), "S": 1.0, "A": 1.0}
-
-
-def _gamma_part(d: int, receiver: int) -> dict:
-    """Coefficients of gamma = <Gamma_{B B_receiver} (x) I, J> / d^2."""
+def _gamma_part(d: int, receiver: int) -> np.ndarray:
+    """g g^T, the coefficient of gamma = <Gamma_{B B_receiver} (x) I, J> / d^2,
+    with g row ``receiver`` of G."""
     g = _gram(d)[receiver - 1]
-    return {"P": np.outer(g, g)}
+    return np.outer(g, g)
 
 
-def _twirled(coeffs: dict) -> dict:
-    """``coeffs`` on the receiver-symmetric form: the coefficient C of P
-    becomes <C, |+><+|> on P+ and <C, |-><-|> on P-."""
-    out = {name: v for name, v in coeffs.items() if name != "P"}
-    out.update({name: float(v @ coeffs["P"] @ v) / 2.0 for name, v in _PLUS_MINUS.items()})
-    return out
+def _twirled(coeff: np.ndarray) -> dict:
+    """The coefficient ``coeff`` of P on the receiver-symmetric form:
+    <coeff, |+><+|> on P+ and <coeff, |-><-|> on P-."""
+    return {name: float(v @ coeff @ v) / 2.0 for name, v in _PLUS_MINUS.items()}
 
 
-def _on(coeffs: dict, j: int, d: int, scale: float = 1.0) -> dict:
-    """``scale`` times ``coeffs`` on the blocks of J_j."""
-    return {f"{name}{j}": scale * v for name, v in coeffs.items() if name != "A" or d >= 3}
-
-
-def _of_difference(coeffs: dict, d: int) -> dict:
-    """``coeffs`` applied to J1 - J2."""
-    return {**_on(coeffs, 1, d), **_on(coeffs, 2, d, -1.0)}
+def _block(sol: SdpSolution) -> np.ndarray:
+    """The 2 x 2 block P of an optimum; the receiver-symmetric form's P is
+    p+ |+><+| + p- |-><-|."""
+    p = sol.x_blocks.get("P")
+    if p is None:
+        p = sum(sol.scalar(name) * np.outer(v, v) / 2.0 for name, v in _PLUS_MINUS.items())
+    return np.array(p, dtype=complex)
 
 
 def _frames(d: int) -> np.ndarray:
@@ -251,43 +251,47 @@ def _frames(d: int) -> np.ndarray:
     return u.reshape(2 * d, d ** 3) / math.sqrt(d)
 
 
-def _covariant_choi(p: np.ndarray, s: float, a: float, d: int) -> np.ndarray:
-    """The d^3 x d^3 operator J of the irreducible form (P, s, a).
+def _covariant_choi(p: np.ndarray, s: float, d: int) -> np.ndarray:
+    """The d^3 x d^3 operator J of the block P plus the weight s on Pi_S.
 
     Pi_S is I_B (x) (I + SWAP)/2 less its fundamental copy, spanned by the
-    u_1k + u_2k, and Pi_A likewise with I - SWAP and u_1k - u_2k; both
-    fundamental parts are subtracted inside the 2 x 2 block.
+    u_1k + u_2k; that copy is subtracted inside the 2 x 2 block.
     """
-    core = np.array(p, dtype=complex)
-    op = np.zeros((d ** 3, d ** 3), dtype=complex)
+    c = s * d / (d * (d + 2) * (d - 1) // 2)
+    core = np.array(p, dtype=complex) - c * np.ones((2, 2)) / (2.0 + 2.0 / d)
     swap = np.kron(np.eye(d), swap_operator(d))
-    for weight, dim, sign in ((s, d * (d + 2) * (d - 1) // 2, 1.0),
-                              (a, d * (d - 2) * (d + 1) // 2, -1.0)):
-        if dim:
-            c = weight * d / dim
-            core -= c * np.array([[1.0, sign], [sign, 1.0]]) / (2.0 + 2.0 * sign / d)
-            op += c * (np.eye(d ** 3) + sign * swap) / 2.0
     u = _frames(d)
-    return op + u.T @ np.kron(core, np.eye(d)) @ u
+    return c * (np.eye(d ** 3) + swap) / 2.0 + u.T @ np.kron(core, np.eye(d)) @ u
 
 
-def _covariant_decomposition(sol: SdpSolution, d: int,
+def _pinned(p: np.ndarray, d: int, gamma: float | None) -> np.ndarray:
+    """P scaled to gamma_1(P) = ``gamma``, or P itself for None."""
+    if gamma is None:
+        return p
+    have = float(np.vdot(_gamma_part(d, 1), p).real)
+    return p * (gamma / have) if have > 0.0 else np.zeros_like(p)
+
+
+def _covariant_decomposition(sol: SdpSolution, d: int, pin: float | None = None,
+                             mirrored: bool = False,
                              exchange: bool = False) -> BroadcastDecomposition:
-    """J1, J2 on (B, B1, B2) of a reduced optimum; ``exchange`` swaps the two
-    receivers, which exchanges the frames: P -> X P X.  The receiver-symmetric
-    form's P is p+ |+><+| + p- |-><-|."""
-    def choi(j: int) -> ChoiOperator:
-        p = sol.x_blocks.get(f"P{j}")
-        if p is None:
-            p = sum(sol.scalar(f"{name}{j}") * np.outer(v, v) / 2.0
-                    for name, v in _PLUS_MINUS.items())
-        if exchange:
-            p = p[::-1, ::-1]
-        a = sol.scalar(f"A{j}") if d >= 3 else 0.0
-        return ChoiOperator(_covariant_choi(p, sol.scalar(f"S{j}"), a, d), d, (d, d))
-
-    return BroadcastDecomposition(j1=choi(1), j2=choi(2), x=sol.scalar("x"),
-                                  y=sol.scalar("y"))
+    """J1, J2 on (B, B1, B2) of a one-block optimum (module docstring), with
+    P scaled to gamma = ``pin`` when one is given: J1 = P and J2 the Pi_S
+    filler, or with ``mirrored`` J2 = P and J1 the filler.  ``exchange``
+    swaps the two receivers, which exchanges the frames: P -> X P X."""
+    p = _pinned(_block(sol), d, pin)
+    if exchange:
+        p = p[::-1, ::-1]
+    v = float(np.vdot(_gram(d), p).real)
+    zero = np.zeros((2, 2))
+    if mirrored:
+        (p1, s1), (p2, s2), x, y = (zero, 1.0 + v), (p, 0.0), 1.0 + v, v
+    else:
+        (p1, s1), (p2, s2) = (p, max(0.0, 1.0 - v)), (zero, max(0.0, v - 1.0))
+        x, y = max(1.0, v), max(0.0, v - 1.0)
+    return BroadcastDecomposition(j1=ChoiOperator(_covariant_choi(p1, s1, d), d, (d, d)),
+                                  j2=ChoiOperator(_covariant_choi(p2, s2, d), d, (d, d)),
+                                  x=x, y=y)
 
 
 def _check_dim(d: int) -> None:
@@ -300,90 +304,59 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension d={d!r} is not an integer >= 2")
 
 
-def _covariant_problem(d: int, ranges: list[tuple[float, float]],
-                       budget: float | None = None) -> SdpProblem:
-    """The covariant problem over J1, J2 in irreducible form and the weights
-    x, y, with the rows w(J1) = x, w(J2) = y and x - y = 1, and
-    low_k <= gamma_k(J1 - J2) <= high_k for the ``ranges`` (low_k, high_k) of
-    the receivers k = 1, 2 (one equality row when low_k == high_k).  It
-    minimizes nu = x + y; with a ``budget`` it instead minimizes a shift delta
-    added to each gamma_k, under x + y <= sqrt(budget).  Raises
-    ``ValueError`` unless d is an integer >= 2.
+def _covariant_problem(d: int, floors: list[float], budget: float | None = None) -> SdpProblem:
+    """The one-block problem of the module docstring: minimize <G, P> under
+    gamma_k(P) >= ``floors[k - 1]`` for the receivers k = 1, 2.  With a
+    ``budget`` it instead maximizes the mean gamma_k(P) under
+    <G, P> <= (sqrt(budget) + 1)/2, and the floors only choose the form.
+    Raises ``ValueError`` unless d is an integer >= 2.
 
-    When the two ranges are equal the problem is receiver symmetric and is
-    posed in its twirled form, an LP with one marginal row or range (module
-    docstring); otherwise each J keeps its 2 x 2 block P."""
+    When the two floors are equal the problem is receiver symmetric and is
+    posed in its twirled form, an LP with one row (module docstring);
+    otherwise it keeps the 2 x 2 block P."""
     _check_dim(d)
-    if ranges[0] == ranges[1]:
-        ranges = ranges[:1]
-    return _posed(operator.index(d), ranges, budget)
+    if floors[0] == floors[1]:
+        floors = floors[:1]
+    return _posed(operator.index(d), floors, budget)
 
 
-def _posed(d: int, ranges: list[tuple[float, float]], budget: float | None) -> SdpProblem:
-    """The problem of :func:`_covariant_problem` for the ``ranges`` of the
-    receivers 1, 2, or for one range shared by both in the
+def _posed(d: int, floors: list[float], budget: float | None) -> SdpProblem:
+    """The problem of :func:`_covariant_problem` for the ``floors`` of the
+    receivers 1, 2, or for one floor shared by both in the
     receiver-symmetric form.  Its rows depend only on d, the number of
-    ranges, which are pinned (low == high) and whether a budget is set: it
-    is the cached :func:`_covariant_structure` of these with the right-hand
-    side of these ranges and budget, set on its labelled rows."""
-    structure = _covariant_structure(d, tuple(low == high for low, high in ranges),
-                                     budget is not None)
-    rhs = {"unit_difference": 1.0}
-    for k, (low, high) in enumerate(ranges, start=1):
-        row = _marginal_label(k, len(ranges))
-        if low == high:
-            rhs[row] = low
-        else:
-            rhs[f"{row}_low"], rhs[f"{row}_high"] = -low, high
-    if budget is not None:
-        rhs["budget"] = math.sqrt(budget)
-    b = np.zeros(structure.n_rows)
-    for start, stop, label in structure.labels:
-        b[start:stop] = rhs.get(label, 0.0)
-    return structure.with_b(b)
-
-
-def _marginal_label(k: int, n_ranges: int) -> str:
-    """The label of receiver k's marginal rows; the one range of the
-    receiver-symmetric form is ``marginal``."""
-    return "marginal" if n_ranges == 1 else f"marginal{k}"
+    floors and whether a budget is set: it is the cached
+    :func:`_covariant_structure` of these with the right-hand side of these
+    floors, one row each, or of this budget."""
+    structure = _covariant_structure(d, len(floors), budget is not None)
+    rhs = [-r for r in floors] if budget is None else [(math.sqrt(budget) + 1.0) / 2.0]
+    return structure.with_b(np.array(rhs))
 
 
 @functools.lru_cache(maxsize=64)
-def _covariant_structure(d: int, pinned: tuple[bool, ...], budget: bool) -> SdpProblem:
-    """The rows of :func:`_covariant_problem` for dimension ``d``, ranges
-    ``pinned`` to one value or not, and with or without a budget; every
-    right-hand side is 0.  One entry in ``pinned`` poses the
-    receiver-symmetric LP, two the form with a 2 x 2 block P per J."""
-    symmetric = len(pinned) == 1
-    form = _twirled if symmetric else dict
+def _covariant_structure(d: int, n_floors: int, budget: bool) -> SdpProblem:
+    """The rows of :func:`_covariant_problem` for dimension ``d``, with one
+    floor (the receiver-symmetric LP on P+, P-) or two (the 2 x 2 block P),
+    and with or without a budget; every right-hand side is 0.  A floor row
+    gamma_k >= r is posed as -gamma_k <= -r."""
+    def form(coeff: np.ndarray) -> dict:
+        return _twirled(coeff) if n_floors == 1 else {"P": coeff}
+
     builder = ProblemBuilder()
-    for j in (1, 2):
-        for name, dim in _blocks(d, symmetric).items():
-            builder.add_psd_block(f"{name}{j}", dim)
-    builder.add_scalar("x")
-    builder.add_scalar("y")
-    shift = {}
-    if budget:
-        shift = {builder.add_scalar("delta"): 1.0}
-        builder.minimize(shift)
+    if n_floors == 1:
+        for name in _PLUS_MINUS:
+            builder.add_scalar(name)
     else:
-        builder.minimize({"x": 1.0, "y": 1.0})
-    weight = form(_weight(d))
-    builder.add_scalar_eq({**_on(weight, 1, d), "x": -1.0}, 0.0, label="weight1")
-    builder.add_scalar_eq({**_on(weight, 2, d), "y": -1.0}, 0.0, label="weight2")
-    builder.add_scalar_eq({"x": 1.0, "y": -1.0}, 0.0, label="unit_difference")
-    for k, exact in enumerate(pinned, start=1):
-        gamma = {**_of_difference(form(_gamma_part(d, k)), d), **shift}
-        row = _marginal_label(k, len(pinned))
-        if exact:
-            builder.add_scalar_eq(gamma, 0.0, label=row)
-        else:
-            builder.add_scalar_ineq({name: -v for name, v in gamma.items()}, 0.0,
-                                    label=f"{row}_low")
-            builder.add_scalar_ineq(gamma, 0.0, label=f"{row}_high")
+        builder.add_psd_block("P", 2)
+    weight = form(_gram(d))
     if budget:
-        builder.add_scalar_ineq({"x": 1.0, "y": 1.0}, 0.0, label="budget")
+        mean_gamma = sum(_gamma_part(d, k) for k in range(1, n_floors + 1)) / n_floors
+        builder.minimize({name: -v for name, v in form(mean_gamma).items()})
+        builder.add_scalar_ineq(weight, 0.0, label="budget")
+    else:
+        builder.minimize(weight)
+        for k in range(1, n_floors + 1):
+            builder.add_scalar_ineq({name: -v for name, v in form(_gamma_part(d, k)).items()},
+                                    0.0, label="marginal" if n_floors == 1 else f"marginal{k}")
     return builder.build()
 
 
@@ -417,11 +390,19 @@ def _outcome(problem, sol, lift, kind: str):
                         f"({sol.diagnostics.get('note', '')})", sol.status)
 
 
-def _finish(problem, sol, d, t=None, exchange=False) -> OverheadResult:
-    lift = functools.partial(_covariant_decomposition, sol, d, exchange)
-    nu, status, lift, cert = _outcome(problem, sol, lift, "overhead")
-    return OverheadResult(nu=nu, status=status, t=t, solution=sol,
-                          certificate=cert, lift=lift)
+def _overhead(d: int, floors: list[float], config: SolverConfig | None, t: float | None = None,
+              pin: float | None = None, mirrored: bool = False,
+              exchange: bool = False) -> OverheadResult:
+    """nu of the one-block problem with these ``floors``: max(1, 2v - 1), or
+    2v + 1 on the ``mirrored`` branch; ``pin`` is the gamma the lift scales P
+    to, and ``exchange`` as in :func:`_covariant_decomposition`."""
+    problem = _covariant_problem(d, floors)
+    sol = solve(problem, config or DEFAULT_CONFIG)
+    lift = functools.partial(_covariant_decomposition, sol, d, pin, mirrored, exchange)
+    v, status, lift, cert = _outcome(problem, sol, lift, "overhead")
+    # np.maximum keeps the NaN of an infeasibility certificate
+    nu = 2.0 * v + 1.0 if mirrored else float(np.maximum(1.0, 2.0 * v - 1.0))
+    return OverheadResult(nu=nu, status=status, t=t, solution=sol, certificate=cert, lift=lift)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +434,10 @@ def exact_overhead(d: int, config: SolverConfig | None = None) -> OverheadResult
 
     The optimum has the closed form (3d - 1)/(d + 1), so the overhead
     nu^2 >= 25/9 exceeds 2 for every d >= 2: exact virtual broadcasting is
-    never sample efficient.  Solved as the receiver-symmetric LP (module
-    docstring).
+    never sample efficient.  Solved as the receiver-symmetric LP with the
+    floor gamma >= 1, and the lift pins gamma = 1 (module docstring).
     """
-    problem = _covariant_problem(d, [(1.0, 1.0)] * 2)
-    sol = solve(problem, config or DEFAULT_CONFIG)
-    return _finish(problem, sol, d)
+    return _overhead(d, [1.0, 1.0], config, pin=1.0)
 
 
 def approx_overhead(thresholds: ErrorThresholds | tuple[float, float], d: int,
@@ -468,24 +447,30 @@ def approx_overhead(thresholds: ErrorThresholds | tuple[float, float], d: int,
     Closeness is in half diamond distance.  The covariant marginal of J1 - J2
     on receiver k is depolarizing, at distance |1 - gamma_k| from the
     identity (module docstring), so the constraint on receiver k is the range
-    1 - thr_k <= gamma_k <= 1 + thr_k: two rows, with no norm SDP.  A
-    threshold at or below ``ZERO_THRESHOLD`` is the single row gamma_k = 1
-    (the same feasible set, with a nonempty interior).
+    1 - thr_k <= gamma_k <= 1 + thr_k, with no norm SDP.  Only the floor
+    gamma_k >= 1 - thr_k is posed: the optimum has gamma_k <= 1, so the
+    upper side is never active.
 
-    With a == b (or both at most ``ZERO_THRESHOLD``) the problem is receiver
-    symmetric and is solved as the LP of the module docstring, one range for
-    both marginals.  Otherwise the SDP, with a 2 x 2 block per Choi part, is
-    posed with a >= b.  For a < b the exchanged problem (b, a) is solved and
-    the decomposition is read with the two receivers exchanged, so
-    nu(a, b) == nu(b, a) and the two share one status; ``solution`` and
-    ``certificate`` then belong to the exchanged problem.
+    With a == b the problem is receiver symmetric and is solved as the LP of
+    the module docstring, one floor for both marginals.  So is every (a, b)
+    whose smaller threshold is at least (d - 1)/(2d), at that smaller
+    threshold: the LP's optimum v = 2d (1 - min(a, b))/(d + 1) is then at
+    most 1, so nu = 1 is reached by a map that meets both thresholds.  That
+    skips the 2 x 2 block there: its rank-one optimum has two active rows,
+    which the solver's face step rarely finishes, so it takes about twice
+    the LP's iterations.  Otherwise the SDP, on one 2 x 2 block, is posed
+    with a >= b.  For a < b the exchanged
+    problem (b, a) is solved and the decomposition is read with the two
+    receivers exchanged, so nu(a, b) == nu(b, a) and the two share one
+    status; ``solution`` and ``certificate`` then belong to the exchanged
+    problem.
     """
     thr = thresholds if isinstance(thresholds, ErrorThresholds) else ErrorThresholds(*thresholds)
-    ranges = [(1.0, 1.0) if bound <= ZERO_THRESHOLD else (1.0 - bound, 1.0 + bound)
-              for bound in (max(thr.a, thr.b), min(thr.a, thr.b))]
-    problem = _covariant_problem(d, ranges)
-    sol = solve(problem, config or DEFAULT_CONFIG)
-    return _finish(problem, sol, d, exchange=thr.a < thr.b)
+    _check_dim(d)
+    low, high = sorted((thr.a, thr.b))
+    if low >= (d - 1) / (2 * d):
+        high = low
+    return _overhead(d, [1.0 - high, 1.0 - low], config, exchange=thr.a < thr.b)
 
 
 def approx_overhead_depolarizing(delta: float, d: int,
@@ -511,41 +496,50 @@ def depolarizing_overhead(t: float, d: int,
     operator with parameter ``t`` (any real value; the map is HPTP throughout
     and CP only inside [0, d^2/(d^2-1)]).
 
-    The marginal (1 - t) Gamma + t I/d has gamma = 1 - t + t/d^2, the same
-    on both receivers, so this is the receiver-symmetric LP (module
-    docstring).  Infeasibility, if the solver ever certifies it, is reported
-    through the result status rather than an exception.  A ``t`` that is not
-    finite raises ``ValueError``.
+    The marginal (1 - t) Gamma + t I/d has gamma_0 = 1 - t + t/d^2, the same
+    on both receivers, so this is the receiver-symmetric LP with the floor
+    |gamma_0|, and the lift pins gamma to it.  For gamma_0 < 0 the block is
+    J2 and nu = 2v + 1, the mirrored branch of the module docstring.  A
+    ``t`` that is not finite raises ``ValueError``.
     """
     if not math.isfinite(t):
         raise ValueError(f"noise t={t!r} is not a finite number")
     _check_dim(d)
     gamma = 1.0 - t + t / (d * d)
-    problem = _covariant_problem(d, [(gamma, gamma)] * 2)
-    sol = solve(problem, config or DEFAULT_CONFIG)
-    return _finish(problem, sol, d, t=t)
+    return _overhead(d, [abs(gamma)] * 2, config, t=t, pin=abs(gamma), mirrored=gamma < 0.0)
 
 
 def min_error(gamma: float, d: int, config: SolverConfig | None = None) -> TradeoffPoint:
     """Smallest balanced marginal error under the budget (x + y)^2 <= gamma.
 
-    Solved in the depolarizing-reduced form with the error delta as a cone
-    variable tied linearly to the noise parameter, t = delta d^2/(d^2-1), and
-    the quadratic budget linearized to x + y <= sqrt(gamma) (equivalent for
-    nonnegative weights).  Both receivers carry the same error, so this is
-    the receiver-symmetric LP of the module docstring: one marginal row with
-    the shift delta, and the budget row.  The marginal (1 - t) Gamma + t I/d
-    has gamma = 1 - delta.  gamma in [0, 1) is reported as infeasible -- no
-    decomposition has x + y < 1.  A gamma that is negative or not finite
+    With both marginals at gamma_k = 1 - mu, the budget x + y <= sqrt(gamma)
+    and x - y = 1 bound the weight of the block P by (sqrt(gamma) + 1)/2, so
+    this is the receiver-symmetric LP that maximizes gamma(P) under that one
+    row, and mu = max(0, 1 - gamma*) (module docstring).  ``nu`` is that of
+    the lift, which scales P to gamma = 1 - mu: at a budget that needs no
+    error it is the exact-broadcasting cost (3d - 1)/(d + 1).
+
+    A budget in [0, 1) is decided without a solve: y >= 0 and x - y = 1 give
+    nu = x + y >= 1 > sqrt(gamma), so it is reported with the status
+    ``primal_infeasible_certificate``, NaN mu and t, and no ``nu``,
+    ``solution`` or decomposition.  A gamma that is negative or not finite
     raises ``ValueError``.
     """
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"budget gamma={gamma!r} is not a finite number >= 0")
-    problem = _covariant_problem(d, [(1.0, 1.0)] * 2, budget=gamma)
+    _check_dim(d)
+    if gamma < 1.0:
+        return TradeoffPoint(gamma=gamma, d=d, mu=math.nan, t=math.nan,
+                             status=STATUS_PRIMAL_INFEASIBLE)
+    problem = _covariant_problem(d, [1.0, 1.0], budget=gamma)
     sol = solve(problem, config or DEFAULT_CONFIG)
-    lift = functools.partial(_covariant_decomposition, sol, d)
-    mu, status, lift, cert = _outcome(problem, sol, lift, "trade-off")
-    nu = None if lift is None else sol.scalar("x") + sol.scalar("y")
+    objective, status, _, cert = _outcome(problem, sol, None, "trade-off")
+    mu, nu, lift = math.nan, None, None
+    if cert is not None:
+        mu = max(0.0, 1.0 + objective)
+        weight = float(np.vdot(_gram(d), _pinned(_block(sol), d, 1.0 - mu)).real)
+        nu = max(1.0, 2.0 * weight - 1.0)
+        lift = functools.partial(_covariant_decomposition, sol, d, 1.0 - mu)
     return TradeoffPoint(gamma=gamma, d=d, mu=mu, t=mu * d * d / (d * d - 1.0),
                          status=status, nu=nu, solution=sol, certificate=cert,
                          lift=lift)

@@ -386,7 +386,7 @@ class TestRowLabels:
         dump_problem(problem, str(path))
         comments = path.read_text().splitlines()
         labels = {label for _, _, label in problem.labels}
-        assert len(labels) == len(problem.labels) == 7
+        assert len(labels) == len(problem.labels) == 2
         for start, stop, label in problem.labels:
             assert f"# rows {start}-{stop - 1} {label}" in comments
 

@@ -324,8 +324,8 @@ class TestFailedPoints:
     """A point whose solve fails becomes a record with its status and empty
     outputs; every other row is still written and the exit code is 3."""
 
-    # at 7 iterations some points of this grid are optimal and some are not
-    ARGV = ["sweep-ab", "--dim", "2", "--grid", "3", "--max-iter", "7"]
+    # at 6 iterations some points of this grid are optimal and some are not
+    ARGV = ["sweep-ab", "--dim", "2", "--grid", "3", "--max-iter", "6"]
 
     def test_sweep_writes_every_row(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

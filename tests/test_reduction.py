@@ -37,29 +37,18 @@ class Irreps:
         u1 = np.stack([np.kron(gamma, eye[k]) for k in range(d)]) / math.sqrt(d)
         u2 = u1 @ self.swap.T
         self.frames = (u1, u2)
-        self.pi_s = self._complement(+1)
-        self.pi_a = self._complement(-1)
-
-    def _complement(self, sign):
-        """I_B (x) Sym (or Anti) less the fundamental copy it contains."""
-        d = self.d
-        sym = (np.eye(d ** 3) + sign * self.swap) / 2
-        copy = self.frames[0] + sign * self.frames[1]
+        # I_B (x) Sym less the fundamental copy it contains
+        copy = u1 + u2
         copy /= np.linalg.norm(copy, axis=1, keepdims=True)
         assert np.allclose(copy @ copy.T, np.eye(d), atol=1e-12)
-        return sym - copy.T @ copy
+        self.pi_s = (np.eye(d ** 3) + self.swap) / 2 - copy.T @ copy
 
-    def lift(self, p, s, a):
-        """J of the block P on the frames plus the complements, each scaled to
+    def lift(self, p, s):
+        """J of the block P on the frames plus the weight s on Pi_S, scaled to
         trace-preserving weight 1."""
         d = self.d
         u = np.concatenate(self.frames)
-        op = u.T @ np.kron(p, np.eye(d)) @ u
-        for weight, pi in ((s, self.pi_s), (a, self.pi_a)):
-            rank = np.trace(pi).real
-            if round(rank):
-                op = op + weight * d / rank * pi
-        return op
+        return u.T @ np.kron(p, np.eye(d)) @ u + s * d / np.trace(self.pi_s).real * self.pi_s
 
     def functionals(self, op):
         """w, then gamma of each receiver's marginal, read off J."""
@@ -74,13 +63,13 @@ class Irreps:
 
 
 def _library(d):
-    return {"weight": bc._weight(d), "gamma1": bc._gamma_part(d, 1),
+    return {"weight": bc._gram(d), "gamma1": bc._gamma_part(d, 1),
             "gamma2": bc._gamma_part(d, 2)}
 
 
 def _random_point(d, rng):
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    return m @ m.conj().T, rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0) * (d >= 3)
+    return m @ m.conj().T, rng.uniform(0.1, 1.0)
 
 
 @pytest.fixture(scope="module", params=range(2, 8))
@@ -89,30 +78,29 @@ def irreps(request):
 
 
 class TestClosedForm:
-    def test_projector_ranks(self, irreps):
+    def test_projector_rank(self, irreps):
         d = irreps.d
-        for pi, rank in ((irreps.pi_s, d * (d + 2) * (d - 1) // 2),
-                         (irreps.pi_a, d * (d - 2) * (d + 1) // 2)):
-            assert np.allclose(pi @ pi, pi, atol=1e-12)
-            assert abs(np.trace(pi) - rank) <= 1e-9
+        assert np.allclose(irreps.pi_s @ irreps.pi_s, irreps.pi_s, atol=1e-12)
+        assert abs(np.trace(irreps.pi_s) - d * (d + 2) * (d - 1) // 2) <= 1e-9
 
     def test_coefficients(self, irreps):
+        # G is the weight and g_k g_k^T gamma_k on the block; the Pi_S filler
+        # has weight 1 and gamma 0 on both receivers
         d = irreps.d
-        blocks = bc._blocks(d)
-        units = {"S": irreps.lift(np.zeros((2, 2)), 1.0, 0.0),
-                 "A": irreps.lift(np.zeros((2, 2)), 0.0, 1.0)}
-        for name, coeffs in _library(d).items():
+        g = np.array([[1.0, 1.0 / d], [1.0 / d, 1.0]])
+        assert np.array_equal(bc._gram(d), g)
+        for k in (1, 2):
+            assert np.array_equal(bc._gamma_part(d, k), np.outer(g[k - 1], g[k - 1]))
+        filler = irreps.functionals(irreps.lift(np.zeros((2, 2)), 1.0))
+        for name, coeff in _library(d).items():
             # <C, E_ab> = C_ba on the matrix units of the 2 x 2 block
             for a in range(2):
                 for b in range(2):
                     unit = np.zeros((2, 2))
                     unit[a, b] = 1.0
-                    got = irreps.functionals(irreps.lift(unit, 0.0, 0.0))[name]
-                    assert abs(got - coeffs["P"][b, a]) <= 1e-12, (name, a, b)
-            for block in ("S", "A"):
-                want = coeffs.get(block, 0.0) if block in blocks else 0.0
-                got = irreps.functionals(units[block])[name]
-                assert abs(got - want) <= 1e-12, (name, block)
+                    got = irreps.functionals(irreps.lift(unit, 0.0))[name]
+                    assert abs(got - coeff[b, a]) <= 1e-12, (name, a, b)
+            assert abs(filler[name] - (name == "weight")) <= 1e-12, name
         # the weights P+, P- of the receiver-symmetric form: |+-><+-| on the
         # block is the fundamental copy in I_B (x) Sym (Anti), scaled by
         # |u_1k +- u_2k|^2 / 2 = 1 +- 1/d
@@ -124,7 +112,7 @@ class TestClosedForm:
             assert abs(scale - (1.0 + sign / d)) <= 1e-12
             assert np.allclose(want_op @ want_op, scale * want_op, atol=1e-12)
             pm = np.array([1.0, sign]) / math.sqrt(2.0)
-            lifted = bc._covariant_choi(np.outer(pm, pm), 0.0, 0.0, d)
+            lifted = bc._covariant_choi(np.outer(pm, pm), 0.0, d)
             assert np.max(np.abs(lifted - want_op)) <= 1e-12
             for name, coeffs in _library(d).items():
                 got = irreps.functionals(want_op)[name]
@@ -135,30 +123,29 @@ class TestClosedForm:
     def test_lift_matches_oracle(self, irreps):
         d = irreps.d
         rng = np.random.default_rng(100 + d)
-        p, s, a = _random_point(d, rng)
-        want = irreps.lift(p, s, a)
-        assert np.max(np.abs(bc._covariant_choi(p, s, a, d) - want)) <= 1e-12
+        p, s = _random_point(d, rng)
+        want = irreps.lift(p, s)
+        assert np.max(np.abs(bc._covariant_choi(p, s, d) - want)) <= 1e-12
 
     def test_lift_is_psd_and_covariant(self, irreps):
         d = irreps.d
         rng = np.random.default_rng(200 + d)
-        p, s, a = _random_point(d, rng)
-        j = ChoiOperator(bc._covariant_choi(p, s, a, d), d, (d, d))
+        p, s = _random_point(d, rng)
+        j = ChoiOperator(bc._covariant_choi(p, s, d), d, (d, d))
         assert np.linalg.eigvalsh(j.op)[0] >= -1e-12
         # tight PSD: a singular block gives a singular lift
         v = np.linalg.eigh(p)[1][:, 0]
-        edge = bc._covariant_choi(p - np.linalg.eigvalsh(p)[0] * np.outer(v, v.conj()),
-                                  s, a, d)
+        edge = bc._covariant_choi(p - np.linalg.eigvalsh(p)[0] * np.outer(v, v.conj()), s, d)
         assert abs(np.linalg.eigvalsh(edge)[0]) <= 1e-10
         assert check_structural_conditions(j).is_unitary_covariant
 
     def test_receiver_exchange_is_xpx(self, irreps):
         d = irreps.d
         rng = np.random.default_rng(300 + d)
-        p, s, a = _random_point(d, rng)
+        p, s = _random_point(d, rng)
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        swapped = permute_subsystems(bc._covariant_choi(p, s, a, d), (d, d, d), (0, 2, 1))
-        assert np.max(np.abs(swapped - bc._covariant_choi(x @ p @ x, s, a, d))) <= 1e-12
+        swapped = permute_subsystems(bc._covariant_choi(p, s, d), (d, d, d), (0, 2, 1))
+        assert np.max(np.abs(swapped - bc._covariant_choi(x @ p @ x, s, d))) <= 1e-12
 
     def test_unit_difference_has_depolarizing_marginals(self, irreps):
         # the identity the error-ball rows rest on: when w(J1 - J2) = 1, the

@@ -19,42 +19,34 @@ from vbroadcast.sdp import solver
 from vbroadcast.sdp.solver import record_solves, solve
 
 
-def fresh_covariant(d, ranges, budget=None):
+def fresh_covariant(d, floors, budget=None):
     """The covariant problem as the builder writes it, right-hand sides
-    included, with nothing cached.  Equal ranges pose the receiver-symmetric
-    LP: the weights P+, P- of |+>, |-> instead of P, and one marginal row or
-    range for both receivers."""
-    symmetric = ranges[0] == ranges[1]
-    if symmetric:
-        ranges = ranges[:1]
-    form = bc._twirled if symmetric else dict
+    included, with nothing cached: the 2 x 2 block P, or for equal floors
+    the weights P+, P- of |+>, |-> and one floor row for both receivers."""
+    if floors[0] == floors[1]:
+        floors = floors[:1]
+    symmetric = len(floors) == 1
     builder = ProblemBuilder()
-    for j in (1, 2):
-        for name, dim in bc._blocks(d, symmetric).items():
-            builder.add_psd_block(f"{name}{j}", dim)
-    builder.add_scalar("x")
-    builder.add_scalar("y")
-    shift = {}
-    if budget is None:
-        builder.minimize({"x": 1.0, "y": 1.0})
+    if symmetric:
+        builder.add_scalar("P+")
+        builder.add_scalar("P-")
     else:
-        shift = {builder.add_scalar("delta"): 1.0}
-        builder.minimize(shift)
-    weight = form(bc._weight(d))
-    builder.add_scalar_eq({**bc._on(weight, 1, d), "x": -1.0}, 0.0, label="weight1")
-    builder.add_scalar_eq({**bc._on(weight, 2, d), "y": -1.0}, 0.0, label="weight2")
-    builder.add_scalar_eq({"x": 1.0, "y": -1.0}, 1.0, label="unit_difference")
-    for k, (low, high) in enumerate(ranges, start=1):
-        gamma = {**bc._of_difference(form(bc._gamma_part(d, k)), d), **shift}
-        row = "marginal" if symmetric else f"marginal{k}"
-        if low == high:
-            builder.add_scalar_eq(gamma, low, label=row)
-        else:
-            builder.add_scalar_ineq({name: -v for name, v in gamma.items()}, -low,
-                                    label=f"{row}_low")
-            builder.add_scalar_ineq(gamma, high, label=f"{row}_high")
-    if budget is not None:
-        builder.add_scalar_ineq({"x": 1.0, "y": 1.0}, math.sqrt(budget), label="budget")
+        builder.add_psd_block("P", 2)
+
+    def form(coeff):
+        return bc._twirled(coeff) if symmetric else {"P": coeff}
+
+    gammas = [form(bc._gamma_part(d, k)) for k in range(1, len(floors) + 1)]
+    if budget is None:
+        builder.minimize(form(bc._gram(d)))
+        for k, (floor, gamma) in enumerate(zip(floors, gammas), start=1):
+            builder.add_scalar_ineq({name: -v for name, v in gamma.items()}, -floor,
+                                    label="marginal" if symmetric else f"marginal{k}")
+    else:
+        mean = {name: -sum(g[name] for g in gammas) / len(gammas) for name in gammas[0]}
+        builder.minimize(mean)
+        builder.add_scalar_ineq(form(bc._gram(d)), (math.sqrt(budget) + 1.0) / 2.0,
+                                label="budget")
     return builder.build()
 
 
@@ -86,29 +78,27 @@ def assert_same_bytes(got, want):
 
 
 def covariant_cases(d, rng):
-    """(ranges, budget) of each of the four covariant kinds, and of a
+    """(floors, budget) of each of the four covariant kinds, and of a
     balanced threshold, as the entry points pose them, at seeded random
     thresholds, t and gamma."""
     thresholds = [float(rng.uniform(0.0, 1.0)), float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))]
-    ranges = [(1.0, 1.0) if t <= bc.ZERO_THRESHOLD else (1.0 - t, 1.0 + t)
-              for t in (max(thresholds), min(thresholds))]
     t = float(rng.uniform(-1.0, 1.3))
-    gamma = 1.0 - t + t / (d * d)
+    gamma = abs(1.0 - t + t / (d * d))
     delta = thresholds[0]
-    return {"exact": ([(1.0, 1.0)] * 2, None),
-            "approx": (ranges, None),
-            "balanced": ([(1.0 - delta, 1.0 + delta)] * 2, None),
-            "depolarizing": ([(gamma, gamma)] * 2, None),
-            "min_error": ([(1.0, 1.0)] * 2, float(rng.uniform(1.0, 9.0)))}
+    return {"exact": ([1.0] * 2, None),
+            "approx": ([1.0 - max(thresholds), 1.0 - min(thresholds)], None),
+            "balanced": ([1.0 - delta] * 2, None),
+            "depolarizing": ([gamma] * 2, None),
+            "min_error": ([1.0] * 2, float(rng.uniform(1.0, 9.0)))}
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_covariant_problem_equals_a_fresh_build(d):
     rng = np.random.default_rng(100 + d)
     for _ in range(3):  # later draws hit the cached structures
-        for kind, (ranges, budget) in covariant_cases(d, rng).items():
-            assert_same_bytes(bc._covariant_problem(d, ranges, budget),
-                              fresh_covariant(d, ranges, budget))
+        for kind, (floors, budget) in covariant_cases(d, rng).items():
+            assert_same_bytes(bc._covariant_problem(d, floors, budget),
+                              fresh_covariant(d, floors, budget))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)])
@@ -122,10 +112,10 @@ def test_diamond_problem_equals_a_fresh_build(dims):
 
 def test_solve_on_a_shared_structure_equals_a_fresh_solve():
     cfg = SolverConfig(tol_gap=1e-9, tol_feas=1e-9)
-    ranges = [(0.7, 1.3), (0.9, 1.1)]
+    floors = [0.7, 0.9]
     j = ChoiOperator(random_hermitian(4, np.random.default_rng(3)), 2, (2,))
-    bc._covariant_problem(2, [(0.5, 1.5), (0.6, 1.4)])  # primes the structure
-    for cached, fresh in ((bc._covariant_problem(2, ranges), fresh_covariant(2, ranges)),
+    bc._covariant_problem(2, [0.5, 0.6])  # primes the structure
+    for cached, fresh in ((bc._covariant_problem(2, floors), fresh_covariant(2, floors)),
                           (diamond.diamond_problem(j), fresh_diamond(j))):
         got, want = solve(cached, cfg), solve(fresh, cfg)
         assert (got.status, got.iterations) == (want.status, want.iterations)
@@ -134,7 +124,7 @@ def test_solve_on_a_shared_structure_equals_a_fresh_solve():
             assert got.x_blocks[name].tobytes() == x.tobytes()
 
 
-def test_grid_builds_four_structures(monkeypatch):
+def test_grid_builds_two_structures(monkeypatch):
     calls = {"dpstrf": 0, "block_rows": 0}
 
     def counted(key, fn):
@@ -153,10 +143,9 @@ def test_grid_builds_four_structures(monkeypatch):
         for a in axis:
             for b in axis:
                 bc.approx_overhead((a, b), 2, config=cfg)
-    # the symmetric LP pinned and free, then the 2 x 2 form with the larger
-    # threshold free and with both free
+    # the symmetric LP on the diagonal, the 2 x 2 form off it
     assert len(log) == 81
-    assert calls == {"dpstrf": 4, "block_rows": 4}
+    assert calls == {"dpstrf": 2, "block_rows": 2}
 
 
 ENTRY_POINTS = {
@@ -180,7 +169,7 @@ def test_cache_hit_never_skips_validation(name):
 
 
 def test_replace_gets_fresh_row_data():
-    p = bc._covariant_problem(2, [(0.8, 1.2)] * 2)
+    p = bc._covariant_problem(2, [0.8] * 2)
     solve(p)
     assert p.with_b(p.b).structure is p.structure
     q = dataclasses.replace(p, a=2.0 * p.a)
@@ -196,8 +185,8 @@ def test_replace_gets_fresh_row_data():
 def test_covariant_rows_are_dense(d):
     # a quarter or more of these entries are nonzero, in the LP and in the
     # 2 x 2 form
-    for ranges in ([(0.8, 1.2)] * 2, [(0.8, 1.2), (0.9, 1.1)]):
-        rows = solver._Rows(bc._covariant_problem(d, ranges))
+    for floors in ([0.8] * 2, [0.8, 0.9]):
+        rows = solver._Rows(bc._covariant_problem(d, floors))
         assert isinstance(rows.a_red, np.ndarray)
         assert rows.a_red_t.base is rows.a_red    # a view, not a copy
         assert all(isinstance(blk.a_block, np.ndarray) for blk in rows.blocks)
@@ -213,7 +202,7 @@ def test_diamond_rows_stay_sparse(dims):
 
 
 @pytest.mark.parametrize("problem", [
-    bc._covariant_problem(3, [(0.8, 1.2)] * 2),
+    bc._covariant_problem(3, [0.8] * 2),
     diamond.diamond_problem(ChoiOperator(
         random_hermitian(9, np.random.default_rng(6)), 3, (3,))),
 ], ids=["dense", "sparse"])
@@ -228,10 +217,10 @@ def test_reduced_rows_multiply_as_the_kept_rows(problem):
 
 
 def test_writing_into_b_leaves_the_next_call_alone():
-    ranges = [(0.8, 1.2), (1.0, 1.0)]
-    first = bc._covariant_problem(3, ranges)
+    floors = [0.8, 1.0]
+    first = bc._covariant_problem(3, floors)
     first.b[:] = 123.0
-    assert_same_bytes(bc._covariant_problem(3, ranges), fresh_covariant(3, ranges))
+    assert_same_bytes(bc._covariant_problem(3, floors), fresh_covariant(3, floors))
     j = ChoiOperator(random_hermitian(4, np.random.default_rng(5)), 2, (2,))
     first = diamond.diamond_problem(j)
     first.b[:] = 123.0
@@ -239,9 +228,9 @@ def test_writing_into_b_leaves_the_next_call_alone():
 
 
 def test_shared_rows_are_read_only():
-    p = bc._covariant_problem(2, [(0.8, 1.2)] * 2)
+    p = bc._covariant_problem(2, [0.8] * 2)
     for shared in (p.a.data, p.a.indices, p.a.indptr, p.c):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 7
-    assert_same_bytes(bc._covariant_problem(2, [(0.8, 1.2)] * 2),
-                      fresh_covariant(2, [(0.8, 1.2)] * 2))
+    assert_same_bytes(bc._covariant_problem(2, [0.8] * 2),
+                      fresh_covariant(2, [0.8] * 2))
