@@ -457,8 +457,9 @@ def approx_overhead(thresholds: ErrorThresholds | tuple[float, float], d: int,
     threshold: the LP's optimum v = 2d (1 - min(a, b))/(d + 1) is then at
     most 1, so nu = 1 is reached by a map that meets both thresholds.  That
     skips the 2 x 2 block there: its rank-one optimum has two active rows,
-    which the solver's face step rarely finishes, so it takes about twice
-    the LP's iterations.  Otherwise the SDP, on one 2 x 2 block, is posed
+    which only the Newton stage of the solver's face step finishes, and a
+    2 x 2 solve there takes 3-10 times the LP's 0.5 ms.  Otherwise the SDP,
+    on one 2 x 2 block, is posed
     with a >= b.  For a < b the exchanged
     problem (b, a) is solved and the decomposition is read with the two
     receivers exchanged, so nu(a, b) == nu(b, a) and the two share one

@@ -3,10 +3,11 @@
 The checks below recompute everything from the :class:`SdpProblem` data
 (its constraint matrix ``a``, ``b`` and ``c``) and the complex-domain
 solution blocks; nothing is taken from solver internals.  A(X) and A^*(y)
-are one product each on the one matrix, and the blocks of one dimension,
-a stack of the problem's cone, are checked together: Hermiticity,
-eigenvalues and complementarity.  All residuals are normalized by the
-natural scale of the quantity they measure.
+are one product each on the one matrix and on its transpose, kept on the
+problem's structure.  The dimension-1 blocks are checked as one vector, and
+the blocks of one dimension, a stack of the problem's cone, together:
+Hermiticity, eigenvalues and complementarity.  All residuals are normalized
+by the natural scale of the quantity they measure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..linalg import HERMITICITY_TOL, SDP_TOL
-from .problem import SdpProblem, _vec
+from .problem import SdpProblem
 from .solver import STATUS_OPTIMAL, SdpSolution
 
 # an optimal solve whose independent certificate check failed
@@ -41,24 +42,35 @@ class CertificateReport:
     details: str = ""
 
 
-def _hermitian_stacks(problem: SdpProblem, blocks: dict[str, np.ndarray],
-                      which: str) -> list[np.ndarray]:
-    """The blocks stacked by dimension (``Cone.stacked``), symmetrized.
-    A block whose asymmetry exceeds ``HERMITICITY_TOL * (1 + max|entry|)``,
-    the test of ``linalg.as_hermitian``, or that is not finite raises
-    ``ValueError``."""
-    out = []
-    for (_, names), st in zip(problem.cone.stacks, problem.cone.stacked(blocks)):
+def _cone_parts(problem: SdpProblem, blocks: dict[str, np.ndarray],
+               which: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The dimension-1 blocks as one real vector and the Hermitian blocks
+    stacked by dimension, symmetrized.  A block whose asymmetry exceeds
+    ``HERMITICITY_TOL * (1 + max|entry|)``, the test of
+    ``linalg.as_hermitian`` (for a dimension-1 block x: |Im x|), or that
+    is not finite raises ``ValueError``."""
+    cone = problem.cone
+    lin_names = cone.stacks[0][1] if cone.n_lin else []
+    hermitian = cone.stacks[1:] if cone.n_lin else cone.stacks
+    lin = np.array([np.asarray(blocks[name]).reshape(()) for name in lin_names], dtype=complex)
+    # (names, asymmetry, scale) of each stack; inf - inf makes the
+    # asymmetry of a non-finite matrix NaN, and an orthant entry's is set so
+    checks = [(lin_names, np.where(np.isfinite(lin), np.abs(lin.imag), np.nan),
+               1.0 + np.abs(lin))]
+    pairs = []
+    for _, names in hermitian:
+        st = np.stack([np.asarray(blocks[name]) for name in names])
         herm = st.conj().swapaxes(-1, -2)
-        asym = np.abs(st - herm).max(axis=(1, 2))
-        scale = 1.0 + np.abs(st).max(axis=(1, 2))
+        checks.append((names, np.abs(st - herm).max(axis=(1, 2)),
+                       1.0 + np.abs(st).max(axis=(1, 2))))
+        pairs.append((st, herm))
+    for names, asym, scale in checks:
         bad = np.flatnonzero(~(asym <= HERMITICITY_TOL * scale))
         if bad.size:
             k = bad[0]
             raise ValueError(f"{which} block {names[k]!r} is not Hermitian: asymmetry "
                              f"{asym[k]:.3e} exceeds {HERMITICITY_TOL:.1e} * {scale[k]:.3e}")
-        out.append(0.5 * (st + herm))
-    return out
+    return lin.real, [0.5 * (st + herm) for st, herm in pairs]
 
 
 def check_certificate(problem: SdpProblem, solution: SdpSolution) -> CertificateReport:
@@ -68,11 +80,10 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution) -> Certificate
     (1e-6) and every block eigenvalue at least ``-SDP_TOL``.  A block that is
     not Hermitian raises ``ValueError``.
     """
-    x_st = _hermitian_stacks(problem, solution.x_blocks, "X")
-    s_st = _hermitian_stacks(problem, solution.s_blocks, "S")
-    xv = np.concatenate([_vec(st).ravel() for st in x_st])
-    sv = np.concatenate([_vec(st).ravel() for st in s_st])
+    x_lin, x_st = _cone_parts(problem, solution.x_blocks, "X")
+    s_lin, s_st = _cone_parts(problem, solution.s_blocks, "S")
     cone = problem.cone
+    xv, sv = cone.vec(x_lin, x_st), cone.vec(s_lin, s_st)
 
     def per_block(v):
         """``v`` as one (k, n^2) array of block coordinates per stack."""
@@ -85,7 +96,7 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution) -> Certificate
     worst_row = problem.row_label(int(np.argmax(resid))) if resid.size else ""
 
     dres = max(float(np.max(np.linalg.norm(rk, axis=1) / (1.0 + np.linalg.norm(ck, axis=1))))
-               for rk, ck in zip(per_block(c - problem.a.T @ solution.y - sv), per_block(c)))
+               for rk, ck in zip(per_block(c - problem.a_t @ solution.y - sv), per_block(c)))
 
     pobj = float(c @ xv)
     dobj = float(b @ solution.y)
@@ -93,8 +104,9 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution) -> Certificate
     gap = abs(pobj - dobj) / scale
 
     compl = sum(float(np.abs(p.sum(axis=1)).sum()) for p in per_block(xv * sv)) / scale
-    min_x = min(float(np.linalg.eigvalsh(st)[:, 0].min()) for st in x_st)
-    min_s = min(float(np.linalg.eigvalsh(st)[:, 0].min()) for st in s_st)
+    min_x, min_s = (min([float(lin.min(initial=np.inf))]
+                        + [float(np.linalg.eigvalsh(st)[:, 0].min()) for st in stacks])
+                    for lin, stacks in ((x_lin, x_st), (s_lin, s_st)))
 
     if solution.status != STATUS_OPTIMAL:
         return CertificateReport(

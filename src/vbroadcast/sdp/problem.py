@@ -95,13 +95,16 @@ class Cone:
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """A vector as ``(lin, stacks)``: the orthant's entries and one
-        ``(k, n, n)`` array of Hermitian matrices per Hermitian stack."""
-        return v[:self.n_lin], [_mat(v[lo:hi].reshape(k, n * n))
-                                for n, k, lo, hi in self._mats]
+        ``(k, n, n)`` array of Hermitian matrices per Hermitian stack.  Leading
+        axes of ``v`` are kept: vectors along its last axis."""
+        lead = v.shape[:-1]
+        return v[..., :self.n_lin], [_mat(v[..., lo:hi].reshape(lead + (k, n * n)))
+                                     for n, k, lo, hi in self._mats]
 
     def vec(self, lin: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
         """The inverse of :meth:`split`."""
-        return np.concatenate([lin] + [_vec(m).ravel() for m in stacks])
+        return np.concatenate([lin] + [_vec(m).reshape(m.shape[:-3] + (-1,)) for m in stacks],
+                              axis=-1)
 
     def blocks(self, v: np.ndarray) -> dict[str, np.ndarray]:
         """The matrix of each block of a vector, by name in cone order; a
@@ -118,14 +121,16 @@ class Cone:
 
 class Structure:
     """What is computed from a problem's blocks, constraint matrix and
-    embeddings alone, never from ``b``: the ``cone``, and ``solver``, the
-    solver's presolve and block rows, which ``sdp.solver`` sets on the first
-    solve.  Problems derived by :meth:`SdpProblem.with_b` share their
+    embeddings alone, never from ``b``: the ``cone``; ``a_t``, the transpose
+    of the constraint matrix, set by :attr:`SdpProblem.a_t`; and ``solver``,
+    the solver's presolve and block rows, which ``sdp.solver`` sets on the
+    first solve.  Problems derived by :meth:`SdpProblem.with_b` share their
     origin's holder; every other problem, one made by
     ``dataclasses.replace`` included, starts with an empty one of its own."""
 
     def __init__(self, blocks: list[BlockSpec]):
         self._blocks = blocks
+        self.a_t = None
         self.solver = None
 
     @functools.cached_property
@@ -178,6 +183,13 @@ class SdpProblem:
     def cone(self) -> Cone:
         """The column layout of ``blocks``."""
         return self.structure.cone
+
+    @property
+    def a_t(self) -> sp.csr_matrix:
+        """``a.T`` in CSR, computed once per ``structure``."""
+        if self.structure.a_t is None:
+            self.structure.a_t = self.a.T.tocsr()
+        return self.structure.a_t
 
     def row_label(self, row: int) -> str:
         """The name of the constraint that row ``row`` belongs to, from the

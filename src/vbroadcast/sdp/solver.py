@@ -72,25 +72,52 @@ certificate of primal or dual infeasibility.
 Once a full step is feasible, ``STEP_FRACTION`` caps it, so the last
 iterations only cut every residual 50-fold each.  A face step replaces them,
 as OSQP's solution polishing does (Stellato et al., Math. Prog. Comp. 12,
-2020).  When the score max(pres, dres, relgap) is at most ``FACE_TRIGGER``,
-the iterate names a face: the orthant entries with x_i > s_i and, in each
-Hermitian block, the eigenvectors v of X whose eigenvalue exceeds v^H S v,
-with projector Pi.  With P(X) = Pi X Pi and M = A P A^T, built by the
-iteration's Schur code with W = Pi, the step is
+2020).  When the score max(pres, dres, relgap) is at most ``FACE_TRIGGER``
+(1e-2), the iterate names a face: the orthant entries with x_i > s_i and, in
+each Hermitian block, the r eigenvectors v of X whose eigenvalue exceeds
+v^H S v, with projector Pi and Q = I - Pi.  F(X) = Pi X Pi is the projection
+onto the face.  The step is Newton's method on the optimality conditions
+restricted to that face, which converges quadratically at a strictly
+complementary, nondegenerate optimum (Alizadeh, Haeberly and Overton,
+SIAM J. Optim. 8, 1998).  With X~ = Pi X Pi and S~ = (Q S Q)^+,
 
-    x = P x + P A^T M^+ (b - A P x),   y = y + M^+ A P (c - A^T y),
-    s = c - A^T y.
+    Off(D) = -(X~ D S~ + S~ D X~)
 
-M is singular whenever the face has fewer dimensions than there are rows, so
-M^+ is the Cholesky factor of M + ``FACE_SHIFT`` max(diag M) I, refined
-against M as above.  The step is accepted when its residuals and gap meet the
-tolerances and no eigenvalue of x or s lies below -tol_feas (1 + its largest
-coordinate); the solve then ends ``optimal`` with tau = 1 and kappa = 0.
-Otherwise the iterate is left as it was, and the next face step waits for a
-tenfold fall of the score, or a k-fold one when the step's primal residual
-missed the tolerance k-fold (that residual falls in step with the score), so
-a solve that no face step finishes runs as it would without them.  A face
-step allocates what an iteration does: M and one n x n projector per block.
+is the linearization of X S = 0 on the off-diagonal block Pi . Q, and the
+step solves for y and for xi on the face
+
+    s = c - A^T y,   x = xi + Off(s),   A x = b,   F(s) = 0.
+
+It runs in two stages.  The first is the projection onto the face, the
+whole step when no block has a rank strictly between 0 and n (every LP),
+where Off = 0:
+
+    x = F x + F A^T M^+ (b - A F x),   y = y + M^+ A F (c - A^T y),
+
+with M = A F A^T built by the iteration's Schur code with W = Pi, and M^+
+the Cholesky factor of M + ``FACE_SHIFT`` max(diag M) I refined against M
+as above.  It finishes the diamonds, the canonical maps and most LPs.  When
+it misses and some block has off-diagonal coordinates, the second stage
+couples the two sides.  It keeps the projection's y, which the face fixes
+off null(M), and corrects y on null(M) = span Z, the eigenvectors of M whose
+eigenvalue is at most the iterate's score times the largest (a face read at
+that score lifts the null eigenvalues of the optimum's M to about there):
+
+    Z^T L Z z = Z^T (b - A (F x + Off(s))),   L = -A Off A^T,   y = y + Z z,
+
+solved on the range of the PSD Z^T L Z, so that where the face does not
+determine y the iterate's y is kept.  xi then meets A x = b through the
+pseudo-inverse of M on its range.  The second stage re-reads the
+eigenvectors from x, keeping each block's rank, for at most
+``FACE_ROUNDS`` rounds; a round whose x misses A x = b or whose relative gap
+grows ends it.  A step is accepted when its residuals and gap meet
+the tolerances and no eigenvalue of x or s lies below -tol_feas (1 + its
+largest coordinate); the solve then ends ``optimal`` with tau = 1 and
+kappa = 0.  Otherwise the iterate is left as it was, and the next face step
+waits for a tenfold fall of the score, so a solve that no face step finishes
+runs as it would without them.  A face step allocates M, its eigenvectors,
+n x n matrices per block and the products A^T Z, never a matrix over all
+coordinates squared.
 ``STEP_FRACTION`` stays 0.98: at 0.999 the 9 x 9 grid of acceptance
 criterion 8 (d = 2, tol 1e-9) takes 5.43 iterations per solve instead of
 5.52, but on 2001 points (a, 0), a in [1e-9, 1 - 1/d^2], at d = 3 and tol
@@ -148,10 +175,13 @@ MAX_ROWS = 6000
 MAX_BLOCK_DIM = 256
 # score max(pres, dres, relgap) from which face steps are tried (see the
 # module docstring)
-FACE_TRIGGER = 1e-3
+FACE_TRIGGER = 1e-2
 # diagonal shift of the face step's Schur complement, relative to its largest
-# diagonal entry
+# diagonal entry; its Newton stage counts eigenvalues up to this relative size
+# as 0
 FACE_SHIFT = 1e-10
+# Newton rounds of one face step, each on the eigenvectors the last one left
+FACE_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -501,54 +531,185 @@ def _max_step(lin: np.ndarray, linv: list[np.ndarray], d_lin: np.ndarray,
     return alpha
 
 
-def _face_step(problem: SdpProblem, rows: _Rows, b: np.ndarray, iterate: tuple,
-               metrics, cfg: SolverConfig):
-    """The face step of the module docstring from ``iterate`` = (x, s, y,
-    tau, kappa): the iterate (x, s, y, 1, 0) on the face that ``iterate``
-    names when it passes the acceptance test, else None; and the step's
-    primal residual over the tolerance, when its Schur complement could be
-    factored (else 1)."""
-    cone, c, a_red, a_red_t = problem.cone, problem.c, rows.a_red, rows.a_red_t
-    xv, sv, y, tau, _ = iterate
-    x_lin, x_st = cone.split(xv)
-    s_lin, s_st = cone.split(sv)
-    on_lin = (x_lin > s_lin).astype(float)
-    proj = []
-    for xk, sk in zip(x_st, s_st):
-        lam, v = np.linalg.eigh(xk)
-        vsv = np.einsum("kij,kij->kj", v.conj(), sk @ v).real
-        proj.append((v * (lam > vsv)[:, None, :]) @ _herm(v))
+class _Face:
+    """The face that a primal-dual point (x, s) names (module docstring): the
+    orthant entries ``on_lin`` and, per Hermitian stack, the eigenvectors
+    ``v`` of X flagged in ``masks``, with projector Pi, X~ = Pi X Pi and
+    S~ = (Q S Q)^+ for Q = I - Pi.  ``eigs`` holds (eigenvalues, v) of each
+    X stack and ``s_st`` the S stacks."""
 
-    def face(vec):
-        lin, stacks = cone.split(vec)
-        return cone.vec(on_lin * lin, [p @ mm @ p for p, mm in zip(proj, stacks)])
+    def __init__(self, cone, on_lin, eigs, masks, s_st):
+        self.cone, self.on_lin = cone, on_lin
+        self._parts = list(zip(eigs, masks, s_st))
+        self.proj = [(v * on[:, None, :]) @ _herm(v) for (_, v), on, _ in self._parts]
 
-    schur = _schur(rows.a_lin, on_lin, rows.blocks, [p for ps in proj for p in ps])[rows.keep_ix]
-    shift = FACE_SHIFT * float(schur.diagonal().max(initial=0.0))
-    try:
-        chol = np.linalg.cholesky(schur + shift * np.eye(len(schur)))
-    except np.linalg.LinAlgError:
-        return None, 1.0
-    x_face = face(xv / tau)
-    x_face = x_face + face(a_red_t @ _schur_solve(schur, chol, b - a_red @ x_face))
-    # most rejected steps fail here, and the dual side is not needed then
-    miss = _norm(a_red @ x_face - b) / (cfg.tol_feas * (1.0 + _norm(b)))
-    if not miss <= 1.0:
-        return None, miss
-    y_face = y / tau
-    y_face = y_face + _schur_solve(schur, chol, a_red @ face(c - a_red_t @ y_face))
-    s_face = c - a_red_t @ y_face
-    pres, dres, relgap, *_ = metrics(x_face, s_face, y_face, 1.0)
+    def __call__(self, vec):
+        """F, the projection onto the face, along the last axis of ``vec``."""
+        return self.project(*self.cone.split(vec))
+
+    def project(self, lin, stacks):
+        """F on a vector split by the cone."""
+        return self.cone.vec(self.on_lin * lin, [p @ mm @ p for p, mm in zip(self.proj, stacks)])
+
+    @functools.cached_property
+    def _off_factors(self) -> list:
+        """(X~, S~) of each stack; (Q S Q)^+ inverts, in the eigenbasis of X,
+        the off-face block, with the identity standing in on the face."""
+        out = []
+        for (lam, v), on, sk in self._parts:
+            vh = _herm(v)
+            off = ~on[:, :, None] & ~on[:, None, :]
+            inner = np.where(off, vh @ sk @ v, np.eye(on.shape[1]))
+            out.append(((v * (lam * on)[:, None, :]) @ vh,
+                        v @ np.where(off, np.linalg.inv(inner), 0.0) @ vh))
+        return out
+
+    def off(self, vec):
+        """Off(D) = -(X~ D S~ + S~ D X~), along the last axis of ``vec``."""
+        lin, stacks = self.cone.split(vec)
+        offs = []
+        for (xt, st), mm in zip(self._off_factors, stacks):
+            half = xt @ mm @ st
+            offs.append(-(half + _herm(half)))
+        return self.cone.vec(np.zeros_like(lin), offs)
+
+    def schur(self, rows: _Rows) -> np.ndarray:
+        """M = A F A^T on the kept rows, by the iteration's Schur code with W = Pi."""
+        return _schur(rows.a_lin, self.on_lin, rows.blocks,
+                      [p for ps in self.proj for p in ps])[rows.keep_ix]
+
+
+def _metrics(rows: _Rows, b: np.ndarray, c: np.ndarray, x, s, y):
+    """(pres, dres, relgap, pobj, dobj) of the point (x, s, y) on the kept
+    rows: the residuals relative to 1 + |b| and 1 + |c|, and the gap relative
+    to 1 + |pobj| + |dobj|."""
+    pres = _norm(rows.a_red @ x - b) / (1.0 + _norm(b))
+    dres = _norm(rows.a_red_t @ y + s - c) / (1.0 + _norm(c))
+    pobj, dobj = float(c @ x), float(b @ y)
+    return pres, dres, abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)), pobj, dobj
+
+
+def _accepted(cone, x, s, metrics: tuple, cfg: SolverConfig) -> bool:
+    """The face step's acceptance test of (x, s) with the ``_metrics``
+    ``metrics``: residuals and gap within the tolerances, and no eigenvalue
+    of x or s below -tol_feas (1 + its largest coordinate)."""
+    pres, dres, relgap, *_ = metrics
     if not (pres <= cfg.tol_feas and dres <= cfg.tol_feas and relgap <= cfg.tol_gap):
-        return None, miss
-    for vec in (x_face, s_face):
+        return False
+    for vec in (x, s):
         lin, stacks = cone.split(vec)
         floor = -cfg.tol_feas * (1.0 + float(np.max(np.abs(vec), initial=0.0)))
         lowest = min([float(lin.min(initial=np.inf))]
                      + [float(np.linalg.eigvalsh(st)[:, 0].min()) for st in stacks])
         if not lowest >= floor:
-            return None, miss
-    return (x_face, s_face, y_face, 1.0, 0.0), miss
+            return False
+    return True
+
+
+def _pseudo_inverse(m: np.ndarray, cutoff: float):
+    """The eigenvectors of the symmetric PSD ``m`` on its range and the
+    inverses of their eigenvalues, and the eigenvectors of its null space:
+    eigenvalues up to ``cutoff`` times the largest count as 0."""
+    lam, u = np.linalg.eigh(m)
+    keep = lam > cutoff * max(float(lam[-1]), 0.0) if lam.size else lam > 0
+    return u[:, keep], 1.0 / lam[keep], u[:, ~keep]
+
+
+def _newton_round(face: _Face, schur: np.ndarray, rows: _Rows, b: np.ndarray, c: np.ndarray,
+                  fx, fs, y, score: float):
+    """One Newton step on the KKT system of ``face`` (module docstring), whose
+    M is ``schur``, from y, with fx and fs the face parts of x and of
+    c - A^T y and ``score`` that of the iterate the face was first read from;
+    returns (x, s, y)."""
+    a_red, a_red_t = rows.a_red, rows.a_red_t
+    range_m, inv_m, null_m = _pseudo_inverse(schur, max(score, FACE_SHIFT))
+
+    def m_plus(r):
+        return range_m @ ((range_m.T @ r) * inv_m)
+
+    # the projection's dual step, which keeps y on null(M) ...
+    y = y + m_plus(a_red @ fs)
+    s = c - a_red_t @ y
+    offs = face.off(np.vstack([s, np.asarray(a_red_t @ null_m).T]))
+    off_s = offs[0]
+    if null_m.shape[1]:
+        # ... then the correction on null(M) that the rows of A x = b
+        # through Off decide: Z^T L Z z = Z^T (b - A (F x + Off(s))),
+        # L = -A Off A^T
+        off_null = offs[1:]
+        l_null = null_m.T @ -(a_red @ off_null.T)
+        basis, inv_l, _ = _pseudo_inverse(0.5 * (l_null + l_null.T), FACE_SHIFT)
+        rhs = null_m.T @ (b - a_red @ (fx + off_s))
+        z = basis @ ((basis.T @ rhs) * inv_l)
+        y = y + null_m @ z
+        s = c - a_red_t @ y
+        off_s = off_s - z @ off_null
+    xi = fx + face(a_red_t @ m_plus(b - a_red @ (fx + off_s)))
+    return xi + off_s, s, y
+
+
+def _face_step(problem: SdpProblem, rows: _Rows, b: np.ndarray, iterate: tuple,
+               score: float, cfg: SolverConfig):
+    """The face step of the module docstring from ``iterate`` = (x, s, y,
+    tau, kappa) of score max(pres, dres, relgap) ``score``: the iterate
+    (x, s, y, 1, 0) on the face that ``iterate`` names when one of its stages
+    passes the acceptance test, else None."""
+    cone, c, a_red, a_red_t = problem.cone, problem.c, rows.a_red, rows.a_red_t
+    xv, sv, y, tau, _ = iterate
+    x, y = xv / tau, y / tau
+    (x_lin, s_lin), stacks = cone.split(np.stack([x, sv / tau]))
+    on_lin = (x_lin > s_lin).astype(float)
+    eigs = [np.linalg.eigh(st[0]) for st in stacks]
+    masks = [lam > np.einsum("kij,kij->kj", v.conj(), st[1] @ v).real
+             for (lam, v), st in zip(eigs, stacks)]
+    face = _Face(cone, on_lin, eigs, masks, [st[1] for st in stacks])
+    schur = face.schur(rows)
+    fx, fs = face(np.stack([x, c - a_red_t @ y]))
+
+    # stage 1: the projection onto the face
+    shift = FACE_SHIFT * float(schur.diagonal().max(initial=0.0)) or 1.0
+    try:
+        chol = np.linalg.cholesky(schur + shift * np.eye(len(schur)))
+    except np.linalg.LinAlgError:
+        return None
+    x_face = fx + face(a_red_t @ _schur_solve(schur, chol, b - a_red @ fx))
+    # most rejected projections fail here, and the dual side is not needed then
+    if _norm(a_red @ x_face - b) <= cfg.tol_feas * (1.0 + _norm(b)):
+        y_face = y + _schur_solve(schur, chol, a_red @ fs)
+        s_face = c - a_red_t @ y_face
+        if _accepted(cone, x_face, s_face, _metrics(rows, b, c, x_face, s_face, y_face), cfg):
+            return x_face, s_face, y_face, 1.0, 0.0
+
+    # stage 2: Newton on the face's KKT system, when a block has
+    # off-diagonal coordinates
+    ranks = [on.sum(axis=1, keepdims=True) for on in masks]
+    if not any(np.any((r > 0) & (r < on.shape[1])) for r, on in zip(ranks, masks)):
+        return None
+    gap = np.inf
+    try:
+        for round_ in range(FACE_ROUNDS):
+            if round_:
+                # re-read the eigenvectors from x, keeping each block's rank
+                lins, stacks = cone.split(np.stack([x, s]))
+                eigs = [np.linalg.eigh(st[0]) for st in stacks]
+                masks = [np.arange(on.shape[1]) >= on.shape[1] - r
+                         for on, r in zip(masks, ranks)]
+                face = _Face(cone, on_lin, eigs, masks, [st[1] for st in stacks])
+                schur = face.schur(rows)
+                fx, fs = face.project(lins, stacks)
+            x, s, y = _newton_round(face, schur, rows, b, c, fx, fs, y, score)
+            metrics = _metrics(rows, b, c, x, s, y)
+            # a round solves A x = b to rounding unless the face cannot meet
+            # the rows, and does not widen the gap unless it diverges: no
+            # later round would pass then
+            if not (metrics[0] <= cfg.tol_feas and metrics[2] <= gap):
+                break
+            gap = metrics[2]
+            if _accepted(cone, x, s, metrics, cfg):
+                return x, s, y, 1.0, 0.0
+    except np.linalg.LinAlgError:
+        pass
+    return None
 
 
 def _hsd_solve(problem: SdpProblem, rows: _Rows, cfg: SolverConfig):
@@ -575,11 +736,7 @@ def _hsd_solve(problem: SdpProblem, rows: _Rows, cfg: SolverConfig):
     face_at, face_steps, face_accepted = FACE_TRIGGER, 0, False
 
     def current_metrics(xv, sv, yv, tau_v):
-        xhat, shat, yhat = xv / tau_v, sv / tau_v, yv / tau_v
-        pres = _norm(a_red @ xhat - b) / (1.0 + norm_b)
-        dres = _norm(a_red_t @ yhat + shat - c) / (1.0 + norm_c)
-        pobj, dobj = float(c @ xhat), float(b @ yhat)
-        return pres, dres, abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)), pobj, dobj
+        return _metrics(rows, b, c, xv / tau_v, sv / tau_v, yv / tau_v)
 
     status = STATUS_MAX_ITER
     note = ""
@@ -600,11 +757,8 @@ def _hsd_solve(problem: SdpProblem, rows: _Rows, cfg: SolverConfig):
             break
         if score <= face_at:
             face_steps += 1
-            polished, miss = _face_step(problem, rows, b, (xv, sv, y, tau, kappa),
-                                        current_metrics, cfg)
-            # a face step's primal residual falls with the score, so one that
-            # misses the tolerance k-fold waits for a k-fold fall
-            face_at = score / max(10.0, miss)
+            polished = _face_step(problem, rows, b, (xv, sv, y, tau, kappa), score, cfg)
+            face_at = score / 10.0
             if polished is not None:
                 status, best, face_accepted = STATUS_OPTIMAL, polished, True
                 note = "finished by a face step"

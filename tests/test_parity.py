@@ -127,3 +127,21 @@ def test_face_steps_counted_in_each_file():
     assert lines[3] == "solves finished by a face step: n/a -> 1/2 (3 tried)"
     lines, _ = parity.compare(after, dict(after))
     assert lines[3] == "solves finished by a face step: 1/2 (3 tried) -> 1/2 (3 tried)"
+
+
+def test_families_total_iterations_and_time():
+    before = {"knee-2": record(iterations=13) | {"seconds": 0.004},
+              "knee-3": record(iterations=12) | {"seconds": 0.003},
+              "map-a": record(iterations=5), "a": record()}
+    after = {"knee-2": record(iterations=5) | {"seconds": 0.002},
+             "knee-3": record(iterations=6) | {"seconds": 0.001},
+             "map-a": record(iterations=4) | {"seconds": 0.25}, "a": record()}
+    lines, same = parity.compare(before, after)
+    assert same
+    # after the face-step line, one line per family that has solves; "a"
+    # belongs to none
+    assert lines[4:6] == ["knee (2 solves): iterations 25 -> 11, time 0.0070 s -> 0.0030 s",
+                          "map (1 solves): iterations 5 -> 4, time n/a -> 0.2500 s"]
+    assert lines[6].startswith("statuses:")
+    # report only: a family that got slower leaves the verdict alone
+    assert parity.compare(after, before)[1]

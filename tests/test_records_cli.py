@@ -324,8 +324,10 @@ class TestFailedPoints:
     """A point whose solve fails becomes a record with its status and empty
     outputs; every other row is still written and the exit code is 3."""
 
-    # at 6 iterations some points of this grid are optimal and some are not
-    ARGV = ["sweep-ab", "--dim", "2", "--grid", "3", "--max-iter", "6"]
+    # every point of this grid is optimal within 3 iterations at the default
+    # tolerance; at 1e-12 and a cap of 3, seven are and (0, 1), (1, 0) are not
+    ARGV = ["sweep-ab", "--dim", "2", "--grid", "3", "--tol-gap", "1e-12",
+            "--tol-feas", "1e-12", "--max-iter", "3"]
 
     def test_sweep_writes_every_row(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

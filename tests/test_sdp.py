@@ -316,6 +316,33 @@ class TestCertificates:
         with pytest.raises(ValueError, match="not Hermitian"):
             check_certificate(p, sol)
 
+    @staticmethod
+    def lp():
+        """min u + 2v s.t. u + v >= 1, posed with one slack: an LP whose
+        optimum u = 1, v = 0 has the slack at 0."""
+        b = ProblemBuilder()
+        b.add_scalar("u")
+        b.add_scalar("v")
+        b.minimize({"u": 1.0, "v": 2.0})
+        slack = b.add_scalar_ineq({"u": -1.0, "v": -1.0}, -1.0)
+        p = b.build()
+        sol = solve(p)
+        assert sol.status == "optimal" and check_certificate(p, sol).passed is True
+        return p, sol, slack
+
+    def test_negative_lp_slack_fails(self):
+        p, sol, slack = self.lp()
+        sol.x_blocks = {**sol.x_blocks, slack: np.array([[-1e-3 + 0j]])}
+        rep = check_certificate(p, sol)
+        assert rep.passed is False
+        assert rep.min_eig_x == pytest.approx(-1e-3)
+
+    def test_complex_scalar_block_raises(self):
+        p, sol, _ = self.lp()
+        sol.x_blocks = {**sol.x_blocks, "u": sol.x_blocks["u"] + 1e-8j}
+        with pytest.raises(ValueError, match="'u' is not Hermitian"):
+            check_certificate(p, sol)
+
     def test_max_iterations_reports_no_verdict(self):
         rng = np.random.default_rng(34)
         p = make_trace_one_problem(random_hermitian(4, rng))

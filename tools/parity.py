@@ -25,8 +25,9 @@ with the status and iteration count of its last SDP solution and no value.
 Each record also holds two sha256 fingerprints of that last SDP: ``problem``
 over the constraint matrix (``a.indptr``, ``a.indices``, ``a.data``), ``b``,
 ``c`` and the row labels, and ``iterate`` over the solution's ``y`` and its
-X blocks.  It also holds the solver's ``face_steps`` (face steps tried) and
-``face_accepted`` (whether one finished the solve).
+X blocks.  It also holds the solver's ``face_steps`` (face steps tried),
+``face_accepted`` (whether one finished the solve) and ``seconds`` (the
+solve's wall time).
 
 ``compare`` prints the largest |value difference| over solves with a value
 in both files (and the solve it is at, when it is not 0), every status
@@ -37,8 +38,11 @@ in both.  After the value line it counts the solves whose problems, and
 whose iterates, are byte-identical in the two files; a solve without
 fingerprints in either file counts as "n/a".  Next it counts, in each file,
 the solves that a face step finished and the face steps tried ("n/a" for a
-file recorded before the solver took face steps).  It exits 1 when the two
-files hold different solve sets or any status differs, else 0.
+file recorded before the solver took face steps).  Then, for each family of
+solves (``FAMILIES``, the key's prefix), it prints the iteration and time
+totals before -> after ("n/a" for a file without times); these lines are
+reported only.  It exits 1 when the two files hold different solve sets or
+any status differs, else 0.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ import sys
 from pathlib import Path
 
 TOL = 1e-9
+FAMILIES = ("exact", "min-error", "approx", "grid", "depolarizing", "point", "knee",
+            "diamond", "map")
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -153,6 +159,7 @@ def run(src: str) -> dict:
                     "iterations": solution.iterations,
                     "face_steps": solution.diagnostics.get("face_steps"),
                     "face_accepted": solution.diagnostics.get("face_accepted"),
+                    "seconds": solution.diagnostics.get("seconds"),
                     **fingerprints(problem, solution)}
     return out
 
@@ -165,6 +172,14 @@ def _face_count(records: dict, keys: list[str]) -> str:
     accepted = sum(bool(records[k]["face_accepted"]) for k in keys)
     tried = sum(records[k]["face_steps"] for k in keys)
     return f"{accepted}/{len(keys)} ({tried} tried)"
+
+
+def _family_totals(records: dict, keys: list[str]) -> tuple[int, str]:
+    """The iterations and the seconds, "n/a" unless every record holds
+    them, summed over the solves ``keys``."""
+    seconds = [records[k].get("seconds") for k in keys]
+    time = "n/a" if None in seconds else f"{sum(seconds):.4f} s"
+    return sum(records[k]["iterations"] for k in keys), time
 
 
 def compare(before: dict, after: dict) -> tuple[list[str], bool]:
@@ -188,6 +203,13 @@ def compare(before: dict, after: dict) -> tuple[list[str], bool]:
         lines.append(f"{name} identical on {count}")
     lines.append("solves finished by a face step: "
                  + " -> ".join(_face_count(f, keys) for f in (before, after)))
+    for family in FAMILIES:
+        members = [k for k in keys if k.startswith(family + "-")]
+        if members:
+            (it_b, time_b), (it_a, time_a) = (_family_totals(f, members)
+                                              for f in (before, after))
+            lines.append(f"{family} ({len(members)} solves): iterations {it_b} -> {it_a}, "
+                         f"time {time_b} -> {time_a}")
     same = [k for k in keys if before[k]["status"] == after[k]["status"]]
     changed = [k for k in keys if k not in same]
     for k in changed:
