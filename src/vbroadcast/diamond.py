@@ -162,15 +162,14 @@ def lower_bound_by_states(j_phi: ChoiOperator, samples: int = DEFAULT_SAMPLES,
     with T = Tr_out |J| from one ``eigh`` of J.  A sampled candidate whose
     bound does not exceed the maximally entangled value by more than a
     relative 1e-12 cannot raise the maximum by more than that margin and is
-    skipped; for a covariant map T is a multiple of I, the bound equals that
-    value, and every sample is skipped.
+    skipped.  Every unit candidate's bound is at most lambda_max(T), so when
+    that is within the same margin of the maximally entangled value no state
+    is drawn at all; for a covariant map T is a multiple of I and this is the
+    case.
     """
     samples = _check_samples(samples)
     d = j_phi.in_dim
     dd = d * d
-    units = haar_unitary(dd, np.random.default_rng(seed), (-(-samples // dd),))
-    # the columns of successive unitaries, in order, as coefficient matrices
-    coeffs = units.swapaxes(-1, -2).reshape(-1, d, d)[:samples]
     dout = j_phi.out_dim
     jt = j_phi.op.reshape(d, dout, d, dout)
 
@@ -180,6 +179,11 @@ def lower_bound_by_states(j_phi: ChoiOperator, samples: int = DEFAULT_SAMPLES,
     best = float(trace_norms(apply_choi_with_ancilla(j_phi, max_entangled_state(d), d)))
     w, v = np.linalg.eigh(j_phi.op)
     abs_t = np.einsum("bxcx->bc", ((v * np.abs(w)) @ v.conj().T).reshape(jt.shape))
+    if np.linalg.eigvalsh(abs_t)[-1] <= best * (1.0 + 1e-12):
+        return 0.5 * best
+    units = haar_unitary(dd, np.random.default_rng(seed), (-(-samples // dd),))
+    # the columns of successive unitaries, in order, as coefficient matrices
+    coeffs = units.swapaxes(-1, -2).reshape(-1, d, d)[:samples]
     bound = np.einsum("bc,sba,sca->s", abs_t, coeffs, coeffs.conj()).real
     kept = coeffs[bound > best * (1.0 + 1e-12)]
     if len(kept):

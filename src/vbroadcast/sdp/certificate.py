@@ -3,8 +3,8 @@
 The checks below recompute everything from the :class:`SdpProblem` data
 (its constraint matrix ``a``, ``b`` and ``c``) and the complex-domain
 solution blocks; nothing is taken from solver internals.  A(X) and A^*(y)
-are one product each on the one matrix and on its transpose, kept on the
-problem's structure.  The dimension-1 blocks are checked as one vector, and
+are one product each on the one matrix and on its transpose, which the
+matrix computes once.  The dimension-1 blocks are checked as one vector, and
 the blocks of one dimension, a stack of the problem's cone, together:
 Hermiticity, eigenvalues and complementarity.  All residuals are normalized
 by the natural scale of the quantity they measure.
@@ -96,7 +96,7 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution) -> Certificate
     worst_row = problem.row_label(int(np.argmax(resid))) if resid.size else ""
 
     dres = max(float(np.max(np.linalg.norm(rk, axis=1) / (1.0 + np.linalg.norm(ck, axis=1))))
-               for rk, ck in zip(per_block(c - problem.a_t @ solution.y - sv), per_block(c)))
+               for rk, ck in zip(per_block(c - problem.a.T @ solution.y - sv), per_block(c)))
 
     pobj = float(c @ xv)
     dobj = float(b @ solution.y)

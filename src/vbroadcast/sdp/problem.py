@@ -13,8 +13,11 @@ Every coefficient is stored once, as its coordinates vec(A) = Re A + Im A
 E_pq = ((1 + i)|p><q| + (1 - i)|q><p|) / 2 of its block's Hermitian space.
 The constraints are one sparse m x N matrix ``a`` and the objective one
 length-N vector ``c`` over the concatenated cone, N = sum_k dim_k^2, as in
-SeDuMi.  The problem's :class:`Cone`, like SeDuMi's cone description K, is
-the one place the column layout is decided: block k owns the columns
+SeDuMi.  ``a`` is a :class:`~vbroadcast.sdp.csr.Csr`, the package's own
+CSR type, built from the builder's (row, column, value) triplets in the
+canonical layout that ``scipy.sparse.csr_matrix`` gives them.  The
+problem's :class:`Cone`, like SeDuMi's cone description K, is the one
+place the column layout is decided: block k owns the columns
 ``cone.columns[name]``, so <A_{i,k}, X_k> = a[i, cone.columns[name]] . vec(X_k).
 The builder places its entries with it, and the solver and the certificate
 checker split their vectors with it.
@@ -37,9 +40,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..linalg import as_hermitian
+from .csr import Csr
 
 
 @dataclass(frozen=True)
@@ -121,16 +124,14 @@ class Cone:
 
 class Structure:
     """What is computed from a problem's blocks, constraint matrix and
-    embeddings alone, never from ``b``: the ``cone``; ``a_t``, the transpose
-    of the constraint matrix, set by :attr:`SdpProblem.a_t`; and ``solver``,
-    the solver's presolve and block rows, which ``sdp.solver`` sets on the
-    first solve.  Problems derived by :meth:`SdpProblem.with_b` share their
+    embeddings alone, never from ``b``: the ``cone``, and ``solver``, the
+    solver's presolve and block rows, which ``sdp.solver`` sets on the first
+    solve.  Problems derived by :meth:`SdpProblem.with_b` share their
     origin's holder; every other problem, one made by
     ``dataclasses.replace`` included, starts with an empty one of its own."""
 
     def __init__(self, blocks: list[BlockSpec]):
         self._blocks = blocks
-        self.a_t = None
         self.solver = None
 
     @functools.cached_property
@@ -142,11 +143,12 @@ class Structure:
 class SdpProblem:
     """minimize c . x s.t. a @ x = b, X_k >= 0, where x stacks the
     coordinates vec(X_k) = Re X_k + Im X_k (see ``_vec``) of the blocks in
-    the column layout ``cone``: ``a`` is one sparse (m, N) matrix and ``c``
-    one length-N vector, N = sum_k dim_k^2."""
+    the column layout ``cone``: ``a`` is one sparse (m, N) matrix, a
+    :class:`~vbroadcast.sdp.csr.Csr`, and ``c`` one length-N vector,
+    N = sum_k dim_k^2."""
 
     blocks: list[BlockSpec]
-    a: sp.csr_matrix
+    a: Csr
     b: np.ndarray
     c: np.ndarray
     embeddings: list[Embedding] = field(default_factory=list)
@@ -183,13 +185,6 @@ class SdpProblem:
     def cone(self) -> Cone:
         """The column layout of ``blocks``."""
         return self.structure.cone
-
-    @property
-    def a_t(self) -> sp.csr_matrix:
-        """``a.T`` in CSR, computed once per ``structure``."""
-        if self.structure.a_t is None:
-            self.structure.a_t = self.a.T.tocsr()
-        return self.structure.a_t
 
     def row_label(self, row: int) -> str:
         """The name of the constraint that row ``row`` belongs to, from the
@@ -335,7 +330,8 @@ class ProblemBuilder:
 
     Coefficients are written as sparse (row, coordinate, value) entries per
     block; ``build`` moves each to its block's columns in the :class:`Cone`
-    of the declared blocks and constructs the one constraint matrix.  A nonempty ``label`` names the rows of its
+    of the declared blocks and constructs the one constraint matrix from
+    them, duplicates summed.  A nonempty ``label`` names the rows of its
     constraint; the problem keeps the names as row ranges.
     """
 
@@ -465,10 +461,10 @@ class ProblemBuilder:
         if self._a:
             names, rows, cols, vals = zip(*self._a)
             cols = [col + cone.columns[name].start for name, col in zip(names, cols)]
-            a = sp.csr_matrix((np.concatenate(vals),
-                               (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+            a = Csr.from_triplets(np.concatenate(rows), np.concatenate(cols),
+                                  np.concatenate(vals), shape)
         else:
-            a = sp.csr_matrix(shape)
+            a = Csr.from_triplets([], [], [], shape)
         c = np.zeros(shape[1])
         for name, coords in self._c.items():
             c[cone.columns[name]] = coords
@@ -501,14 +497,19 @@ def dump_problem(problem: SdpProblem, path: str) -> None:
     Row p * n + q of an operator equation is <E_pq, .> with
     E_pq = ((1 + i)|p><q| + (1 - i)|q><p|) / 2.
     """
-    def upper_entries(coords: sp.spmatrix, n: int) -> sp.coo_matrix:
+    def upper_entries(rows, coords, values, n):
+        """(row, upper index, value) of the nonzero entries with row <= col
+        of the matrices with coordinates ``values`` at (``rows``, ``coords``)."""
         # coordinate (p, q) is (1 + i)/2 at entry (p, q) and (1 - i)/2 at
         # (q, p); of these, the entry with row <= col is listed
-        p, q = np.divmod(np.arange(n * n), n)
+        p, q = np.divmod(coords, n)
         weight = np.where(p == q, 1.0, 0.5 + 0.5j * np.sign(q - p))
-        upper = np.minimum(p, q) * n + np.maximum(p, q)
-        to_upper = sp.csr_matrix((weight, (np.arange(n * n), upper)), shape=(n * n, n * n))
-        return (coords @ to_upper).tocoo()
+        keys, where = np.unique(rows * n * n + np.minimum(p, q) * n + np.maximum(p, q),
+                                return_inverse=True)
+        sums = np.zeros(keys.size, dtype=complex)
+        np.add.at(sums, where, weight * values)
+        nonzero = sums != 0
+        return (*np.divmod(keys[nonzero], n * n), sums[nonzero])
 
     con = []
     with open(path, "w") as fh:
@@ -520,12 +521,17 @@ def dump_problem(problem: SdpProblem, path: str) -> None:
             fh.write(f"block {k} {blk.name} {blk.dim}\n")
         for k, blk in enumerate(problem.blocks):
             cols = problem.cone.columns[blk.name]
-            obj = upper_entries(sp.csr_matrix(problem.c[cols]), blk.dim)
-            for f, v in zip(obj.col, obj.data):
+            coords = np.flatnonzero(problem.c[cols])
+            _, obj_col, obj_val = upper_entries(np.zeros_like(coords), coords,
+                                                problem.c[cols][coords], blk.dim)
+            for f, v in zip(obj_col, obj_val):
                 fh.write(f"obj {k} {f // blk.dim} {f % blk.dim} "
                          f"{v.real:.17g} {v.imag:.17g}\n")
-            e = upper_entries(problem.a[:, cols], blk.dim)
-            con.append((e.row, np.full(e.nnz, k), e.col // blk.dim, e.col % blk.dim, e.data))
+            part = problem.a[:, cols]
+            rows = np.repeat(np.arange(problem.n_rows), np.diff(part.indptr))
+            row, col, val = upper_entries(rows, part.indices.astype(np.int64), part.data,
+                                          blk.dim)
+            con.append((row, np.full(row.size, k), col // blk.dim, col % blk.dim, val))
         rows, ks, ii, jj, vals = (np.concatenate(x) for x in zip(*con))
         for n in np.lexsort((jj, ii, ks, rows)):
             fh.write(f"con {rows[n]} {ks[n]} {ii[n]} {jj[n]} "

@@ -21,12 +21,13 @@ the reduced problems are small enough that the calls, not the arithmetic,
 are the cost.
 
 The kept rows are stored dense when at least a quarter of their entries are
-nonzero, and in CSR otherwise; so are each Hermitian block's columns in the
-Schur build.  The symmetry-reduced problems (5-8 kept rows, at most 20
-columns, 37-50% nonzero) then multiply in one BLAS call instead of paying
-scipy's sparse dispatch, while the norm SDPs (at most 6.4% nonzero, 272 x
-513 kept rows at d = 4 and far more for the broadcasting maps) keep the
-memory and the speed of the sparse product.
+nonzero, and as the problem's :class:`~vbroadcast.sdp.csr.Csr` otherwise; so
+are each Hermitian block's columns in the Schur build.  The
+symmetry-reduced problems (1-8 kept rows, at most 20 columns, 37-50%
+nonzero) then multiply in one BLAS call, while the norm SDPs (at most 6.4%
+nonzero, 272 x 513 kept rows at d = 4 and far more for the broadcasting
+maps) keep the memory of the sparse rows and a product that touches only
+their entries.
 
 The Schur complement M_ij = Re Tr(A_i W A_j W) stays per block: it is
 assembled one block and one pair of row groups at a time (Fujisawa, Kojima
@@ -37,18 +38,28 @@ its Hermitian coordinates are Re K plus Im K with r and s exchanged, two
 strided views of the one product.  Rows with any other coefficient on a
 block are paired through W A W.
 
-M is factored with numpy's Cholesky, which runs on the same OpenBLAS as
-every other dense operation of the iteration.  scipy bundles a second
-OpenBLAS with its own thread pool, and switching between the two pools each
-iteration lets the idle, spinning threads of one take CPU from the other.
-The two triangular solves per right-hand side are BLAS-2 trsv calls, which
-start no threads.  When M is not numerically positive definite, a copy with
-a small diagonal shift is factored instead.  Each solve is then refined
+The solver runs on numpy alone, so every dense operation of an iteration
+uses one OpenBLAS and one thread pool (a second library with an OpenBLAS of
+its own, as scipy bundles, left the idle, spinning threads of one pool
+taking CPU from the other).  M is factored with numpy's Cholesky.  When M
+is not numerically positive definite, a copy with a small diagonal shift is
+factored instead.  The triangular solves are blocked substitutions
+(``_Triangular``): the diagonal blocks of ``TRIANGULAR_BLOCK`` rows are
+inverted once per factorization, O(m b^2), and a solve is one product per
+block with the inverted block and one with the part of the factor beside
+it, O(m^2) per right-hand side.  A block U D, D its diagonal, is inverted
+as D^-1 U^-1 with the unit triangular U inverted in the way of LAPACK's
+dtrtri: near an optimum the factor's ill-conditioning lies mostly in D, and
+the dense oracle's solves at the knees need that accuracy.  Each solve is then refined
 against the unshifted M while the residual norm falls, at most four passes
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12).
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12),
+and not once the residual is within ``REFINE_FLOOR`` of the rounding error
+of its own computation, where a further pass could only trade one rounding
+for another.
 
 Everything a solve computes from the rows alone -- the presolve's pivoted
-Cholesky of the row Gram matrix, the block rows of the Schur complement and
+Cholesky of the row Gram matrix (``_pivoted_cholesky``, the pivot and stop
+rule of LAPACK's dpstrf in numpy), the block rows of the Schur complement and
 the reduced constraint matrix -- is computed on the first solve of a
 problem's ``structure`` and kept there, so solves of problems that differ
 only in ``b`` (``SdpProblem.with_b``) share it.  Each solve still validates
@@ -134,10 +145,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-from scipy.linalg import blas
 
+from .csr import Csr
 from .problem import SdpProblem, _mat, _vec
 
 STATUS_OPTIMAL = "optimal"
@@ -181,7 +190,7 @@ FACE_TRIGGER = 1e-2
 # as 0
 FACE_SHIFT = 1e-10
 # Newton rounds of one face step, each on the eigenvectors the last one left
-FACE_ROUNDS = 3
+FACE_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -280,7 +289,7 @@ def _pair_block(wt: np.ndarray, dims, drop_i, drop_j) -> np.ndarray:
 DENSE_FILL = 0.25
 
 
-def _dense_if_filled(a: sp.csr_matrix) -> np.ndarray | sp.csr_matrix:
+def _dense_if_filled(a: Csr) -> np.ndarray | Csr:
     """``a`` as a dense array when at least ``DENSE_FILL`` of its entries are
     nonzero, else ``a`` itself (see the module docstring)."""
     if a.nnz >= DENSE_FILL * a.shape[0] * a.shape[1]:
@@ -300,7 +309,7 @@ class _BlockRows:
     groups: list
     mrows: np.ndarray
     hmats: np.ndarray
-    a_block: np.ndarray | sp.csr_matrix
+    a_block: np.ndarray | Csr
     mix: tuple
 
 
@@ -378,28 +387,95 @@ class _Presolve:
             return float(np.max(np.abs(b[self.dropped])))
         r = self.factor.shape[0]
         b_kept, b_dropped = b[self.pivots[:r]], b[self.pivots[r:]]
-        w = sla.solve_triangular(self.factor, b_kept, lower=True)
+        w = _Triangular(self.factor).lower_solve(b_kept)
         denom = (1.0 + np.abs(b_dropped)
                  + np.linalg.norm(self.spans, axis=1) * np.linalg.norm(w))
         return float(np.max(np.abs(b_dropped - self.spans @ w) / denom))
 
 
-def _independent_rows(a_full: sp.csr_matrix) -> _Presolve:
+# columns of the pivoted Cholesky factored between two updates of the
+# trailing matrix, the block size of LAPACK's dpstrf, and the rows of the
+# trailing matrix updated by one matrix product
+PIVOT_BLOCK = 64
+UPDATE_ROWS = 256
+
+
+def _swap(x: np.ndarray, y: np.ndarray) -> None:
+    """Exchange the entries of two views of one array that do not overlap."""
+    held = x.copy()
+    x[...] = y
+    y[...] = held
+
+
+def _pivoted_cholesky(gram: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """P^T G P = L L^T on the first r pivots, with the pivot rule and stop
+    rule of LAPACK's blocked dpstrf: pivot on the largest remaining diagonal
+    entry (the first of equal ones), stop when it is at most ``tol``, and
+    update the trailing matrix once per ``PIVOT_BLOCK`` columns.  Returns
+    (U, piv, r): the upper triangle of the first r rows of the n x n array U
+    holds L^T, so that L[:r, :r] is the factor and L[r:, :r] = U[:r, r:]^T
+    the remaining rows' coordinates on the pivots, and ``piv`` lists the rows
+    of G in pivot order.  The work is done on U, whose rows are contiguous,
+    in place of ``gram``."""
+    n = gram.shape[0]
+    a = gram
+    diag = a.reshape(-1)[::n + 1]      # a view of the diagonal
+    piv = np.arange(n)
+    work = np.zeros(n)                 # squares of the current panel's rows of U
+    for k in range(0, n, PIVOT_BLOCK):
+        end = min(k + PIVOT_BLOCK, n)
+        work[k:] = 0.0
+        for j in range(k, end):
+            if j > k:
+                work[j:] += a[j - 1, j:] ** 2
+            remaining = diag[j:] - work[j:]
+            p = j + int(np.argmax(remaining))
+            ajj = float(remaining[p - j])
+            if not ajj > (tol if j else 0.0):
+                return a, piv, j
+            if p != j:
+                a[p, p] = a[j, j]
+                _swap(a[:j, j], a[:j, p])
+                _swap(a[j, p + 1:], a[p, p + 1:])
+                _swap(a[j, j + 1:p], a[j + 1:p, p])
+                work[j], work[p] = work[p], work[j]
+                piv[j], piv[p] = piv[p], piv[j]
+            ajj = math.sqrt(ajj)
+            a[j, j] = ajj
+            if j > k:
+                a[j, j + 1:] -= a[k:j, j] @ a[k:j, j + 1:]
+            a[j, j + 1:] *= 1.0 / ajj
+        # the upper triangle of the trailing matrix, one block row at a time
+        for lo in range(end, n, UPDATE_ROWS):
+            hi = min(lo + UPDATE_ROWS, n)
+            a[lo:hi, lo:] -= a[k:end, lo:hi].T @ a[k:end, lo:]
+    return a, piv, n
+
+
+def _independent_rows(a_full: Csr) -> _Presolve:
     """Pivoted Cholesky on the row Gram matrix; rows whose pivot is below
     ``PRESOLVE_TOL`` times the largest diagonal entry are dropped."""
     if a_full.shape[0] == 0:
         return _Presolve([], [])
-    gram = (a_full @ a_full.T).toarray()
-    scale = max(float(gram.diagonal().max(initial=0.0)), 1e-300)
-    # P^T G P = L L^T on the first r pivots; the rows of L past r hold the
-    # dropped rows' coordinates on those pivots
-    lfac, piv, r, _ = sla.lapack.dpstrf(gram, tol=PRESOLVE_TOL * scale, lower=1)
-    piv -= 1
+    gram = a_full.gram()
+    tol = PRESOLVE_TOL * max(float(gram.diagonal().max(initial=0.0)), 1e-300)
+    # the pivoted factorization stops only at a Schur complement whose
+    # diagonal, and so whose smallest eigenvalue, is at most tol; no Schur
+    # complement has a smaller eigenvalue than G, so when G - tol I is
+    # positive definite every row is kept
+    shifted = gram.copy()
+    shifted.reshape(-1)[::gram.shape[0] + 1] -= tol
+    try:
+        np.linalg.cholesky(shifted)
+        return _Presolve(list(range(gram.shape[0])), [])
+    except np.linalg.LinAlgError:
+        del shifted
+    upper, piv, r = _pivoted_cholesky(gram, tol)
     perm, dropped = piv[:r], piv[r:]
     pre = _Presolve(sorted(perm.tolist()), sorted(dropped.tolist()))
     if dropped.size and r:
-        lfac = np.tril(lfac[:, :r])
-        pre.pivots, pre.factor, pre.spans = piv, lfac[:r], lfac[r:]
+        pre.pivots = piv
+        pre.factor, pre.spans = np.triu(upper[:r, :r]).T, upper[:r, r:].T.copy()
     return pre
 
 
@@ -415,8 +491,7 @@ class _Rows:
         kept = self.presolve.kept
         self.blocks = _block_rows(problem)
         self.a_red = _dense_if_filled(problem.a[kept])
-        dense = isinstance(self.a_red, np.ndarray)
-        self.a_red_t = self.a_red.T if dense else self.a_red.T.tocsr()
+        self.a_red_t = self.a_red.T
         self.a_lin = problem.a[:, :problem.cone.n_lin].toarray()
         self.keep_ix = np.ix_(kept, kept)
 
@@ -479,24 +554,128 @@ def _schur_factor(schur: np.ndarray, regularization: float) -> np.ndarray:
     raise np.linalg.LinAlgError("singular Schur complement")
 
 
-def _schur_solve(schur: np.ndarray, chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``schur @ sol = rhs`` with its (possibly shifted) Cholesky factor
-    and refine against the unshifted ``schur`` while the residual falls, at
-    most four passes (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., ch. 12).  The triangular solves are BLAS-2 trsv on
-    the Fortran-ordered view ``chol.T``, so no copy is made per call."""
+# a Schur solve stops refining at this many times the rounding error of its
+# residual (see ``_schur_solve``)
+REFINE_FLOOR = 4.0
+EPS = float(np.finfo(float).eps)
+# rows of the diagonal blocks that a triangular solve inverts, a power of two
+TRIANGULAR_BLOCK = 64
+# blocks of this size are inverted directly: the leaves of a triangular
+# inverse, and a whole factor of at most this many rows
+INVERSE_LEAF = 8
+
+
+def _diagonal_blocks(x: np.ndarray, size: int) -> np.ndarray:
+    """The diagonal size x size blocks of each matrix of the C-ordered
+    (k, n, n) stack ``x``, as a writable (k, n / size, size, size) view."""
+    k, n, _ = x.shape
+    step = x.itemsize
+    return np.ndarray((k, n // size, size, size), x.dtype, x, 0,
+                      (n * n * step, size * (n + 1) * step, n * step, step))
+
+
+def _unit_lower_inverse(x: np.ndarray) -> np.ndarray:
+    """Invert, in place, the C-ordered (k, n, n) stack ``x`` of unit lower
+    triangular matrices, n a power of two, and return it.  The diagonal
+    blocks of ``INVERSE_LEAF`` rows are inverted by substitution, one row of
+    all of them at a time; then blocks of twice the size are completed by
+    [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]], as LAPACK's
+    dtrtri blocks, all of one size in one product."""
+    n = x.shape[-1]
+    leaf = min(n, INVERSE_LEAF)
+    leaves = _diagonal_blocks(x, leaf)
+    minus = -leaves
+    for i in range(1, leaf):
+        np.matmul(minus[..., i:i + 1, :i], leaves[..., :i, :i], out=leaves[..., i:i + 1, :i])
+    size = leaf
+    while size < n:
+        pairs = _diagonal_blocks(x, 2 * size)
+        first, second = pairs[..., :size, :size], pairs[..., size:, size:]
+        corner = pairs[..., size:, :size]
+        corner[...] = -(second @ corner @ first)
+        size *= 2
+    return x
+
+
+class _Triangular:
+    """Solves with a lower triangular L by blocked substitution, O(m^2) per
+    right-hand side.  The inverse of each diagonal block of
+    ``TRIANGULAR_BLOCK`` rows is computed once, O(m b^2), as D^-1 U^-1 for
+    the block U D with D its diagonal and U unit triangular: the factors of a
+    Schur complement near an optimum are ill-conditioned mainly in D, and U^-1
+    is then far more accurate than the inverse of the whole block."""
+
+    def __init__(self, lower: np.ndarray):
+        m = lower.shape[0]
+        diag = lower.diagonal()
+        if m <= INVERSE_LEAF:
+            self.inverse = np.linalg.inv(lower / diag) / diag[:, None]
+            return
+        cuts = list(range(0, m, TRIANGULAR_BLOCK)) + [m]
+        spans = list(zip(cuts, cuts[1:]))
+        size = min(TRIANGULAR_BLOCK, 1 << (m - 1).bit_length())
+        # the diagonal blocks of U, the last one padded with the identity
+        stack = np.zeros((len(spans), size, size))
+        for blk, (lo, hi) in zip(stack, spans):
+            blk[:hi - lo, :hi - lo] = lower[lo:hi, lo:hi]
+        last = spans[-1][1] - spans[-1][0]
+        stack[-1, last:, last:] = np.eye(size - last)
+        scale = np.ones(stack.shape[:2])
+        scale.reshape(-1)[:m] = diag
+        stack /= scale[:, None, :]
+        inverses = _unit_lower_inverse(stack) / scale[:, :, None]
+        inverses = [inv[:hi - lo, :hi - lo] for inv, (lo, hi) in zip(inverses, spans)]
+        self.inverse = inverses[0] if len(spans) == 1 else None
+        # per block: its rows, its inverse and the part of L left of it
+        # (forward), or the transposes of the inverse and of the part below
+        # it (backward)
+        self._forward = [(slice(lo, hi), inv, lower[lo:hi, :lo])
+                         for (lo, hi), inv in zip(spans[1:], inverses[1:])]
+        self._backward = [(slice(lo, hi), inv.T, lower[hi:, lo:hi].T)
+                          for (lo, hi), inv in zip(spans[-2::-1], inverses[-2::-1])]
+        self._first, self._last = (spans[0], inverses[0]), (spans[-1], inverses[-1])
+
+    def lower_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """w with L w = ``rhs``, for a vector ``rhs``."""
+        if self.inverse is not None:
+            return self.inverse @ rhs
+        w = np.empty_like(rhs)
+        (lo, hi), inv = self._first
+        w[lo:hi] = inv @ rhs[lo:hi]
+        for rows, inv, left in self._forward:
+            w[rows] = inv @ (rhs[rows] - left @ w[:rows.start])
+        return w
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with L L^T x = ``rhs``, for a vector ``rhs``."""
+        if self.inverse is not None:
+            return self.inverse.T @ (self.inverse @ rhs)
+        w = self.lower_solve(rhs)
+        x = np.empty_like(w)
+        (lo, hi), inv = self._last
+        x[lo:hi] = inv.T @ w[lo:hi]
+        for rows, inv_t, below_t in self._backward:
+            x[rows] = inv_t @ (w[rows] - below_t @ x[rows.stop:])
+        return x
+
+
+def _schur_solve(schur: np.ndarray, factor: _Triangular, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``schur @ sol = rhs`` with its (possibly shifted) Cholesky
+    ``factor`` and refine against the unshifted ``schur`` while the residual
+    falls, at most four passes (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 12), unless it is already within
+    ``REFINE_FLOOR`` of the rounding error of its own computation,
+    eps (max(diag M) |sol| + |rhs|)."""
     if rhs.size == 0:
         return rhs
-    upper = chol.T
-
-    def tri_solve(v):
-        return blas.dtrsv(upper, blas.dtrsv(upper, v, trans=1))
-
-    sol = tri_solve(rhs)
+    sol = factor.solve(rhs)
     res = rhs - schur @ sol
     norm = _norm(res)
+    floor = REFINE_FLOOR * EPS * (float(schur.diagonal().max()) * _norm(sol) + _norm(rhs))
     for _ in range(4):
-        cand = sol + tri_solve(res)
+        if norm <= floor:
+            break
+        cand = sol + factor.solve(res)
         cand_res = rhs - schur @ cand
         cand_norm = _norm(cand_res)
         if not cand_norm < norm:
@@ -669,7 +848,7 @@ def _face_step(problem: SdpProblem, rows: _Rows, b: np.ndarray, iterate: tuple,
     # stage 1: the projection onto the face
     shift = FACE_SHIFT * float(schur.diagonal().max(initial=0.0)) or 1.0
     try:
-        chol = np.linalg.cholesky(schur + shift * np.eye(len(schur)))
+        chol = _Triangular(np.linalg.cholesky(schur + shift * np.eye(len(schur))))
     except np.linalg.LinAlgError:
         return None
     x_face = fx + face(a_red_t @ _schur_solve(schur, chol, b - a_red @ fx))
@@ -829,7 +1008,7 @@ def _hsd_solve(problem: SdpProblem, rows: _Rows, cfg: SolverConfig):
         cpc = float(c @ pc)
 
         try:
-            chol_m = _schur_factor(schur, SCHUR_REGULARIZATION)
+            chol_m = _Triangular(_schur_factor(schur, SCHUR_REGULARIZATION))
         except np.linalg.LinAlgError:
             status = STATUS_NUMERICAL
             note = "singular Schur complement"

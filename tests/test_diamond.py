@@ -75,6 +75,20 @@ class TestLowerBound:
             res = half_diamond_distance(phi, lower_bound_samples=64, seed=100 + k)
             assert res.lower_bound <= res.value + 1e-6
 
+    def test_covariant_maps_draw_no_state(self, monkeypatch):
+        # lambda_max(Tr_out |J|) equals the maximally entangled value for
+        # these covariant maps, so no sampled state can beat it
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a state was drawn")
+
+        monkeypatch.setattr("vbroadcast.diamond.haar_unitary", no_draw)
+        for d in (2, 3, 4):
+            phi = ChoiOperator(gamma_operator(d) - replacement_choi(d).op, d, (d,))
+            assert abs(lower_bound_by_states(phi) - (1 - 1 / d ** 2)) <= 1e-12
+        for t in (-0.5, 0.3, 1.0):
+            phi = ChoiOperator(depolarizing_choi(t, 2).op - gamma_operator(2), 2, (2,))
+            assert abs(lower_bound_by_states(phi) - abs(t) * 3 / 4) <= 1e-12
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(42)
         phi = hermitian_difference_choi(D2, rng)

@@ -37,6 +37,22 @@ def test_knee_is_certified_optimal(d):
     assert abs(res.nu - 1.0) <= 1e-8
 
 
+@pytest.mark.parametrize("thresholds, d", [
+    *[(pair, 2) for a, b in ((0.0, 0.75), (0.0, 0.875), (0.125, 0.75))
+      for pair in ((a, b), (b, a))],
+    *[((1.0 - 1.0 / d ** 2, 0.0), d) for d in range(3, 11)]])
+def test_first_face_step_finishes(thresholds, d):
+    # the regime boundary min(s1, s2) = max(s1, s2)/d and the knees: the
+    # Newton rounds of the first face step converge quadratically, and
+    # FACE_ROUNDS lets them reach tol 1e-9
+    with record_solves() as log:
+        res = bc.approx_overhead(thresholds, d, config=TIGHT)
+    sol = log[-1][1]
+    assert res.status == "optimal" and res.certificate.passed is True
+    assert sol.diagnostics["face_steps"] == 1 and sol.diagnostics["face_accepted"]
+    assert sol.iterations <= 3
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 10, 100])
 def test_threshold_surface_closed_form(d):
     g = bc._gram(d)

@@ -89,11 +89,13 @@ def test_records_without_fingerprints_read_na():
 
 def test_fingerprints_see_every_byte():
     import numpy as np
-    import scipy.sparse as sp
     from types import SimpleNamespace
 
+    from vbroadcast.sdp.csr import Csr
+
     def solve_record(b, y):
-        problem = SimpleNamespace(a=sp.csr_matrix(np.eye(2)), b=np.array(b),
+        problem = SimpleNamespace(a=Csr.from_triplets([0, 1], [0, 1], [1.0, 1.0], (2, 2)),
+                                  b=np.array(b),
                                   c=np.zeros(2), labels=[(0, 2, "rows")])
         solution = SimpleNamespace(y=np.array(y), x_blocks={"X": np.eye(2)})
         return parity.fingerprints(problem, solution)

@@ -324,22 +324,22 @@ class TestFailedPoints:
     """A point whose solve fails becomes a record with its status and empty
     outputs; every other row is still written and the exit code is 3."""
 
-    # every point of this grid is optimal within 3 iterations at the default
-    # tolerance; at 1e-12 and a cap of 3, seven are and (0, 1), (1, 0) are not
-    ARGV = ["sweep-ab", "--dim", "2", "--grid", "3", "--tol-gap", "1e-12",
+    # at 1e-12 and a cap of 3, 22 points of this grid are optimal and
+    # (0.75, 0.75), (0.75, 1), (1, 0.75) are not
+    ARGV = ["sweep-ab", "--dim", "2", "--grid", "5", "--tol-gap", "1e-12",
             "--tol-feas", "1e-12", "--max-iter", "3"]
 
     def test_sweep_writes_every_row(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(self.ARGV + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "max_iterations" in err and " of 9 points reached neither" in err
+        assert "max_iterations" in err and " 3 of 25 points reached neither" in err
         text = out.read_text()
         assert text.splitlines()[0] == CSV_HEADER
         recs = parse_csv(text)
-        assert len(recs) == 9
+        assert len(recs) == 25
         failed = [r for r in recs if r.status != "optimal"]
-        assert failed and len(failed) < 9
+        assert len(failed) == 3
         for r in failed:
             assert r.status == "max_iterations"
             assert (r.nu, r.s, r.mu, r.t, r.gap) == (None,) * 5

@@ -38,7 +38,6 @@ from vbroadcast.sdp import (
     solve,
 )
 from vbroadcast.sdp.problem import BlockSpec, Cone, _mat, _vec
-from scipy.linalg import blas
 
 from vbroadcast.sdp import solver
 from vbroadcast.sdp.solver import (
@@ -48,6 +47,7 @@ from vbroadcast.sdp.solver import (
     _schur,
     _schur_factor,
     _schur_solve,
+    _Triangular,
 )
 
 ALL_DROPS = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
@@ -251,7 +251,7 @@ def test_cone_layout(dims, seed):
     for name in names:
         cols = cone.columns[name]
         for row, coeffs in enumerate(rows):
-            got = _mat(problem.a[row, cols].toarray()[0])
+            got = _mat(problem.a[[row]][:, cols].toarray()[0])
             assert np.allclose(got, np.atleast_2d(coeffs[name]), rtol=0, atol=1e-15)
         assert np.allclose(_mat(problem.c[cols]), np.atleast_2d(objective[name]),
                            rtol=0, atol=1e-15)
@@ -385,8 +385,7 @@ def test_certificate_invariant_under_block_relabeling(order, names, corrupt):
 
 def first_pass(chol, rhs):
     """The Schur solve before refinement: the two triangular solves alone."""
-    upper = chol.T
-    return blas.dtrsv(upper, blas.dtrsv(upper, rhs, trans=1))
+    return _Triangular(chol).solve(rhs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -399,7 +398,7 @@ def test_refined_schur_solve(m, log_cond, log_scale, seed):
     schur = (q * eig) @ q.T
     rhs = rng.standard_normal(m)
     chol = _schur_factor(schur, 1e-12)
-    sol = _schur_solve(schur, chol, rhs)
+    sol = _schur_solve(schur, _Triangular(chol), rhs)
     want = np.linalg.solve(schur, rhs)
     # both solves are backward stable, so they agree to the forward error
     # cond(M) * eps that either may carry
@@ -429,7 +428,7 @@ def test_singular_schur_shifted_on_a_copy_and_refined_unshifted():
     np.testing.assert_allclose(chol @ chol.T, schur + 1e-6 * np.eye(3), atol=1e-15)
     rhs = schur @ np.array([0.3, -0.7, 2.0])       # consistent right-hand side
     first = np.linalg.norm(rhs - schur @ first_pass(chol, rhs))
-    refined = np.linalg.norm(rhs - schur @ _schur_solve(schur, chol, rhs))
+    refined = np.linalg.norm(rhs - schur @ _schur_solve(schur, _Triangular(chol), rhs))
     assert first > 1e-7
     # each pass against the unshifted M gains the factor shift / eigenvalue
     assert refined <= 1e-4 * first

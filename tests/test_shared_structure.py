@@ -7,8 +7,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.sparse as sp
 
 from vbroadcast import broadcasting as bc
 from vbroadcast import diamond
@@ -16,6 +14,7 @@ from vbroadcast.channels import ChoiOperator
 from vbroadcast.linalg import random_hermitian
 from vbroadcast.sdp import ProblemBuilder, SolverConfig, full_term, ptrace_term, scalar_term
 from vbroadcast.sdp import solver
+from vbroadcast.sdp.csr import Csr
 from vbroadcast.sdp.solver import record_solves, solve
 
 
@@ -125,7 +124,7 @@ def test_solve_on_a_shared_structure_equals_a_fresh_solve():
 
 
 def test_grid_builds_two_structures(monkeypatch):
-    calls = {"dpstrf": 0, "block_rows": 0}
+    calls = {"independent_rows": 0, "block_rows": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -133,8 +132,8 @@ def test_grid_builds_two_structures(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpstrf",
-                        counted("dpstrf", scipy.linalg.lapack.dpstrf))
+    monkeypatch.setattr(solver, "_independent_rows",
+                        counted("independent_rows", solver._independent_rows))
     monkeypatch.setattr(solver, "_block_rows", counted("block_rows", solver._block_rows))
     bc._covariant_structure.cache_clear()
     axis = [k / 8 for k in range(9)]
@@ -145,7 +144,7 @@ def test_grid_builds_two_structures(monkeypatch):
                 bc.approx_overhead((a, b), 2, config=cfg)
     # the symmetric LP on the diagonal, the 2 x 2 form off it
     assert len(log) == 81
-    assert calls == {"dpstrf": 2, "block_rows": 2}
+    assert calls == {"independent_rows": 2, "block_rows": 2}
 
 
 ENTRY_POINTS = {
@@ -172,13 +171,14 @@ def test_replace_gets_fresh_row_data():
     p = bc._covariant_problem(2, [0.8] * 2)
     solve(p)
     assert p.with_b(p.b).structure is p.structure
-    q = dataclasses.replace(p, a=2.0 * p.a)
+    doubled = Csr(2.0 * p.a.data, p.a.indices, p.a.indptr, p.a.shape)
+    q = dataclasses.replace(p, a=doubled)
     assert q.structure is not p.structure and q.structure.solver is None
     solve(q)
     rows = solver._rows(q)
     assert rows is not solver._rows(p)
-    a_red = rows.a_red.toarray() if sp.issparse(rows.a_red) else rows.a_red
-    assert np.array_equal(a_red, (2.0 * p.a)[rows.presolve.kept].toarray())
+    a_red = rows.a_red.toarray() if isinstance(rows.a_red, Csr) else rows.a_red
+    assert np.array_equal(a_red, doubled[rows.presolve.kept].toarray())
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -197,8 +197,8 @@ def test_diamond_rows_stay_sparse(dims):
     j = ChoiOperator(random_hermitian(math.prod(dims), np.random.default_rng(4)),
                      dims[0], dims[1:])
     rows = solver._Rows(diamond.diamond_problem(j))
-    assert sp.issparse(rows.a_red) and sp.issparse(rows.a_red_t)
-    assert all(sp.issparse(blk.a_block) for blk in rows.blocks)
+    assert isinstance(rows.a_red, Csr) and isinstance(rows.a_red_t, Csr)
+    assert all(isinstance(blk.a_block, Csr) for blk in rows.blocks)
 
 
 @pytest.mark.parametrize("problem", [
